@@ -63,7 +63,7 @@ func TestBranchTargetCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := Campaign{Trials: 200, Seed: 3, Output: "out", BranchTargets: true}
+	c := Campaign{Trials: 200, Seed: 3, Output: "out", FaultModel: "branch-target"}
 	plain, err := prog.InjectFaults(testInput(), c)
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,7 @@ package main
 
 // Campaign throughput benchmark (-bench-campaign): measures fault-injection
 // trials per second for every built-in workload across the engine ×
-// checkpoint × lockstep × fusion × convergence grid and writes the
+// checkpoint × fusion × convergence grid and writes the
 // BENCH_campaign.json artifact tracked in the repository, so the perf
 // trajectory of the campaign path is recorded next to the code that moves
 // it.
@@ -24,13 +24,12 @@ import (
 )
 
 // campaignBenchRow is one cell of the workload × technique × engine ×
-// checkpoint × lockstep × fusion × convergence grid.
+// checkpoint × fusion × convergence grid.
 type campaignBenchRow struct {
 	Workload     string  `json:"workload"`
 	Technique    string  `json:"technique"`
 	Engine       string  `json:"engine"`
 	Checkpoint   bool    `json:"checkpoint"`
-	Lockstep     bool    `json:"lockstep"`
 	Fused        bool    `json:"fused"`
 	Converge     bool    `json:"converge"`
 	Trials       int     `json:"trials"`
@@ -40,32 +39,27 @@ type campaignBenchRow struct {
 }
 
 // campaignBenchArtifact is the BENCH_campaign.json schema. Speedup compares
-// the fast engine's checkpointed over from-scratch throughput (Original,
-// lockstep off in both cells); SpeedupLockstep compares lockstep over
-// checkpointed-solo throughput on the FullDup binary, where software
-// detection keeps post-trigger suffixes short and the shared golden prefix
-// dominates a solo trial's cost. FusionSpeedup* compare fused over unfused
-// dispatch on otherwise-identical cells (Original checkpointed-solo and
-// FullDup checkpointed-solo), and ConvSpeedupFullDup compares the solo
-// convergence fast-forward over a full-suffix solo run on the FullDup
-// binary, whose masked trials re-converge with the golden ladder quickly.
-// The geomeans are the campaign-level headlines.
+// the fast engine's checkpointed (golden-cursor) over from-scratch
+// throughput on the Original binary. FusionSpeedup* compare fused over
+// unfused dispatch on otherwise-identical checkpointed cells (Original and
+// FullDup), and ConvSpeedupFullDup compares the convergence fast-forward
+// over a full-suffix run on the FullDup binary, whose masked trials
+// re-converge with the golden ladder quickly. The geomeans are the
+// campaign-level headlines.
 type campaignBenchArtifact struct {
-	Generated              string             `json:"generated"`
-	GoVersion              string             `json:"go_version"`
-	TrialsPerCell          int                `json:"trials_per_cell"`
-	Workers                int                `json:"workers"`
-	Seed                   int64              `json:"seed"`
-	Rows                   []campaignBenchRow `json:"rows"`
-	Speedup                map[string]float64 `json:"speedup_ckpt_vs_scratch"`
-	SpeedupGeomean         float64            `json:"speedup_geomean"`
-	SpeedupLockstep        map[string]float64 `json:"speedup_lockstep_vs_solo"`
-	SpeedupLockstepGeomean float64            `json:"speedup_lockstep_geomean"`
-	FusionSpeedupOriginal  map[string]float64 `json:"fusion_speedup_original"`
-	FusionSpeedupFullDup   map[string]float64 `json:"fusion_speedup_fulldup"`
-	FusionSpeedupGeomean   float64            `json:"fusion_speedup_geomean"`
-	ConvSpeedupFullDup     map[string]float64 `json:"conv_speedup_fulldup_solo"`
-	ConvSpeedupGeomean     float64            `json:"conv_speedup_fulldup_geomean"`
+	Generated             string             `json:"generated"`
+	GoVersion             string             `json:"go_version"`
+	TrialsPerCell         int                `json:"trials_per_cell"`
+	Workers               int                `json:"workers"`
+	Seed                  int64              `json:"seed"`
+	Rows                  []campaignBenchRow `json:"rows"`
+	Speedup               map[string]float64 `json:"speedup_ckpt_vs_scratch"`
+	SpeedupGeomean        float64            `json:"speedup_geomean"`
+	FusionSpeedupOriginal map[string]float64 `json:"fusion_speedup_original"`
+	FusionSpeedupFullDup  map[string]float64 `json:"fusion_speedup_fulldup"`
+	FusionSpeedupGeomean  float64            `json:"fusion_speedup_geomean"`
+	ConvSpeedupFullDup    map[string]float64 `json:"conv_speedup_fulldup_solo"`
+	ConvSpeedupGeomean    float64            `json:"conv_speedup_fulldup_geomean"`
 }
 
 // benchReps is how many times each grid cell is measured; the fastest rep is
@@ -82,28 +76,25 @@ func runCampaignBench(path string, trials int, seed int64) error {
 	if trials <= 0 {
 		trials = 100
 	}
-	// Lockstep is pinned explicitly in every cell: the off cells isolate the
-	// checkpoint-vs-scratch ratio from batching, and each auto-scheduled
-	// cell then picks its own best snapshot density (32 solo, 8 lockstep).
-	// The fuse/conv twins differ from their baseline cell in exactly one
-	// knob, so each ratio isolates one mechanism.
+	// Checkpointed cells (ckpt true) run on baselineLadder, the snapshot
+	// density the tracked fusion and convergence baselines were measured
+	// at. The fuse/conv twins differ from their baseline cell in exactly
+	// one knob, so each ratio isolates one mechanism.
 	grid := []struct {
 		key       string // rate-map key; "" for cells no ratio reads
 		technique string
 		engine    vm.EngineKind
-		ckpt      int
-		lockstep  int
+		ckpt      bool
 		fuse      int
 		converge  int
 	}{
-		{"orig/ckpt", "Original", vm.EngineFast, 0, -1, 0, 0},
-		{"orig/ckpt/nofuse", "Original", vm.EngineFast, 0, -1, -1, 0},
-		{"orig/scratch", "Original", vm.EngineFast, -1, -1, 0, 0},
-		{"", "Original", vm.EngineTree, -1, -1, 0, 0},
-		{"fdup/solo", "FullDup", vm.EngineFast, 0, -1, 0, 0},
-		{"fdup/solo/nofuse", "FullDup", vm.EngineFast, 0, -1, -1, 0},
-		{"fdup/solo/noconv", "FullDup", vm.EngineFast, 0, -1, 0, -1},
-		{"fdup/lockstep", "FullDup", vm.EngineFast, 0, 0, 0, 0},
+		{"orig/ckpt", "Original", vm.EngineFast, true, 0, 0},
+		{"orig/ckpt/nofuse", "Original", vm.EngineFast, true, -1, 0},
+		{"orig/scratch", "Original", vm.EngineFast, false, 0, 0},
+		{"", "Original", vm.EngineTree, false, 0, 0},
+		{"fdup/ckpt", "FullDup", vm.EngineFast, true, 0, 0},
+		{"fdup/ckpt/nofuse", "FullDup", vm.EngineFast, true, -1, 0},
+		{"fdup/ckpt/noconv", "FullDup", vm.EngineFast, true, 0, -1},
 	}
 	art := &campaignBenchArtifact{
 		Generated:             time.Now().UTC().Format(time.RFC3339),
@@ -112,7 +103,6 @@ func runCampaignBench(path string, trials int, seed int64) error {
 		Workers:               1,
 		Seed:                  seed,
 		Speedup:               make(map[string]float64),
-		SpeedupLockstep:       make(map[string]float64),
 		FusionSpeedupOriginal: make(map[string]float64),
 		FusionSpeedupFullDup:  make(map[string]float64),
 		ConvSpeedupFullDup:    make(map[string]float64),
@@ -128,6 +118,12 @@ func runCampaignBench(path string, trials int, seed int64) error {
 			return fmt.Errorf("%s: FullDup protect: %w", w.Name, err)
 		}
 		mods["FullDup"] = fdup
+		ladder := make(map[string]int)
+		for tech, m := range mods {
+			if ladder[tech], err = baselineLadder(w, m); err != nil {
+				return err
+			}
+		}
 
 		rate := make(map[string]float64)
 		for _, g := range grid {
@@ -136,8 +132,10 @@ func runCampaignBench(path string, trials int, seed int64) error {
 			cfg.Seed = seed
 			cfg.Workers = 1
 			cfg.Engine = g.engine
-			cfg.Checkpoints = g.ckpt
-			cfg.Lockstep = g.lockstep
+			cfg.Checkpoints = -1
+			if g.ckpt {
+				cfg.Checkpoints = ladder[g.technique]
+			}
 			cfg.Fuse = g.fuse
 			cfg.Converge = g.converge
 			var rep *fault.Report
@@ -160,8 +158,7 @@ func runCampaignBench(path string, trials int, seed int64) error {
 				Workload:     w.Name,
 				Technique:    g.technique,
 				Engine:       engine,
-				Checkpoint:   g.ckpt >= 0,
-				Lockstep:     g.lockstep >= 0,
+				Checkpoint:   g.ckpt,
 				Fused:        g.fuse >= 0,
 				Converge:     g.converge >= 0,
 				Trials:       rep.Tally.N,
@@ -173,21 +170,18 @@ func runCampaignBench(path string, trials int, seed int64) error {
 			if g.key != "" {
 				rate[g.key] = row.TrialsPerSec
 			}
-			fmt.Fprintf(os.Stderr, "bench-campaign %-10s %-8s %s ckpt=%-5v lockstep=%-5v fuse=%-5v conv=%-5v %8.1f trials/s\n",
-				w.Name, g.technique, engine, g.ckpt >= 0, g.lockstep >= 0, g.fuse >= 0, g.converge >= 0, row.TrialsPerSec)
+			fmt.Fprintf(os.Stderr, "bench-campaign %-10s %-8s %s ckpt=%-5v fuse=%-5v conv=%-5v %8.1f trials/s\n",
+				w.Name, g.technique, engine, g.ckpt, g.fuse >= 0, g.converge >= 0, row.TrialsPerSec)
 		}
 		art.Speedup[w.Name] = rate["orig/ckpt"] / rate["orig/scratch"]
-		art.SpeedupLockstep[w.Name] = rate["fdup/lockstep"] / rate["fdup/solo"]
 		art.FusionSpeedupOriginal[w.Name] = rate["orig/ckpt"] / rate["orig/ckpt/nofuse"]
-		art.FusionSpeedupFullDup[w.Name] = rate["fdup/solo"] / rate["fdup/solo/nofuse"]
-		art.ConvSpeedupFullDup[w.Name] = rate["fdup/solo"] / rate["fdup/solo/noconv"]
+		art.FusionSpeedupFullDup[w.Name] = rate["fdup/ckpt"] / rate["fdup/ckpt/nofuse"]
+		art.ConvSpeedupFullDup[w.Name] = rate["fdup/ckpt"] / rate["fdup/ckpt/noconv"]
 	}
 	art.SpeedupGeomean = geomean(art.Speedup)
-	art.SpeedupLockstepGeomean = geomean(art.SpeedupLockstep)
 	art.FusionSpeedupGeomean = math.Sqrt(geomean(art.FusionSpeedupOriginal) * geomean(art.FusionSpeedupFullDup))
 	art.ConvSpeedupGeomean = geomean(art.ConvSpeedupFullDup)
 	fmt.Fprintf(os.Stderr, "bench-campaign geomean checkpoint speedup:  %.2fx\n", art.SpeedupGeomean)
-	fmt.Fprintf(os.Stderr, "bench-campaign geomean lockstep speedup:    %.2fx\n", art.SpeedupLockstepGeomean)
 	fmt.Fprintf(os.Stderr, "bench-campaign geomean fusion speedup:      %.2fx\n", art.FusionSpeedupGeomean)
 	fmt.Fprintf(os.Stderr, "bench-campaign geomean convergence speedup: %.2fx\n", art.ConvSpeedupGeomean)
 
@@ -196,6 +190,27 @@ func runCampaignBench(path string, trials int, seed int64) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// baselineLadder is the snapshot count the tracked fusion and convergence
+// baselines were measured at: the automatic schedule under its former
+// 32-snapshot cap, one snapshot per 20K golden instructions. Convergence
+// only fires at ladder crossings, so both ratios depend on ladder density,
+// and the 8-snapshot default would not be comparable with the baselines.
+func baselineLadder(w *workloads.Workload, mod *ir.Module) (int, error) {
+	m, err := vm.New(mod, vm.DefaultConfig())
+	if err != nil {
+		return 0, err
+	}
+	if err := w.Bind(m, workloads.Test); err != nil {
+		return 0, err
+	}
+	m.Reset()
+	res := m.Run(vm.RunOptions{})
+	if res.Trap != nil {
+		return 0, fmt.Errorf("%s: golden run trapped: %v", w.Name, res.Trap)
+	}
+	return min(int(res.Dyn/20_000), 32), nil
 }
 
 func geomean(m map[string]float64) float64 {

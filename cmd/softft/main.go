@@ -19,8 +19,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -28,53 +30,86 @@ import (
 	"repro"
 )
 
+// subcommands are the distributed-campaign verbs (serve.go).
+var subcommands = map[string]func(ctx context.Context, args []string, stdout, stderr io.Writer) error{
+	"serve":  runServe,
+	"work":   runWork,
+	"submit": runSubmit,
+}
+
+// usageError is a command-line mistake; main exits 2 on it.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
 func main() {
-	if len(os.Args) > 1 {
-		var sub func([]string) error
-		switch os.Args[1] {
-		case "serve":
-			sub = runServe
-		case "work":
-			sub = runWork
-		case "submit":
-			sub = runSubmit
-		}
-		if sub != nil {
-			if err := sub(os.Args[2:]); err != nil {
-				fatal(err)
-			}
-			return
-		}
+	var err error
+	if len(os.Args) > 1 && subcommands[os.Args[1]] != nil {
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		err = subcommands[os.Args[1]](ctx, os.Args[2:], os.Stdout, os.Stderr)
+		stop()
+	} else {
+		err = runSolo(os.Args[1:], os.Stdout, os.Stderr)
 	}
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.As(err, new(usageError)):
+		fmt.Fprintln(os.Stderr, "softft:", err)
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "softft:", err)
+		os.Exit(1)
+	}
+}
+
+// parseFlags parses args into fs, marking parse failures as usage errors
+// (the flag package has already printed the details and the usage).
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usageError(err.Error())
+	}
+	if fs.NArg() > 0 {
+		return usageError(fmt.Sprintf("unexpected argument %q", fs.Arg(0)))
+	}
+	return nil
+}
+
+// runSolo is the single-process command line: compile, protect, run,
+// inject, or benchmark one program.
+func runSolo(args []string, stdout, stderr io.Writer) error {
+	flags := flag.NewFlagSet("softft", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var (
-		list    = flag.Bool("list", false, "list built-in benchmarks")
-		bench   = flag.String("bench", "", "built-in benchmark name")
-		src     = flag.String("src", "", "compile a source file instead of a benchmark")
-		mode    = flag.String("mode", "original", "protection scheme, a '+'-composition of registered schemes (e.g. dupval, abft+dupval), or 'list'")
-		dump    = flag.Bool("dump", false, "print the (protected) IR")
-		run     = flag.Bool("run", false, "run fault-free and print statistics")
-		stats   = flag.Bool("stats", false, "print protection statistics")
-		inject  = flag.Int("inject", 0, "run a fault-injection campaign with N trials")
-		seed    = flag.Int64("seed", 2014, "campaign seed")
-		profOut = flag.String("profile-out", "", "write the value profile to this file")
-		profIn  = flag.String("profile-in", "", "read a saved value profile instead of re-profiling")
-		useCFC  = flag.Bool("cfc", false, "add signature-based control-flow checks")
-		trace   = flag.Int64("trace", 0, "print an execution trace of up to N instructions")
-		branch  = flag.Bool("branch-faults", false, "deprecated: same as -fault-model branch-target")
-		fmodel  = flag.String("fault-model", "", "registered fault model for -inject (default reg-flip), or 'list'")
+		list    = flags.Bool("list", false, "list built-in benchmarks")
+		bench   = flags.String("bench", "", "built-in benchmark name")
+		src     = flags.String("src", "", "compile a source file instead of a benchmark")
+		mode    = flags.String("mode", "original", "protection scheme, a '+'-composition of registered schemes (e.g. dupval, abft+dupval), or 'list'")
+		dump    = flags.Bool("dump", false, "print the (protected) IR")
+		run     = flags.Bool("run", false, "run fault-free and print statistics")
+		stats   = flags.Bool("stats", false, "print protection statistics")
+		inject  = flags.Int("inject", 0, "run a fault-injection campaign with N trials")
+		seed    = flags.Int64("seed", 2014, "campaign seed")
+		profOut = flags.String("profile-out", "", "write the value profile to this file")
+		profIn  = flags.String("profile-in", "", "read a saved value profile instead of re-profiling")
+		useCFC  = flags.Bool("cfc", false, "add signature-based control-flow checks")
+		trace   = flags.Int64("trace", 0, "print an execution trace of up to N instructions")
+		fmodel  = flags.String("fault-model", "", "registered fault model for -inject (default reg-flip), or 'list'")
+		fuse    = flags.String("fuse", "on", "superinstruction fusion in the fast engine: on or off (bit-identical results; throughput only)")
 
-		lockstep = flag.Int("lockstep", 0, "lockstep batching: 0 auto, N>0 batch bins of >= N trials, -1 off (bit-identical results; throughput only)")
-		fuse     = flag.String("fuse", "on", "superinstruction fusion in the fast engine: on or off (bit-identical results; throughput only)")
+		journal      = flags.String("journal", "", "append completed trials to this durable journal file")
+		resume       = flags.Bool("resume", false, "replay the -journal file and run only the remaining trials")
+		trialTimeout = flags.Duration("trial-timeout", 0, "wall-clock bound per trial (e.g. 5s); hung trials are quarantined")
+		targetCI     = flags.Float64("target-ci", 0, "stop early once coverage and USDC 95% CIs are this tight (e.g. 0.05)")
 
-		journal      = flag.String("journal", "", "append completed trials to this durable journal file")
-		resume       = flag.Bool("resume", false, "replay the -journal file and run only the remaining trials")
-		trialTimeout = flag.Duration("trial-timeout", 0, "wall-clock bound per trial (e.g. 5s); hung trials are quarantined")
-		targetCI     = flag.Float64("target-ci", 0, "stop early once coverage and USDC 95% CIs are this tight (e.g. 0.05)")
-
-		benchCampaign = flag.String("bench-campaign", "", "measure campaign throughput over all benchmarks and write the JSON artifact to this path")
-		benchTrials   = flag.Int("bench-trials", 100, "trials per grid cell for -bench-campaign")
+		benchCampaign = flags.String("bench-campaign", "", "measure campaign throughput over all benchmarks and write the JSON artifact to this path")
+		benchTrials   = flags.Int("bench-trials", 100, "trials per grid cell for -bench-campaign")
 	)
-	flag.Parse()
+	if err := parseFlags(flags, args); err != nil {
+		return err
+	}
 
 	fuseKnob := 0
 	switch *fuse {
@@ -82,30 +117,26 @@ func main() {
 	case "off":
 		fuseKnob = -1
 	default:
-		fmt.Fprintln(os.Stderr, "softft: -fuse takes on or off")
-		os.Exit(2)
+		return usageError("-fuse takes on or off")
 	}
 
 	if *benchCampaign != "" {
-		if err := runCampaignBench(*benchCampaign, *benchTrials, *seed); err != nil {
-			fatal(err)
-		}
-		return
+		return runCampaignBench(*benchCampaign, *benchTrials, *seed)
 	}
 
 	if *list {
 		for _, name := range softft.Benchmarks() {
 			b, _ := softft.GetBenchmark(name)
-			fmt.Printf("%-10s %s\n", name, b.Description())
+			fmt.Fprintf(stdout, "%-10s %s\n", name, b.Description())
 		}
-		return
+		return nil
 	}
 
 	if *fmodel == "list" {
 		for _, name := range softft.FaultModels() {
-			fmt.Println(name)
+			fmt.Fprintln(stdout, name)
 		}
-		return
+		return nil
 	}
 
 	if *mode == "list" {
@@ -114,14 +145,13 @@ func main() {
 			if m.NeedsProfile() {
 				needs = " (needs a value profile)"
 			}
-			fmt.Printf("%-10s %s%s\n", m, m.Title(), needs)
+			fmt.Fprintf(stdout, "%-10s %s%s\n", m, m.Title(), needs)
 		}
-		return
+		return nil
 	}
 
 	if *bench == "" && *src == "" {
-		fmt.Fprintln(os.Stderr, "softft: need -bench, -src or -list; see -help")
-		os.Exit(2)
+		return usageError("need -bench, -src or -list; see -help")
 	}
 
 	var (
@@ -132,7 +162,7 @@ func main() {
 	if *src != "" {
 		data, rerr := os.ReadFile(*src)
 		if rerr != nil {
-			fatal(rerr)
+			return rerr
 		}
 		prog, err = softft.Compile(*src, string(data))
 	} else {
@@ -142,12 +172,12 @@ func main() {
 		}
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	m, err := softft.ParseMode(*mode)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	if m != softft.Original {
@@ -156,29 +186,29 @@ func main() {
 			if *profIn != "" {
 				f, err := os.Open(*profIn)
 				if err != nil {
-					fatal(err)
+					return err
 				}
 				prof, err = softft.LoadProfile(f, prog.Name())
 				f.Close()
 				if err != nil {
-					fatal(err)
+					return err
 				}
 			} else {
 				if bm == nil {
-					fatal(fmt.Errorf("-mode %s needs a built-in benchmark or -profile-in", m))
+					return fmt.Errorf("-mode %s needs a built-in benchmark or -profile-in", m)
 				}
 				prof, err = prog.ProfileValues(bm.TrainInput())
 				if err != nil {
-					fatal(err)
+					return err
 				}
 			}
 			if *profOut != "" {
 				f, err := os.Create(*profOut)
 				if err != nil {
-					fatal(err)
+					return err
 				}
 				if err := prof.Save(f, prog.Name()); err != nil {
-					fatal(err)
+					return err
 				}
 				f.Close()
 			}
@@ -186,33 +216,33 @@ func main() {
 		var st softft.Stats
 		prog, st, err = prog.Protect(m, prof)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if *stats {
-			fmt.Printf("protection %s: %d static instrs, %d state vars, %d duplicated, %d dup checks, %d value checks\n",
+			fmt.Fprintf(stdout, "protection %s: %d static instrs, %d state vars, %d duplicated, %d dup checks, %d value checks\n",
 				m, st.TotalInstrs, st.StateVars, st.DuplicatedInstrs, st.DupChecks, st.ValueChecks)
 			if st.ABFTKernels > 0 {
-				fmt.Printf("  abft: %d kernels checksummed, %d exit checks\n", st.ABFTKernels, st.ABFTChecks)
+				fmt.Fprintf(stdout, "  abft: %d kernels checksummed, %d exit checks\n", st.ABFTKernels, st.ABFTChecks)
 			}
 		}
 	} else if *stats {
-		fmt.Printf("original: %d static instrs\n", prog.NumInstrs())
+		fmt.Fprintf(stdout, "original: %d static instrs\n", prog.NumInstrs())
 	}
 
 	if *useCFC {
 		var cs softft.CFCStats
 		prog, cs, err = prog.WithControlFlowChecks()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if *stats {
-			fmt.Printf("control-flow checks: %d blocks, %d checks, %d uncheckable fan-ins\n",
+			fmt.Fprintf(stdout, "control-flow checks: %d blocks, %d checks, %d uncheckable fan-ins\n",
 				cs.Blocks, cs.Checks, cs.Unchecked)
 		}
 	}
 
 	if *dump {
-		fmt.Print(prog.Dump())
+		fmt.Fprint(stdout, prog.Dump())
 	}
 
 	if *run || *trace > 0 {
@@ -222,29 +252,27 @@ func main() {
 		}
 		var res *softft.Result
 		if *trace > 0 {
-			res, err = prog.Trace(in, os.Stdout, *trace)
+			res, err = prog.Trace(in, stdout, *trace)
 		} else {
 			res, err = prog.Run(in)
 		}
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("ran %s: %d dynamic instrs, %d cycles, %d check failures\n",
+		fmt.Fprintf(stdout, "ran %s: %d dynamic instrs, %d cycles, %d check failures\n",
 			prog.Name(), res.Dyn, res.Cycles, res.CheckFailures)
 	}
 
 	if *inject > 0 {
 		if bm == nil {
-			fatal(fmt.Errorf("-inject needs a built-in benchmark (fidelity judgment)"))
+			return fmt.Errorf("-inject needs a built-in benchmark (fidelity judgment)")
 		}
 		if *resume && *journal == "" {
-			fatal(fmt.Errorf("-resume needs -journal"))
+			return fmt.Errorf("-resume needs -journal")
 		}
 		c := bm.NewCampaign(*inject)
 		c.Seed = *seed
 		c.FaultModel = *fmodel
-		c.BranchTargets = *branch
-		c.Lockstep = *lockstep
 		c.Fuse = fuseKnob
 		c.Journal = *journal
 		c.Resume = *resume
@@ -257,23 +285,24 @@ func main() {
 		out, err := prog.InjectFaultsContext(ctx, bm.TestInput(), c)
 		stop()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		// Resume/quarantine/partial details go to stderr so stdout stays
 		// byte-comparable across interrupted-and-resumed runs.
 		if out.Replayed > 0 {
-			fmt.Fprintf(os.Stderr, "softft: resumed %d trials from %s\n", out.Replayed, *journal)
+			fmt.Fprintf(stderr, "softft: resumed %d trials from %s\n", out.Replayed, *journal)
 		}
 		if out.Partial {
 			for _, a := range out.Anomalies {
-				fmt.Fprintf(os.Stderr, "softft: trial %d quarantined (%s, seed %d)\n", a.Trial, a.Reason, a.Seed)
+				fmt.Fprintf(stderr, "softft: trial %d quarantined (%s, seed %d)\n", a.Trial, a.Reason, a.Seed)
 			}
-			fmt.Fprintf(os.Stderr, "softft: campaign interrupted after %d trials; rerun with -journal/-resume to continue\n", out.Trials)
-			fmt.Fprintf(os.Stderr, "softft: partial outcomes: %s\n", out)
-			return
+			fmt.Fprintf(stderr, "softft: campaign interrupted after %d trials; rerun with -journal/-resume to continue\n", out.Trials)
+			fmt.Fprintf(stderr, "softft: partial outcomes: %s\n", out)
+			return nil
 		}
-		reportOutcomes(bm.Name(), m, out, *targetCI)
+		reportOutcomes(stdout, stderr, bm.Name(), m, out, *targetCI)
 	}
+	return nil
 }
 
 // reportOutcomes prints a finished campaign's report. The stdout lines
@@ -281,24 +310,19 @@ func main() {
 // is bit-reproducible, so a `submit -wait` and a solo `-inject` of the
 // same spec print byte-identical stdout; run-shape details (quarantines,
 // early stop) go to stderr.
-func reportOutcomes(bench string, m softft.Mode, out *softft.Outcomes, targetCI float64) {
+func reportOutcomes(stdout, stderr io.Writer, bench string, m softft.Mode, out *softft.Outcomes, targetCI float64) {
 	for _, a := range out.Anomalies {
-		fmt.Fprintf(os.Stderr, "softft: trial %d quarantined (%s, seed %d)\n", a.Trial, a.Reason, a.Seed)
+		fmt.Fprintf(stderr, "softft: trial %d quarantined (%s, seed %d)\n", a.Trial, a.Reason, a.Seed)
 	}
 	if out.EarlyStopped {
-		fmt.Fprintf(os.Stderr, "softft: early stop at %d trials (target CI %.3f reached, %d trials saved)\n",
+		fmt.Fprintf(stderr, "softft: early stop at %d trials (target CI %.3f reached, %d trials saved)\n",
 			out.Trials, targetCI, out.TrialsSaved)
 	}
-	fmt.Printf("%s under %s: %s\n", bench, m, out)
-	fmt.Printf("  SDCs=%d (acceptable %d, unacceptable %d)  USDC rate %.2f%%\n",
+	fmt.Fprintf(stdout, "%s under %s: %s\n", bench, m, out)
+	fmt.Fprintf(stdout, "  SDCs=%d (acceptable %d, unacceptable %d)  USDC rate %.2f%%\n",
 		out.SDCs, out.ASDCs, out.USDCs, 100*out.USDCRate())
 	if out.SWDetected > 0 {
-		fmt.Printf("  SWDetect breakdown: %d duplication, %d value, %d control-flow, %d abft\n",
+		fmt.Fprintf(stdout, "  SWDetect breakdown: %d duplication, %d value, %d control-flow, %d abft\n",
 			out.SWDetectedDup, out.SWDetectedValue, out.SWDetectedCFC, out.SWDetectedABFT)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "softft:", err)
-	os.Exit(1)
 }

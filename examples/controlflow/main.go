@@ -48,16 +48,15 @@ func main() {
 	}
 
 	for _, model := range []struct {
-		name   string
-		branch bool
+		name, faultModel string
 	}{
-		{"register bit flips", false},
-		{"branch-target faults", true},
+		{"register bit flips", "reg-flip"},
+		{"branch-target faults", "branch-target"},
 	} {
 		fmt.Printf("fault model: %s\n", model.name)
 		for _, pr := range programs {
 			c := bench.NewCampaign(400)
-			c.BranchTargets = model.branch
+			c.FaultModel = model.faultModel
 			out, err := pr.p.InjectFaults(bench.TestInput(), c)
 			if err != nil {
 				log.Fatal(err)

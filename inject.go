@@ -21,12 +21,6 @@ type Campaign struct {
 	// flipped memory bit until the program retires; "intermittent" is a
 	// duration-bounded stuck-at.
 	FaultModel string
-	// BranchTargets switches the fault model from register bit flips to
-	// branch-target corruptions (see Program.WithControlFlowChecks).
-	//
-	// Deprecated: set FaultModel to "branch-target" instead. Setting both
-	// fields is a validation error.
-	BranchTargets bool
 	// Seed makes the campaign reproducible.
 	Seed int64
 	// Output names the global holding the program's result.
@@ -49,24 +43,19 @@ type Campaign struct {
 	// Figure 2 split). 0 uses the default threshold of 1.0, i.e. a 100%
 	// relative change.
 	LargeChange float64
-	// Checkpoints controls golden-prefix snapshotting: trials restore the
-	// snapshot nearest below their injection point instead of re-executing
-	// the fault-free prefix. 0 (the default) sizes the snapshot schedule
-	// automatically; > 0 requests an explicit count; < 0 disables
-	// checkpointing. Results are bit-identical either way — this is purely
-	// a throughput knob.
+	// Checkpoints controls golden-prefix reuse: each worker walks a golden
+	// (fault-free) cursor machine forward and starts every trial as a clone
+	// of it at the trial's injection point, restarting the cursor from
+	// snapshots of the golden run instead of re-executing the fault-free
+	// prefix. 0 (the default) sizes the snapshot schedule automatically;
+	// > 0 requests an explicit count; < 0 disables golden-prefix reuse, so
+	// every trial runs from the start. Results are bit-identical either way
+	// — this is purely a throughput knob.
 	Checkpoints int
-	// Lockstep controls batched trial execution inside checkpoint bins: one
-	// carrier machine advances the shared golden prefix once and every trial
-	// peels off at its own divergence point. 0 (the default) batches
-	// automatically where profitable; > 0 forces batching for every bin of
-	// at least that many trials; < 0 disables it. Results are bit-identical
-	// either way — like Checkpoints, this is purely a throughput knob.
-	Lockstep int
 	// Fuse controls superinstruction dispatch in the execution engine: 0
 	// (the default) keeps fused dispatch enabled; < 0 forces per-instruction
-	// dispatch. Results are bit-identical either way — like Checkpoints and
-	// Lockstep, this is purely a throughput knob (and an escape hatch).
+	// dispatch. Results are bit-identical either way — like Checkpoints,
+	// this is purely a throughput knob (and an escape hatch).
 	Fuse int
 	// ShardStart and ShardEnd restrict the campaign to the trial subrange
 	// [ShardStart, ShardEnd). Both zero (the default) runs every trial.
@@ -242,12 +231,7 @@ func (p *Program) campaignSetup(in *Input, c Campaign) (fault.Target, fault.Conf
 	if c.Seed != 0 {
 		cfg.Seed = c.Seed
 	}
-	if c.BranchTargets {
-		if c.FaultModel != "" {
-			return fault.Target{}, fault.Config{}, fmt.Errorf("softft: Campaign.BranchTargets: deprecated shim conflicts with Campaign.FaultModel %q (set FaultModel to %q and drop BranchTargets)", c.FaultModel, fault.ModelBranchTarget)
-		}
-		cfg.Model = fault.ModelBranchTarget
-	} else if c.FaultModel != "" {
+	if c.FaultModel != "" {
 		if _, err := fault.LookupModel(c.FaultModel); err != nil {
 			return fault.Target{}, fault.Config{}, fmt.Errorf("softft: Campaign.FaultModel: %v", err)
 		}
@@ -263,7 +247,6 @@ func (p *Program) campaignSetup(in *Input, c Campaign) (fault.Target, fault.Conf
 		cfg.LargeChange = c.LargeChange
 	}
 	cfg.Checkpoints = c.Checkpoints
-	cfg.Lockstep = c.Lockstep
 	cfg.Fuse = c.Fuse
 	if (c.ShardStart != 0 || c.ShardEnd != 0) && c.Journal == "" {
 		return fault.Target{}, fault.Config{}, fmt.Errorf("softft: Campaign.ShardStart/ShardEnd: sharding requires Campaign.Journal (a shard's results are its journal)")

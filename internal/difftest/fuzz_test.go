@@ -100,26 +100,26 @@ func FuzzCompileAndRun(f *testing.F) {
 	})
 }
 
-// FuzzLockstepDivergence hammers the lockstep peel protocol with arbitrary
-// programs: a carrier peels lanes at every edge point — origin (trigger at
-// dyn 0), dyn 1, the midpoint, and the last suspendable instruction of the
-// run (a divergence on the final instruction of a bin) — and each peeled
-// machine must finish bit-identically to a solo run. Trapping programs are
-// first-class inputs: a lane peeled before the trapping instruction must
-// re-trap with the identical Trap record, which exercises the carrier's
+// FuzzCheckpointDivergence hammers trial positioning with arbitrary
+// programs: one forward-only cursor suspends at every edge point — dyn 1,
+// the midpoint, and the last suspendable instruction of the run — and a
+// Restore of its snapshot and a RestoreFrom clone of it must each finish
+// bit-identically to a solo run, as must two dirty machines Reset to the
+// origin and the cursor resumed in place (diffCheckpoint). Trapping programs
+// are first-class inputs: a machine positioned before the trapping
+// instruction must re-trap with the identical Trap record, which exercises
 // suspend-before-execute ordering against division traps, watchdog
 // exhaustion, and stack-depth traps.
-func FuzzLockstepDivergence(f *testing.F) {
-	// Peel at dyn 0 with a minimal body: the last suspendable point is the
-	// final ret, so origin and last-instruction peels collapse onto a
-	// two-instruction run.
+func FuzzCheckpointDivergence(f *testing.F) {
+	// A minimal body: the last suspendable point is the final ret, so the
+	// edge points collapse onto a two-instruction run.
 	f.Add("global int out[2];\nvoid main() { out[0] = 1; }")
 	// Divergence inside a trapping region: the reference run dies on the
-	// divide, and every peel point before it must reproduce that trap.
+	// divide, and every point before it must reproduce that trap.
 	f.Add("global int in[4]; global int out[4];\nvoid main() { int d = in[0] - in[0]; out[0] = 7 / d; }")
 	// Divergence on the last instruction of a long straight-line bin.
 	f.Add("global int in[8]; global int out[8];\nvoid main() { int s = 0; for (int i = 0; i < 40; i += 1) { s += in[i & 7] + i; } out[0] = s; }")
-	// Call-heavy shape: peeling must rebuild a multi-frame suspension chain.
+	// Call-heavy shape: positioning must rebuild a multi-frame suspension chain.
 	f.Add("global int in[4]; global int out[4];\nint add(int a, int b) { return a + b; }\nvoid main() { int s = 0; for (int i = 0; i < 12; i += 1) { s = add(s, in[i & 3]); } out[0] = s; }")
 	f.Add(Generate(2, DefaultGenConfig()).Source())
 	f.Add(Generate(5, DefaultGenConfig()).Source())
@@ -154,8 +154,8 @@ func FuzzLockstepDivergence(f *testing.F) {
 			return
 		}
 		ints, floats := InputsForSeed(7)
-		if d := diffLockstepPeel(mod, ints, floats, 200_000); d != "" {
-			t.Fatalf("lockstep divergence: %s\n%s", d, src)
+		if d := diffCheckpoint(mod, ints, floats, 200_000); d != "" {
+			t.Fatalf("checkpoint divergence: %s\n%s", d, src)
 		}
 	})
 }
@@ -355,8 +355,8 @@ func FuzzSchemeEnumeration(f *testing.F) {
 // FuzzFaultModelDivergence hammers the fault-model registry with arbitrary
 // programs: every registered model's campaign — including the
 // suspend-injected memory/burst models and the re-arming stuck-at pair —
-// must produce bit-identical Reports across the scratch, checkpointed,
-// lockstep and unfused scheduler paths. This is the model-diff oracle
+// must produce bit-identical Reports across the scratch, checkpointed and
+// unfused scheduler paths. This is the model-diff oracle
 // invariant on adversarial inputs: park/inject/resume chains that perturb
 // any observable, re-arm schedules that interact with checkpoint binning,
 // and trigger draws landing on edge instructions all surface here as
@@ -405,7 +405,7 @@ func FuzzFaultModelDivergence(f *testing.F) {
 		ints, floats := InputsForSeed(7)
 		// Campaigns need a fault-free golden run with room for triggers to
 		// spread; trapping and trivial programs are other targets' territory.
-		mach, err := lockstepMachine(mod, ints, floats, 200_000)
+		mach, err := probeMachine(mod, ints, floats, 200_000)
 		if err != nil {
 			return
 		}

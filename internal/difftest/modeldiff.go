@@ -2,15 +2,16 @@ package difftest
 
 // Fault-model equivalence invariant. Every registered fault model promises
 // that its campaigns are execution-path independent: the scheduler knobs —
-// from-scratch vs checkpointed solo vs lockstep batching, fused vs
-// per-instruction dispatch — are throughput-only, so the same seeds must
+// from-scratch (Reset per trial) vs checkpointed (golden-cursor clones
+// plus the convergence ladder), fused vs per-instruction dispatch — are
+// throughput-only, so the same seeds must
 // yield bit-identical Reports on every path. For the suspend-injected
 // models this is the load-bearing property: their injection and re-arm
 // hooks ride the unified suspend threshold, and a park/resume chain that
 // perturbed any observable would surface here as a cross-path diff. The
 // probe runs every registered model on each generated program; reg-flip
-// rides along as the control (its paths are also pinned by the lockstep and
-// resume invariants).
+// rides along as the control (its paths are also pinned by the checkpoint
+// and resume invariants).
 
 import (
 	"fmt"
@@ -20,8 +21,8 @@ import (
 	"repro/internal/vm"
 )
 
-// modelTrials sizes the per-model campaign probe. Mirrors lockstepTrials:
-// enough to spread triggers over more than one checkpoint bin.
+// modelTrials sizes the per-model campaign probe: enough to spread triggers
+// over more than one checkpoint bin, few enough to keep the oracle fast.
 const modelTrials = 6
 
 // diffFaultModels runs one small campaign per registered model (or per
@@ -35,7 +36,7 @@ func diffFaultModels(name string, mod *ir.Module, ints []int64, floats []float64
 	target := fault.Target{
 		Name: name,
 		// Bind the generator's inputs only when declared (fuzzed sources
-		// may drop either), mirroring lockstepMachine.
+		// may drop either), mirroring probeMachine.
 		Bind: func(m *vm.Machine) error {
 			if mod.Global("in") != nil {
 				if err := m.BindInputInts("in", ints); err != nil {
@@ -66,10 +67,9 @@ func diffFaultModels(name string, mod *ir.Module, ints []int64, floats []float64
 		cfg.Workers = 1
 		cfg.WatchdogFactor = 20
 
-		run := func(label string, checkpoints, lockstep, fuse int) (*fault.Report, string) {
+		run := func(label string, checkpoints, fuse int) (*fault.Report, string) {
 			c := cfg
 			c.Checkpoints = checkpoints
-			c.Lockstep = lockstep
 			c.Fuse = fuse
 			rep, err := fault.Run(nil, target, mod, "Original", c)
 			if err != nil {
@@ -80,20 +80,19 @@ func diffFaultModels(name string, mod *ir.Module, ints []int64, floats []float64
 			}
 			return rep, ""
 		}
-		ref, d := run("scratch", -1, -1, 0)
+		ref, d := run("scratch", -1, 0)
 		if d != "" {
 			return d
 		}
 		paths := []struct {
-			label                       string
-			checkpoints, lockstep, fuse int
+			label             string
+			checkpoints, fuse int
 		}{
-			{"checkpointed", 2, -1, 0},
-			{"lockstep", 2, 1, 0},
-			{"unfused", -1, -1, -1},
+			{"checkpointed", 2, 0},
+			{"unfused", -1, -1},
 		}
 		for _, p := range paths {
-			rep, d := run(p.label, p.checkpoints, p.lockstep, p.fuse)
+			rep, d := run(p.label, p.checkpoints, p.fuse)
 			if d != "" {
 				return d
 			}

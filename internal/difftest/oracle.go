@@ -20,9 +20,8 @@ const (
 	InvCheck      = "check-fired"     // a software check fired on the profiled input
 	InvCostOrder  = "cost-order"      // timing cost not ordered across modes
 	InvEngine     = "engine-diff"     // precompiled engine disagrees with the tree interpreter
-	InvCheckpoint = "checkpoint-diff" // suspend/snapshot/restore run disagrees with uninterrupted run
+	InvCheckpoint = "checkpoint-diff" // a restored or cloned suspended run disagrees with an uninterrupted one
 	InvResume     = "resume-diff"     // resumed journaled campaign disagrees with uninterrupted one
-	InvLockstep   = "lockstep-diff"   // lockstep batch executor disagrees with the solo engine
 	InvFuse       = "fuse-diff"       // fused dispatch disagrees with the per-instruction path
 	InvModel      = "model-diff"      // a fault model's campaign differs across scheduler paths
 )
@@ -167,12 +166,12 @@ func CheckSource(name, src string, ints []int64, floats []float64, cfg OracleCon
 				}
 			}
 			// Checkpoint cross-check (full pipeline: the invariant probes
-			// the vm's snapshot machinery, not the pass pipeline): a run
-			// suspended mid-flight and finished — by resuming in place and
-			// by restoring the snapshot elsewhere — must match the
-			// uninterrupted run.
+			// the vm's snapshot machinery, not the pass pipeline): runs
+			// suspended at edge points and finished — resumed in place,
+			// restored from a snapshot, cloned with RestoreFrom — must
+			// match the uninterrupted run.
 			if pl.Name == "full" {
-				if d := diffCheckpoint(pm, ints, floats, cfg.MaxDyn, r); d != "" {
+				if d := diffCheckpoint(pm, ints, floats, cfg.MaxDyn); d != "" {
 					return &Failure{Invariant: InvCheckpoint, Pipeline: pl.Name, Mode: mode, Detail: d}
 				}
 				// Resume cross-check (Original only — the invariant probes
@@ -185,20 +184,10 @@ func CheckSource(name, src string, ints []int64, floats []float64, cfg OracleCon
 						return &Failure{Invariant: InvResume, Pipeline: pl.Name, Mode: mode, Detail: d}
 					}
 				}
-				// Lockstep cross-check (Original only — the batch executor is
-				// mode-agnostic at the vm level, and protected modes are
-				// covered by the fault package's equivalence matrix): trials
-				// peeled from a lockstep carrier must be bit-identical to
-				// solo runs, at both the vm and the campaign level.
-				if mode == core.SchemeOriginal {
-					if d := diffLockstep(name, pm, ints, floats, cfg.MaxDyn, r); d != "" {
-						return &Failure{Invariant: InvLockstep, Pipeline: pl.Name, Mode: mode, Detail: d}
-					}
-				}
 				// Fault-model cross-check (Original only — model hooks act on
 				// the vm layer beneath protection): every registered fault
 				// model must produce bit-identical campaign Reports across
-				// scratch, checkpointed, lockstep and unfused paths. Programs
+				// scratch, checkpointed and unfused paths. Programs
 				// too short for triggers to spread are skipped.
 				if mode == core.SchemeOriginal && r.dyn >= 4 {
 					if d := diffFaultModels(name, pm, ints, floats, cfg.Models); d != "" {
@@ -356,40 +345,6 @@ func runModuleFuse(mod *ir.Module, ints []int64, floats []float64, maxDyn int64,
 	}
 	return &runOut{out: out, fout: fout, dyn: res.Dyn, cycles: res.Cycles,
 		checkFails: res.CheckFails, opCounts: res.OpCounts}
-}
-
-// diffCheckpoint re-runs the module with a mid-flight suspension, captures
-// a snapshot, and finishes the run twice — resuming the same machine, then
-// restoring the snapshot into a fresh one. Both must reproduce the
-// uninterrupted reference run's observables bit for bit. Programs too short
-// to pause mid-run are skipped.
-func diffCheckpoint(mod *ir.Module, ints []int64, floats []float64, maxDyn int64, ref *runOut) string {
-	if ref.dyn < 4 {
-		return ""
-	}
-	cut := ref.dyn / 2
-	mach, err := newMachine(mod, ints, floats, maxDyn)
-	if err != nil {
-		return err.Error()
-	}
-	if res := mach.Run(vm.RunOptions{CountChecks: true, SuspendAtDyn: cut}); res.Trap == nil || res.Trap.Kind != vm.TrapSuspended {
-		return fmt.Sprintf("no suspension at dyn %d: trap=%v", cut, res.Trap)
-	}
-	snap, err := mach.Snapshot()
-	if err != nil {
-		return err.Error()
-	}
-	if d := diffFinished("resumed", mach, ref); d != "" {
-		return d
-	}
-	fresh, err := newMachine(mod, ints, floats, maxDyn)
-	if err != nil {
-		return err.Error()
-	}
-	if err := fresh.Restore(snap); err != nil {
-		return err.Error()
-	}
-	return diffFinished("restored", fresh, ref)
 }
 
 // diffFinished runs a suspended machine to completion and compares every

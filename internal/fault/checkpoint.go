@@ -22,12 +22,13 @@ package fault
 //     leave no trace in any counter, so the snapshot state equals the state
 //     a from-scratch trial holds at the suspend point, bit for bit.
 //  3. Trial randomness is unaffected: triggers are pre-drawn with the same
-//     per-trial seed scheme and draw order runTrial uses, and runTrial
+//     per-trial seed scheme and draw order drawPlan uses, and drawPlan
 //     re-seeds and re-draws them, so binning never perturbs a sequence.
 
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"repro/internal/ir"
 	"repro/internal/vm"
@@ -37,32 +38,13 @@ const (
 	// minSnapInterval is the smallest golden-prefix span worth a snapshot:
 	// below this, restore overhead (full memory copy) rivals re-execution.
 	minSnapInterval = 20_000
-	// maxSnapshots bounds memory held by a campaign's snapshot set.
-	maxSnapshots = 32
-	// lockstepMaxSnapshots bounds the *automatic* schedule when lockstep
-	// batching is on. Solo trials want dense snapshots (each trial re-runs
-	// its bin prefix alone), but a lockstep carrier serves every lane a
-	// state clone at its exact divergence point, so intra-bin prefix length
-	// stops mattering; fewer, larger bins mean more lanes amortizing each
-	// carrier advance and less snapshot memory held.
-	lockstepMaxSnapshots = 8
-	// lockstepAutoMinLanes is the default smallest bin worth a carrier:
-	// below it, the carrier's own restore roughly cancels the sharing win.
-	lockstepAutoMinLanes = 3
+	// maxSnapshots bounds the automatic schedule. The golden cursor hands
+	// every trial a state clone at its exact divergence point, so bin width
+	// costs only cursor advances, and denser ladders only cost memory: a
+	// 32-snapshot cap raised peak RSS by 37-105% on the repo benchmark for
+	// no throughput gain.
+	maxSnapshots = 8
 )
-
-// lockstepMinLanes resolves Config.Lockstep to the smallest bin size run in
-// lockstep, or 0 when batching is disabled (explicitly, or because the
-// campaign lacks the fast engine that carriers require).
-func lockstepMinLanes(cfg Config) int {
-	if cfg.Lockstep < 0 || cfg.Engine != vm.EngineFast {
-		return 0
-	}
-	if cfg.Lockstep > 0 {
-		return cfg.Lockstep
-	}
-	return lockstepAutoMinLanes
-}
 
 // checkpointSchedule returns the dyn indices at which the instrumented
 // golden run suspends to capture snapshots, evenly spaced over the golden
@@ -75,14 +57,7 @@ func checkpointSchedule(cfg Config, goldenDyn int64) []int64 {
 	}
 	n := cfg.Checkpoints
 	if n == 0 {
-		n = int(goldenDyn / minSnapInterval)
-		lim := maxSnapshots
-		if lockstepMinLanes(cfg) > 0 {
-			lim = lockstepMaxSnapshots
-		}
-		if n > lim {
-			n = lim
-		}
+		n = min(int(goldenDyn/minSnapInterval), maxSnapshots)
 	}
 	if n < 2 {
 		return nil
@@ -103,7 +78,7 @@ func checkpointSchedule(cfg Config, goldenDyn int64) []int64 {
 }
 
 // drawTriggers pre-draws every trial's TriggerDyn for binning, using the
-// identical seed scheme and first-draw position as runTrial.
+// identical seed scheme and first-draw position as drawPlan.
 func drawTriggers(cfg Config, goldenDyn int64) []int64 {
 	src := rand.NewSource(0)
 	rng := rand.New(src)
@@ -143,7 +118,70 @@ func takeSnapshots(t Target, mod *ir.Module, cfg Config, disabled map[int]bool, 
 	return snaps, nil
 }
 
-// The checkpoint-aware campaign body lives in resilience.go
-// (campaign.runCheckpointed): it bins pending trials by the snapshot
-// nearest below their effective trigger and drives each through the same
-// supervised runOne path as the from-scratch pool.
+// workUnit is one claimable batch of trials: run in order, each positioned
+// at[k] (see workerState.position), on a cursor re-armed from base (nil:
+// the prefix from dyn 0).
+type workUnit struct {
+	base   *vm.Snapshot
+	trials []int
+	at     []int64
+}
+
+// schedule splits the pending trials into work units. A reset campaign
+// (tree engine, or Checkpoints < 0) makes one unit per trial, so workers
+// balance trial by trial. A cursor campaign bins trials by the snapshot
+// nearest below their effective trigger (bin 0: before the first snapshot,
+// or the whole campaign without a ladder) and orders each bin by effective
+// trigger, ties by trial index, so the cursor only moves forward. Bin 0 is
+// split into per-worker chunks — one bin holding most of the campaign
+// (always, without a ladder) must not serialize the pool — and, being the
+// costliest per trial, queues first. Units are outcome-neutral: trials are
+// independent and every chunk is a valid bin.
+func (c *campaign) schedule(pending []int, workers int, snapAt []int64, snaps []*vm.Snapshot) []workUnit {
+	if !c.cursor {
+		work := make([]workUnit, len(pending))
+		for k := range pending {
+			work[k] = workUnit{trials: pending[k : k+1], at: []int64{0}}
+		}
+		return work
+	}
+	eff := drawTriggers(c.cfg, c.goldenDyn)
+	bins := make([][]int, len(snapAt)+1)
+	for _, i := range pending {
+		eff[i] = c.model.EffectiveTrigger(eff[i])
+		b := sort.Search(len(snapAt), func(k int) bool { return snapAt[k] > eff[i] })
+		bins[b] = append(bins[b], i)
+	}
+	unit := func(base *vm.Snapshot, trials []int) workUnit {
+		u := workUnit{base: base, trials: trials, at: make([]int64, len(trials))}
+		sort.SliceStable(u.trials, func(a, b int) bool { return eff[u.trials[a]] < eff[u.trials[b]] })
+		for k, i := range u.trials {
+			// Binning compares against the requested snapshot index, but a
+			// snapshot parks at the first fault-eligible instruction at or
+			// after it — possibly past a trigger binned here. Fact 1 says
+			// nothing eligible lies in between, so the snapshot state IS
+			// that trial's divergence state: clamp rather than rewind.
+			u.at[k] = eff[i]
+			if base != nil && u.at[k] < base.Dyn() {
+				u.at[k] = base.Dyn()
+			}
+		}
+		return u
+	}
+	work := make([]workUnit, 0, len(bins)+workers)
+	chunks := 1
+	if workers > 1 {
+		chunks = min(workers, len(bins[0]))
+	}
+	for k := 0; k < chunks; k++ {
+		if lo, hi := len(bins[0])*k/chunks, len(bins[0])*(k+1)/chunks; lo < hi {
+			work = append(work, unit(nil, bins[0][lo:hi]))
+		}
+	}
+	for b := 1; b < len(bins); b++ {
+		if len(bins[b]) > 0 {
+			work = append(work, unit(snaps[b-1], bins[b]))
+		}
+	}
+	return work
+}

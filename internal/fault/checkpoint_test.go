@@ -9,6 +9,7 @@ package fault_test
 
 import (
 	"context"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -130,6 +131,50 @@ func TestCampaignCheckpointEquivalence(t *testing.T) {
 				checkpointVsScratch(t, w, prot, mode, cfg)
 			})
 		}
+	}
+	t.Run("journal-replay", testCheckpointJournalReplay)
+}
+
+// testCheckpointJournalReplay journals a checkpointed campaign and a reset
+// one, then replays each journal under the other positioning: the records
+// a cursor-positioned campaign writes must reconstruct the identical Report
+// the reset path produces, and vice versa — the journal header excludes
+// throughput knobs, so either journal resumes under either knob setting.
+func testCheckpointJournalReplay(t *testing.T) {
+	t.Parallel()
+	w := workloads.ByName("tiff2bw")
+	prot := protectedFor(t, w, core.SchemeDupVal)
+	dir := t.TempDir()
+	run := func(ckpt int, journal string, resume bool) *fault.Report {
+		cfg := fault.DefaultConfig()
+		cfg.Trials = 24
+		cfg.Checkpoints = ckpt
+		cfg.JournalPath = journal
+		cfg.Resume = resume
+		rep, err := fault.Run(context.Background(), w.Target(workloads.Test), prot, "DupVal", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	ckptPath := filepath.Join(dir, "checkpointed.journal")
+	resetPath := filepath.Join(dir, "reset.journal")
+	ckpt, reset := run(4, ckptPath, false), run(-1, resetPath, false)
+	diffReports(t, "journaled", ckpt, reset)
+	for _, c := range []struct {
+		label   string
+		ckpt    int
+		journal string
+	}{
+		{"replayed-under-reset", -1, ckptPath},
+		{"replayed-under-cursor", 4, resetPath},
+	} {
+		// Every trial is decided, so the replay executes nothing.
+		rep := run(c.ckpt, c.journal, true)
+		if rep.Replayed != len(rep.Trials) {
+			t.Fatalf("%s: replayed %d of %d trials", c.label, rep.Replayed, len(rep.Trials))
+		}
+		diffReports(t, c.label, rep, reset)
 	}
 }
 

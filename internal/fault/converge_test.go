@@ -24,8 +24,9 @@ void main() {
 }
 `
 
-// TestConvergenceShortCircuit drives finishTrialConverging against
-// finishTrial across many trials of the same fault stream: every trial's
+// TestConvergenceShortCircuit drives finishTrial with the snapshot ladder
+// against finishTrial without it across many trials of the same fault
+// stream: every trial's
 // record must be bit-identical, and at least some masked trials must have
 // actually short-circuited — observable as the machine still being suspended
 // (Snapshot succeeds) at a dyn short of the run's end — or the fast-forward
@@ -77,7 +78,7 @@ func TestConvergenceShortCircuit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ws := (&campaign{cfg: cfg}).newWorker()
+	ws := (&campaign{cfg: cfg}).newWorker(nil)
 	shortCircuits, masked := 0, 0
 	for trial := 0; trial < 60; trial++ {
 		p1 := drawPlan(MustModel(cfg.Model), cfg, goldenDyn, trial, ws.src, ws.rng)

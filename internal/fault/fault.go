@@ -70,41 +70,38 @@ type Config struct {
 	// Engine selects the vm execution engine for every run in the campaign
 	// (zero value: the precompiled fast engine).
 	Engine vm.EngineKind
-	// Checkpoints controls golden-prefix snapshotting: one instrumented
-	// golden run captures machine snapshots at interval boundaries, and each
-	// trial restores the nearest snapshot at or before its trigger point
-	// instead of re-executing the prefix from dyn 0. 0 (the default) sizes
-	// the schedule automatically from the golden run's length; > 0 requests
-	// an explicit snapshot count; < 0 disables checkpointing. Checkpointing
-	// requires the fast engine and is skipped otherwise. It never changes
-	// campaign results: every Trial stays bit-identical to the from-scratch
-	// path.
+	// Checkpoints controls golden-prefix reuse. By default each worker keeps
+	// a golden cursor — a fault-free machine that walks the golden run in
+	// ascending trigger order — and starts every trial as a state clone of
+	// the cursor at the trial's trigger instead of re-executing the prefix
+	// from dyn 0. One instrumented golden run also captures snapshots at
+	// interval boundaries: the cursor restarts from the snapshot nearest
+	// below a bin of triggers, and the snapshots double as the convergence
+	// ladder (Converge). 0 (the default) sizes the snapshot schedule from the
+	// golden run's length; > 0 requests an explicit snapshot count; < 0
+	// turns off all golden-prefix reuse — every trial Resets and runs from
+	// dyn 0. Golden-prefix reuse requires the fast engine and is skipped
+	// otherwise. It never changes campaign results: every Trial stays
+	// bit-identical to the from-scratch path.
 	Checkpoints int
-	// Lockstep controls batched execution of checkpoint bins: the trials of
-	// one bin share a single carrier machine that advances their common
-	// golden prefix once, each trial peeling off into a solo machine at its
-	// own divergence point (vm.BatchMachine). 0 (the default) batches
-	// automatically for bins large enough to amortize the carrier; > 0 sets
-	// that minimum bin size explicitly (1 batches every bin); < 0 disables
-	// batching. Lockstep requires checkpointing's machinery (fast engine)
-	// and, like Checkpoints and Workers, is a pure throughput knob: every
-	// Trial, Anomaly, and journal record stays bit-identical to the solo
-	// path.
+	// Lockstep is ignored. It named the batched trial executor that the
+	// golden cursor (Checkpoints) replaced, and is kept only so existing
+	// callers still compile.
 	Lockstep int
 	// Fuse controls superinstruction dispatch in the fast engine for every
 	// run in the campaign: 0 (the default) leaves fused dispatch enabled;
-	// < 0 forces the per-instruction path (vm.FuseOff). Like Checkpoints,
-	// Lockstep, and Workers it is a pure throughput knob: fused dispatch is
-	// bit-identical on every observable the campaign reads, so it is not
-	// part of the journal's result-affecting configuration.
+	// < 0 forces the per-instruction path (vm.FuseOff). Like Checkpoints and
+	// Workers it is a pure throughput knob: fused dispatch is bit-identical
+	// on every observable the campaign reads, so it is not part of the
+	// journal's result-affecting configuration.
 	Fuse int
-	// Converge controls convergence fast-forwarding for checkpointed trials
-	// (solo and lockstep alike): a trial whose machine state re-converges
-	// with a golden snapshot after its fault has fired short-circuits to
-	// Masked instead of executing the rest of its suffix
-	// (finishTrialConverging). 0 (the default) enables it; < 0 disables it.
-	// Another pure throughput knob: the short-circuited Trial is
-	// bit-identical to the one the full suffix would produce.
+	// Converge controls convergence fast-forwarding for cursor-positioned
+	// trials: a trial whose machine state re-converges with a golden
+	// snapshot after its fault has fired short-circuits to Masked instead
+	// of executing the rest of its suffix (finishTrial). 0 (the default)
+	// enables it; < 0 disables it. Another pure throughput knob: the
+	// short-circuited Trial is bit-identical to the one the full suffix
+	// would produce.
 	Converge int
 	// JournalPath, when nonempty, makes the campaign durable: every decided
 	// trial is appended to a checksummed journal at this path, so a crashed
@@ -336,15 +333,7 @@ func Run(ctx context.Context, t Target, mod *ir.Module, technique string, cfg Co
 	pending := c.pendingTrials()
 	var runErr error
 	if len(pending) > 0 && !c.stopRequested() {
-		// Lockstep batches even without a snapshot schedule: an unscheduled
-		// campaign is one whole-run scratch bin, the widest prefix a carrier
-		// can share (runCheckpointed splits it across workers).
-		snapAt := checkpointSchedule(cfg, goldenRes.Dyn)
-		if len(snapAt) > 0 || lockstepMinLanes(cfg) > 0 {
-			runErr = c.runCheckpointed(ctx, pending, workers, snapAt)
-		} else {
-			runErr = c.runScratch(ctx, pending, workers)
-		}
+		runErr = c.run(ctx, pending, workers)
 	}
 	if runErr != nil {
 		c.closeJournal() // best effort; the run error wins
@@ -374,31 +363,6 @@ func newMachine(t Target, mod *ir.Module, maxDyn int64, engine vm.EngineKind) (*
 	}
 	mach.Reset()
 	return mach, nil
-}
-
-// runTrial injects one fault and classifies the outcome. The caller owns
-// the rng pair: src is re-seeded with the per-trial seed, so the draw
-// sequence matches a fresh rand.New(rand.NewSource(seed)) without the
-// allocation. With a non-nil snap the trial restores it instead of running
-// the golden prefix from dyn 0; the snapshot must precede the trial's
-// effective trigger point (the checkpoint scheduler guarantees this). With a
-// non-empty snaps ladder (the campaign's golden snapshots, ascending) the
-// suffix runs under convergence fast-forwarding: a trial whose state
-// re-converges with a golden snapshot after its fault fires short-circuits
-// to Masked (finishTrial). A nonzero deadline bounds the run in wall-clock
-// time; a deadline hit is reported as timedOut, never as an outcome — the
-// caller decides between retry and quarantine.
-func runTrial(mach *vm.Machine, snap *vm.Snapshot, snaps []*vm.Snapshot, model Model, t Target, cfg Config, golden []uint64, goldenDyn int64, disabled map[int]bool, trial int, src rand.Source, rng *rand.Rand, deadline time.Time) (tr Trial, timedOut bool, err error) {
-	plan := drawPlan(model, cfg, goldenDyn, trial, src, rng)
-	if snap != nil {
-		if err := mach.Restore(snap); err != nil {
-			return Trial{}, false, err
-		}
-	} else {
-		mach.Reset()
-	}
-	tr, timedOut = finishTrial(mach, plan, t, cfg, golden, disabled, deadline, snaps)
-	return tr, timedOut, nil
 }
 
 // drawPlan re-seeds src with the trial's seed and draws its fault plan from
@@ -448,10 +412,9 @@ func runPlanned(mach *vm.Machine, plan *Plan, cfg Config, disabled map[int]bool,
 	}
 }
 
-// finishTrial runs an already-positioned machine — reset, restored to a
-// snapshot, or peeled from a lockstep carrier — under the trial's fault
-// plan and classifies the outcome. Shared by the scratch, checkpointed and
-// lockstep paths so classification cannot drift between them.
+// finishTrial runs an already-positioned machine — reset, or cloned from
+// the golden cursor — under the trial's fault plan and classifies the
+// outcome.
 //
 // A non-empty snaps ladder (the campaign's golden snapshots, ascending)
 // enables convergence fast-forwarding: the suffix parks at each snapshot

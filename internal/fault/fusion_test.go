@@ -2,9 +2,9 @@ package fault_test
 
 // Campaign-level fusion and convergence equivalence: the Fuse and Converge
 // knobs are throughput-only, so flipping either must leave the campaign
-// Report bit-identical — per-trial records included — on every scheduler
-// path: from-scratch, checkpointed solo (where convergence fast-forwards
-// masked suffixes), lockstep batching, and the durable journal.
+// Report bit-identical — per-trial records included — on every positioning
+// path: Reset per trial, the golden cursor (where convergence fast-forwards
+// masked suffixes), and the durable journal.
 
 import (
 	"context"
@@ -18,7 +18,7 @@ import (
 )
 
 // TestCampaignFusionEquivalence is the acceptance matrix: all workloads ×
-// all registered schemes on the default checkpointed-solo path, fused vs
+// all registered schemes on the default golden-cursor path, fused vs
 // unfused. Under the race detector the matrix trims to representative
 // cells, like the checkpoint suite.
 func TestCampaignFusionEquivalence(t *testing.T) {
@@ -41,7 +41,6 @@ func TestCampaignFusionEquivalence(t *testing.T) {
 				run := func(fuse int) *fault.Report {
 					cfg := fault.DefaultConfig()
 					cfg.Trials = 12
-					cfg.Lockstep = -1
 					cfg.Fuse = fuse
 					rep, err := fault.Run(context.Background(), w.Target(workloads.Test), prot, mode, cfg)
 					if err != nil {
@@ -56,8 +55,8 @@ func TestCampaignFusionEquivalence(t *testing.T) {
 }
 
 // TestCampaignFusionEquivalencePaths covers the remaining scheduler paths
-// on representative cells: from-scratch trials, lockstep batching, the
-// branch-target fault model, and a journaled campaign resumed from a
+// on representative cells: Reset-per-trial campaigns, a masked-heavy
+// cursor campaign, the branch-target fault model, and a journaled campaign resumed from a
 // truncated file with the opposite fusion setting — the journal must not
 // record (and resume must not depend on) the knob.
 func TestCampaignFusionEquivalencePaths(t *testing.T) {
@@ -69,7 +68,6 @@ func TestCampaignFusionEquivalencePaths(t *testing.T) {
 			cfg := fault.DefaultConfig()
 			cfg.Trials = 30
 			cfg.Checkpoints = -1
-			cfg.Lockstep = -1
 			cfg.Fuse = fuse
 			rep, err := fault.Run(context.Background(), w.Target(workloads.Test), prot, "DupOnly", cfg)
 			if err != nil {
@@ -79,14 +77,13 @@ func TestCampaignFusionEquivalencePaths(t *testing.T) {
 		}
 		diffReports(t, "scratch", run(0), run(-1))
 	})
-	t.Run("lockstep", func(t *testing.T) {
+	t.Run("cursor", func(t *testing.T) {
 		t.Parallel()
 		w := workloads.ByName("g721dec")
 		prot := protectedFor(t, w, core.SchemeFullDup)
 		run := func(fuse int) *fault.Report {
 			cfg := fault.DefaultConfig()
 			cfg.Trials = 40
-			cfg.Lockstep = 0
 			cfg.Fuse = fuse
 			rep, err := fault.Run(context.Background(), w.Target(workloads.Test), prot, "FullDup", cfg)
 			if err != nil {
@@ -94,7 +91,7 @@ func TestCampaignFusionEquivalencePaths(t *testing.T) {
 			}
 			return rep
 		}
-		diffReports(t, "lockstep", run(0), run(-1))
+		diffReports(t, "cursor", run(0), run(-1))
 	})
 	t.Run("branch", func(t *testing.T) {
 		t.Parallel()
@@ -104,7 +101,6 @@ func TestCampaignFusionEquivalencePaths(t *testing.T) {
 			cfg := fault.DefaultConfig()
 			cfg.Trials = 30
 			cfg.Model = fault.ModelBranchTarget
-			cfg.Lockstep = -1
 			cfg.Fuse = fuse
 			rep, err := fault.Run(context.Background(), w.Target(workloads.Test), prot, "DupOnly", cfg)
 			if err != nil {
@@ -122,7 +118,6 @@ func TestCampaignFusionEquivalencePaths(t *testing.T) {
 		run := func(fuse int, resume bool) *fault.Report {
 			cfg := fault.DefaultConfig()
 			cfg.Trials = 12
-			cfg.Lockstep = -1
 			cfg.Fuse = fuse
 			cfg.JournalPath = path
 			cfg.Resume = resume
@@ -146,9 +141,9 @@ func TestCampaignFusionEquivalencePaths(t *testing.T) {
 	})
 }
 
-// TestCampaignConvergenceEquivalence checks the solo convergence
-// fast-forward: checkpointed non-lockstep campaigns with the golden ladder
-// (Converge on) must match full-suffix runs (Converge off) — masked trials
+// TestCampaignConvergenceEquivalence checks the convergence fast-forward:
+// cursor campaigns with the golden ladder (Converge on) must match
+// full-suffix runs (Converge off) — masked trials
 // are cut short only when the machine state provably re-joined the golden
 // trajectory. FullDup is the masked-heavy scheme the fast-forward targets;
 // Original covers the no-detection shape, and the branch model the
@@ -184,7 +179,6 @@ func TestCampaignConvergenceEquivalence(t *testing.T) {
 			run := func(conv int) *fault.Report {
 				cfg := fault.DefaultConfig()
 				cfg.Trials = 40
-				cfg.Lockstep = -1
 				cfg.Model = c.model
 				cfg.Converge = conv
 				rep, err := fault.Run(context.Background(), w.Target(workloads.Test), prot, c.technique, cfg)

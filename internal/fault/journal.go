@@ -45,10 +45,10 @@ const journalFlushBatch = 32
 
 // journalHeader is the first record of every journal. Every field that can
 // change campaign results is part of the identity check on resume; knobs
-// that only move throughput (Workers, Checkpoints, Lockstep, Engine — the
-// engines and the lockstep carrier are bit-identical by contract) are
+// that only move throughput (Workers, Checkpoints, Fuse, Converge, Engine —
+// the engines and trial positionings are bit-identical by contract) are
 // deliberately absent, so a campaign may be resumed with different
-// parallelism, snapshotting, or batching and still complete
+// parallelism, snapshotting, or dispatch and still complete
 // bit-identically. GoldenDyn/GoldenCycles double as a drift detector: if
 // the module or inputs changed since the journal was written, the re-run
 // golden run disagrees and resume refuses.

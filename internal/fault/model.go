@@ -2,8 +2,8 @@ package fault
 
 // The fault-model registry — the campaign engine's second axis, orthogonal
 // to the protection-scheme registry in internal/core. A Model decides what
-// one trial corrupts; everything downstream (checkpoint binning, lockstep
-// peeling, convergence fast-forwarding, journaling, the difftest oracle,
+// one trial corrupts; everything downstream (checkpoint binning, golden
+// cursor positioning, convergence fast-forwarding, journaling, the difftest oracle,
 // the experiments sweep, both CLIs) enumerates the registry, so a newly
 // registered model becomes a first-class campaign with no further wiring.
 //
@@ -69,7 +69,7 @@ type Model interface {
 	// Called only when Rearms() is true.
 	Rearm(m *vm.Machine, p *Plan) int64
 	// EffectiveTrigger is the earliest dyn index whose machine state the
-	// injection can observe — the checkpoint binning / lockstep peel bound.
+	// injection can observe — the checkpoint binning / cursor position bound.
 	EffectiveTrigger(trigger int64) int64
 }
 
@@ -92,7 +92,7 @@ type Plan struct {
 	model Model
 	// rng feeds the model's lazy space draws at injection time; the worker
 	// re-seeds it per trial, so draws replay identically on every execution
-	// path (scratch, checkpointed, lockstep) — each parks the machine in
+	// path (reset or cursor-positioned) — each parks the machine in
 	// the same state before the same draw.
 	rng *rand.Rand
 	// pendingAt is the next dyn the trial driver must park the machine at
@@ -270,8 +270,7 @@ func (regFlipModel) Draw(goldenDyn int64, rng *rand.Rand) *Plan {
 }
 
 // branch-target: the control-flow corruption class the paper defers to
-// signature-based checking — today a first-class model, formerly the
-// Campaign.BranchTargets side mode. A branch whose post-increment dyn
+// signature-based checking. A branch whose post-increment dyn
 // reaches the trigger is redirected, so the earliest observable state is
 // one instruction before the trigger.
 

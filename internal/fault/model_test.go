@@ -195,7 +195,7 @@ func TestRearmingModelNeverFalselyMasked(t *testing.T) {
 	// First: exhibit a crossing where an ungated ladder would falsely mask.
 	// Probe dyns between consecutive re-arms; at any of them where the last
 	// event was phase 1's healing store, the state matches golden exactly.
-	ws := (&campaign{cfg: cfg}).newWorker()
+	ws := (&campaign{cfg: cfg}).newWorker(nil)
 	falselyGolden := 0
 	for off := int64(10); off < model.stride; off += 10 {
 		at := model.trigger + model.stride + off

@@ -1,7 +1,7 @@
 package fault
 
 // Campaign resilience: the supervision layer between the campaign entry
-// point (Run) and the raw trial execution (runTrial). A campaign here is a
+// point (Run) and the raw trial execution (finishTrial). A campaign here is a
 // long-lived service operation, not a benchmark script, so the failure of
 // any one trial must never forfeit the rest:
 //
@@ -70,10 +70,10 @@ const (
 	trialExcluded
 )
 
-// campaign is the shared state of one in-flight fault-injection campaign,
-// used by both the from-scratch and the checkpointed worker pools.
+// campaign is the shared state of one in-flight fault-injection campaign.
 type campaign struct {
 	cfg       Config
+	cursor    bool // position trials off a golden cursor, not by Reset
 	model     Model
 	target    Target
 	mod       *ir.Module
@@ -99,6 +99,7 @@ type campaign struct {
 func newCampaign(t Target, mod *ir.Module, cfg Config, model Model, golden []uint64, goldenDyn int64, disabled map[int]bool, maxDyn int64, rep *Report) *campaign {
 	return &campaign{
 		cfg:       cfg,
+		cursor:    cfg.Checkpoints >= 0 && cfg.Engine == vm.EngineFast,
 		model:     model,
 		target:    t,
 		mod:       mod,
@@ -114,7 +115,7 @@ func newCampaign(t Target, mod *ir.Module, cfg Config, model Model, golden []uin
 }
 
 // seedFor is the campaign's per-trial rng seed scheme — the single source
-// of truth shared by runTrial, drawTriggers and anomaly reproducers.
+// of truth shared by drawPlan, drawTriggers and anomaly reproducers.
 func seedFor(cfg Config, trial int) int64 { return cfg.Seed + int64(trial)*7919 }
 
 // excludeOutsideShard marks every trial outside [lo, hi) as another shard's
@@ -292,22 +293,34 @@ func (c *campaign) finalize(ctxErr error) {
 	}
 }
 
+// errCursorStopped reports that campaign cancellation landed while a golden
+// cursor was advancing; the bin ends and finalize marks the report partial.
+var errCursorStopped = errors.New("fault: golden cursor stopped by cancellation")
+
 // workerState is one campaign worker's private execution context. The rng
-// pair is re-seeded per trial, so workers are interchangeable; the machine
-// (and the lockstep batch's carrier) is rebuilt lazily after a panic left
-// it in an unknown state.
+// pair is re-seeded per trial, so workers are interchangeable. The trial
+// machine and the golden cursor are rebuilt lazily after a panic left them
+// in an unknown state.
 type workerState struct {
-	c     *campaign
-	mach  *vm.Machine
-	batch *vm.BatchMachine // lockstep carrier, built on first use
-	stop  <-chan struct{}  // campaign context's Done, wired into the carrier
-	src   rand.Source
-	rng   *rand.Rand
+	c    *campaign
+	mach *vm.Machine
+	src  rand.Source
+	rng  *rand.Rand
+	stop <-chan struct{} // campaign context's Done, bounds cursor advances
+
+	// The golden cursor (cursor campaigns only) walks the current bin's
+	// fault-free prefix in ascending trigger order; each trial machine is
+	// cloned from it at the trial's divergence point.
+	cursor  *vm.Machine
+	base    *vm.Snapshot // current bin's snapshot; nil for bin 0
+	live    bool         // cursor holds this bin's state (restored or reset)
+	at      int64        // cursor position: the last suspend index reached
+	handOff bool         // the current trial is its unit's last
 }
 
-func (c *campaign) newWorker() *workerState {
+func (c *campaign) newWorker(stop <-chan struct{}) *workerState {
 	src := rand.NewSource(0)
-	return &workerState{c: c, src: src, rng: rand.New(src)}
+	return &workerState{c: c, src: src, rng: rand.New(src), stop: stop}
 }
 
 func (ws *workerState) ensureMachine() error {
@@ -322,34 +335,77 @@ func (ws *workerState) ensureMachine() error {
 	return nil
 }
 
-// ensureBatch builds the worker's lockstep batch on first use. The carrier
-// is a full campaign machine of its own (inputs bound, watchdog sized), so
-// a panic that poisons it is handled like a poisoned trial machine: drop it
-// and rebuild here on the next bin.
-func (ws *workerState) ensureBatch() (*vm.BatchMachine, error) {
-	if ws.batch != nil {
-		return ws.batch, nil
+// position puts the trial machine at the trial's divergence point at. A
+// reset campaign, and a bin-0 trial diverging at the origin, simply Reset —
+// the exact state a from-scratch trial starts in. Otherwise the cursor
+// (restored to the bin snapshot, or reset, on first use) advances to at and
+// the trial machine clones it. Positions must not decrease within a bin;
+// repeating one (the timeout retry) re-clones without moving the cursor.
+// The unit's last trial takes the cursor machine itself instead of a clone
+// — no later trial needs it — and the cursor re-arms lazily if asked again.
+//
+// Bit-identity: the cursor executes golden prefix only, with the campaign's
+// DisabledChecks, and suspends at the same eligibility point a register
+// fault fires at (see checkpoint.go, fact 1); a pending fault has no effect
+// before its trigger, and RestoreFrom copies exactly the state Snapshot and
+// Restore round-trip. The clone therefore holds the state a from-scratch
+// trial reaches at its trigger.
+func (ws *workerState) position(at int64) error {
+	c := ws.c
+	if !c.cursor || (ws.base == nil && at <= 0) {
+		ws.mach.Reset()
+		return nil
 	}
-	carrier, err := newMachine(ws.c.target, ws.c.mod, ws.c.maxDyn, ws.c.cfg.Engine)
-	if err != nil {
-		return nil, err
+	if ws.cursor == nil {
+		m, err := newMachine(c.target, c.mod, c.maxDyn, c.cfg.Engine)
+		if err != nil {
+			return err
+		}
+		ws.cursor, ws.live = m, false
 	}
-	b, err := vm.NewBatch(carrier, vm.BatchOptions{DisabledChecks: ws.c.disabled, Stop: ws.stop, Fuse: fuseMode(ws.c.cfg)})
-	if err != nil {
-		return nil, err
+	if !ws.live {
+		if ws.base != nil {
+			if err := ws.cursor.Restore(ws.base); err != nil {
+				return err
+			}
+			ws.at = ws.base.Dyn()
+		} else {
+			ws.cursor.Reset()
+			ws.at = 0
+		}
+		ws.live = true
 	}
-	ws.batch = b
-	return b, nil
+	// A restored cursor is already suspended at the snapshot index; a reset
+	// one holds no suspension and must run (bin-0 positions here are >= 1).
+	if at > ws.at || !ws.cursor.Suspended() {
+		res := ws.cursor.Run(vm.RunOptions{DisabledChecks: c.disabled, Stop: ws.stop, SuspendAtDyn: at, Fuse: fuseMode(c.cfg)})
+		if res.Trap == nil || res.Trap.Kind != vm.TrapSuspended {
+			ws.live = false
+			if res.Trap != nil && res.Trap.Kind == vm.TrapCancelled {
+				return errCursorStopped
+			}
+			// The golden prefix cannot trap or complete before a trigger
+			// inside it: this is an infrastructure fault, not an outcome.
+			return fmt.Errorf("fault: golden cursor diverged advancing to dyn %d: %v", at, res.Trap)
+		}
+		ws.at = at
+	}
+	if ws.handOff {
+		ws.mach, ws.cursor = ws.cursor, ws.mach
+		ws.live = false
+		return nil
+	}
+	return ws.mach.RestoreFrom(ws.cursor)
 }
 
 // runOne drives trial i to a terminal disposition — a recorded outcome or a
-// quarantined anomaly. A non-empty snaps ladder enables convergence
-// fast-forwarding for the trial's suffix (see runTrial). Only infrastructure
-// failures (machine construction, journal I/O) surface as errors and abort
-// the campaign.
-func (c *campaign) runOne(ws *workerState, i int, snap *vm.Snapshot, snaps []*vm.Snapshot) error {
+// quarantined anomaly. at is the trial's divergence point (see position);
+// a non-empty snaps ladder enables convergence fast-forwarding for the
+// trial's suffix (see finishTrial). Only infrastructure failures (machine
+// construction, journal I/O, cursor cancellation) surface as errors.
+func (c *campaign) runOne(ws *workerState, i int, at int64, snaps []*vm.Snapshot) error {
 	for attempt := 0; ; attempt++ {
-		tr, timedOut, panicked, stack, err := c.attempt(ws, i, snap, snaps)
+		tr, timedOut, panicked, stack, err := c.attempt(ws, i, at, snaps)
 		if err != nil {
 			return err
 		}
@@ -368,284 +424,16 @@ func (c *campaign) runOne(ws *workerState, i int, snap *vm.Snapshot, snaps []*vm
 	}
 }
 
-// attempt executes one guarded trial attempt. A recovered panic discards
-// the worker's machine — its state is unknown mid-unwind — and reports the
-// stack for the quarantine record.
-func (c *campaign) attempt(ws *workerState, i int, snap *vm.Snapshot, snaps []*vm.Snapshot) (tr Trial, timedOut, panicked bool, stack string, err error) {
+// attempt executes one guarded trial attempt: draw the plan, position the
+// machine, run the suffix. A recovered panic discards the trial machine and
+// the cursor — their state is unknown mid-unwind — and reports the stack
+// for the quarantine record; the cursor re-arms for the rest of the bin.
+func (c *campaign) attempt(ws *workerState, i int, at int64, snaps []*vm.Snapshot) (tr Trial, timedOut, panicked bool, stack string, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			panicked = true
 			stack = fmt.Sprintf("panic: %v\n\n%s", r, debug.Stack())
-			ws.mach = nil
-		}
-	}()
-	if c.cfg.OnTrial != nil {
-		c.cfg.OnTrial(i)
-	}
-	if err = ws.ensureMachine(); err != nil {
-		return
-	}
-	var deadline time.Time
-	if c.cfg.TrialTimeout > 0 {
-		deadline = time.Now().Add(c.cfg.TrialTimeout)
-	}
-	tr, timedOut, err = runTrial(ws.mach, snap, snaps, c.model, c.target, c.cfg, c.golden, c.goldenDyn, c.disabled, i, ws.src, ws.rng, deadline)
-	return
-}
-
-// runScratch is the classic campaign body: workers pull pending trial
-// indices from a shared channel and run each from dyn 0.
-func (c *campaign) runScratch(ctx context.Context, pending []int, workers int) error {
-	var wg sync.WaitGroup
-	// Buffered so the feeding loop never blocks even if every worker exits
-	// early (cancellation, early stop, setup error).
-	trialCh := make(chan int, len(pending))
-	errCh := make(chan error, workers)
-
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := c.newWorker()
-			for i := range trialCh {
-				if ctx.Err() != nil || c.stopRequested() {
-					return
-				}
-				if err := c.runOne(ws, i, nil, nil); err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}()
-	}
-	for _, i := range pending {
-		trialCh <- i
-	}
-	close(trialCh)
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return err
-	default:
-	}
-	return nil
-}
-
-// runCheckpointed is the checkpoint-aware campaign body: pending trials are
-// binned by the snapshot nearest below their effective trigger (bin 0 = no
-// usable snapshot, run from scratch) and workers claim whole bins so each
-// worker touches few snapshots and the expensive scratch bin starts first.
-// Bins at or above the lockstep threshold run through a shared carrier
-// (runBinLockstep); smaller bins degrade to the solo restore-per-trial path.
-func (c *campaign) runCheckpointed(ctx context.Context, pending []int, workers int, snapAt []int64) error {
-	if ctx.Err() != nil {
-		return nil // finalize marks the report partial
-	}
-	triggers := drawTriggers(c.cfg, c.goldenDyn)
-	var snaps []*vm.Snapshot
-	if len(snapAt) > 0 {
-		var err error
-		snaps, err = takeSnapshots(c.target, c.mod, c.cfg, c.disabled, c.maxDyn, snapAt)
-		if err != nil {
-			return err
-		}
-	}
-
-	// The convergence ladder passed to every trial suffix; bin restores
-	// still use snaps directly, so disabling convergence never disables
-	// checkpointing.
-	convSnaps := snaps
-	if c.cfg.Converge < 0 {
-		convSnaps = nil
-	}
-
-	// bins[0] holds trials whose effective trigger precedes the first
-	// snapshot (the whole campaign, when there is no schedule); bins[b] for
-	// b >= 1 restores snaps[b-1].
-	bins := make([][]int, len(snapAt)+1)
-	for _, i := range pending {
-		eff := c.model.EffectiveTrigger(triggers[i])
-		b := sort.Search(len(snapAt), func(k int) bool { return snapAt[k] > eff })
-		bins[b] = append(bins[b], i)
-	}
-	minLanes := lockstepMinLanes(c.cfg)
-
-	// Work units are (trials, snapshot) pairs. When lockstep will batch the
-	// scratch bin, it is split into per-worker chunks — each chunk gets its
-	// own carrier, so one bin holding most of the campaign (always, without
-	// a schedule) cannot serialize the pool. Chunking is outcome-neutral:
-	// trials are independent and every chunk is a valid scratch bin.
-	type binWork struct {
-		trials []int
-		snap   *vm.Snapshot
-	}
-	work := make([]binWork, 0, len(bins)+workers)
-	scratch := bins[0]
-	chunks := 1
-	if minLanes > 0 && workers > 1 && len(scratch) >= 2*minLanes {
-		chunks = workers
-		if m := len(scratch) / minLanes; chunks > m {
-			chunks = m
-		}
-	}
-	for k := 0; k < chunks; k++ {
-		if lo, hi := len(scratch)*k/chunks, len(scratch)*(k+1)/chunks; lo < hi {
-			work = append(work, binWork{scratch[lo:hi], nil})
-		}
-	}
-	for b := 1; b < len(bins); b++ {
-		work = append(work, binWork{bins[b], snaps[b-1]})
-	}
-
-	var wg sync.WaitGroup
-	binCh := make(chan int, len(work))
-	errCh := make(chan error, workers)
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := c.newWorker()
-			ws.stop = ctx.Done()
-			for b := range binCh {
-				bw := work[b]
-				if minLanes > 0 && len(bw.trials) >= minLanes {
-					if err := c.runBinLockstep(ctx, ws, bw.trials, bw.snap, triggers, convSnaps); err != nil {
-						errCh <- err
-						return
-					}
-					continue
-				}
-				for _, i := range bw.trials {
-					if ctx.Err() != nil || c.stopRequested() {
-						return
-					}
-					// Solo path with the golden ladder: checkpointed trials
-					// fast-forward masked suffixes exactly like lockstep ones.
-					if err := c.runOne(ws, i, bw.snap, convSnaps); err != nil {
-						errCh <- err
-						return
-					}
-				}
-			}
-		}()
-	}
-	// Ascending order puts the scratch chunks (longest per-trial runtime)
-	// at the front of the queue.
-	for b := range work {
-		binCh <- b
-	}
-	close(binCh)
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return err
-	default:
-	}
-	return nil
-}
-
-// runBinLockstep drives one checkpoint bin through a lockstep carrier:
-// trials peel off in ascending effective-trigger order (ties broken by
-// trial index, so the carrier advances monotonically) and each runs its
-// divergent suffix through the same supervised disposition path as the solo
-// pool — recordTrial, timeout retry, panic quarantine, early stop. A panic
-// anywhere in a trial discards the carrier (its state is unknown
-// mid-unwind); the batch is re-armed for the remaining lanes, which costs
-// one re-advance from the bin snapshot and nothing in outcomes, since
-// peeling never consumes carrier state. snaps is the campaign's full golden
-// snapshot ladder — every bin gets it, because a trial's suffix can converge
-// at any snapshot above its own trigger, not just its bin's base.
-func (c *campaign) runBinLockstep(ctx context.Context, ws *workerState, bin []int, base *vm.Snapshot, triggers []int64, snaps []*vm.Snapshot) error {
-	order := append([]int(nil), bin...)
-	sort.SliceStable(order, func(a, b int) bool {
-		return c.model.EffectiveTrigger(triggers[order[a]]) < c.model.EffectiveTrigger(triggers[order[b]])
-	})
-	lanes := make([]int, len(order))
-	arm := func(from int) error {
-		b, err := ws.ensureBatch()
-		if err != nil {
-			return err
-		}
-		b.Reset(base)
-		for k := from; k < len(order); k++ {
-			d := c.model.EffectiveTrigger(triggers[order[k]])
-			// Binning compares against the *requested* snapshot indices, but
-			// the snapshot itself parks at the first fault-eligible
-			// instruction at or after its index — possibly past a trigger
-			// binned here. Fact 1 (checkpoint.go) guarantees nothing eligible
-			// lies in between, so the snapshot state IS such a lane's
-			// divergence state: clamp rather than advance-to-the-past.
-			if base != nil && d < base.Dyn() {
-				d = base.Dyn()
-			}
-			lanes[k] = b.AddLane(d)
-		}
-		return nil
-	}
-	if err := arm(0); err != nil {
-		return err
-	}
-	for k, i := range order {
-		if ctx.Err() != nil || c.stopRequested() {
-			return nil
-		}
-		err := c.runOneLockstep(ws, i, lanes[k], snaps)
-		if ws.batch == nil && k+1 < len(order) {
-			// A panic poisoned the carrier; rebuild it for the rest of the
-			// bin before deciding what the error means.
-			if err2 := arm(k + 1); err2 != nil {
-				return err2
-			}
-		}
-		if err != nil {
-			if errors.Is(err, vm.ErrBatchStopped) {
-				return nil // cancellation landed mid-advance; finalize marks partial
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-// runOneLockstep is runOne's lockstep twin: it drives trial i — occupying
-// the given carrier lane — to a terminal disposition. The timeout retry
-// re-peels the same lane: the carrier still holds the divergence point, so
-// the retry costs one state clone, not a prefix re-run.
-func (c *campaign) runOneLockstep(ws *workerState, i, lane int, snaps []*vm.Snapshot) error {
-	for attempt := 0; ; attempt++ {
-		tr, timedOut, panicked, stack, err := c.attemptLockstep(ws, i, lane, snaps)
-		if err != nil {
-			return err
-		}
-		if panicked {
-			return c.quarantine(i, AnomalyPanic, stack)
-		}
-		if timedOut {
-			if attempt == 0 {
-				continue
-			}
-			return c.quarantine(i, AnomalyTimeout, "")
-		}
-		return c.recordTrial(i, tr)
-	}
-}
-
-// attemptLockstep executes one guarded lockstep trial attempt: draw the
-// plan, peel the lane into the worker's solo machine, run the suffix. The
-// draw precedes the peel so the rng stream matches runTrial draw for draw;
-// the peeled machine is positioned exactly where a solo Restore+run-to-
-// trigger would put it, so the suffix classifies identical Results. The
-// suffix runs through finishTrialConverging: crossings of the golden
-// snapshot ladder let a re-converged trial short-circuit to its (provably
-// golden) outcome. A recovered panic discards both the solo machine and the
-// carrier.
-func (c *campaign) attemptLockstep(ws *workerState, i, lane int, snaps []*vm.Snapshot) (tr Trial, timedOut, panicked bool, stack string, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			panicked = true
-			stack = fmt.Sprintf("panic: %v\n\n%s", r, debug.Stack())
-			ws.mach = nil
-			ws.batch = nil
+			ws.mach, ws.cursor = nil, nil
 		}
 	}()
 	if c.cfg.OnTrial != nil {
@@ -655,7 +443,7 @@ func (c *campaign) attemptLockstep(ws *workerState, i, lane int, snaps []*vm.Sna
 		return
 	}
 	plan := drawPlan(c.model, c.cfg, c.goldenDyn, i, ws.src, ws.rng)
-	if err = ws.batch.Peel(lane, ws.mach); err != nil {
+	if err = ws.position(at); err != nil {
 		return
 	}
 	var deadline time.Time
@@ -664,4 +452,76 @@ func (c *campaign) attemptLockstep(ws *workerState, i, lane int, snaps []*vm.Sna
 	}
 	tr, timedOut = finishTrial(ws.mach, plan, c.target, c.cfg, c.golden, c.disabled, deadline, snaps)
 	return
+}
+
+// run is the campaign body: one worker pool claiming work units (see
+// schedule) and driving each unit's trials, in order, through runOne.
+func (c *campaign) run(ctx context.Context, pending []int, workers int) error {
+	if ctx.Err() != nil {
+		return nil // finalize marks the report partial
+	}
+	snapAt := checkpointSchedule(c.cfg, c.goldenDyn)
+	var snaps []*vm.Snapshot
+	if len(snapAt) > 0 {
+		var err error
+		if snaps, err = takeSnapshots(c.target, c.mod, c.cfg, c.disabled, c.maxDyn, snapAt); err != nil {
+			return err
+		}
+	}
+	work := c.schedule(pending, workers, snapAt, snaps)
+	// The convergence ladder passed to every trial suffix; bins still
+	// restore from snaps, so disabling convergence never disables the
+	// cursor's checkpoints.
+	if c.cfg.Converge < 0 {
+		snaps = nil
+	}
+
+	var wg sync.WaitGroup
+	// Buffered so the feeding loop never blocks even if every worker exits
+	// early (setup or journal error).
+	unitCh := make(chan int, len(work))
+	errCh := make(chan error, workers)
+	for wk := 0; wk < workers; wk++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ws := c.newWorker(ctx.Done())
+			for u := range unitCh {
+				if err := c.runUnit(ctx, ws, work[u], snaps); err != nil {
+					errCh <- err
+					return
+				}
+			}
+		}()
+	}
+	for u := range work {
+		unitCh <- u
+	}
+	close(unitCh)
+	wg.Wait()
+	select {
+	case err := <-errCh:
+		return err
+	default:
+	}
+	return nil
+}
+
+// runUnit drives one work unit's trials in order, stopping quietly between
+// trials on cancellation or early stop.
+func (c *campaign) runUnit(ctx context.Context, ws *workerState, u workUnit, snaps []*vm.Snapshot) error {
+	ws.base, ws.live = u.base, false // the cursor re-arms lazily
+	for k, i := range u.trials {
+		if ctx.Err() != nil || c.stopRequested() {
+			return nil
+		}
+		ws.handOff = k == len(u.trials)-1
+		if err := c.runOne(ws, i, u.at[k], snaps); err != nil {
+			if errors.Is(err, errCursorStopped) {
+				return nil // cancellation mid-advance; finalize marks partial
+			}
+			return err
+		}
+	}
+	return nil
 }

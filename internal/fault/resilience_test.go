@@ -18,55 +18,72 @@ import (
 	"repro/internal/workloads"
 )
 
+// positioning is the row set of the supervision tests: every disposition
+// path must behave the same whether trials Reset (Checkpoints < 0) or clone
+// the golden cursor mid-bin.
+var positioning = []struct {
+	name        string
+	checkpoints int
+}{
+	{"reset", -1},
+	{"cursor", 4},
+}
+
+// TestPanicQuarantinesOneTrial poisons one trial: the panic must quarantine
+// exactly that trial, the worker must rebuild its machines — on the cursor
+// row, the cursor re-arms for the rest of the bin — and every other trial
+// must stay bit-identical to a clean campaign.
 func TestPanicQuarantinesOneTrial(t *testing.T) {
 	const poisoned = 3
 	w := workloads.ByName("kmeans")
 	prot := protectedFor(t, w, core.SchemeOriginal)
+	for _, p := range positioning {
+		t.Run(p.name, func(t *testing.T) {
+			cfg := fault.DefaultConfig()
+			cfg.Trials = 10
+			cfg.Checkpoints = p.checkpoints
+			clean, err := fault.Run(context.Background(), w.Target(workloads.Test), prot, "Original", cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	cfg := fault.DefaultConfig()
-	cfg.Trials = 10
-	clean, err := fault.Run(context.Background(), w.Target(workloads.Test), prot, "Original", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg.OnTrial = func(trial int) {
-		if trial == poisoned {
-			panic("injected test panic")
-		}
-	}
-	rep, err := fault.Run(context.Background(), w.Target(workloads.Test), prot, "Original", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Anomalies) != 1 {
-		t.Fatalf("anomalies = %+v, want exactly one", rep.Anomalies)
-	}
-	a := rep.Anomalies[0]
-	if a.Trial != poisoned || a.Reason != fault.AnomalyPanic {
-		t.Fatalf("anomaly %+v, want trial %d panic", a, poisoned)
-	}
-	if a.Seed != cfg.Seed+poisoned*7919 {
-		t.Fatalf("reproducer seed %d, want %d", a.Seed, cfg.Seed+poisoned*7919)
-	}
-	if !strings.Contains(a.Stack, "injected test panic") {
-		t.Fatalf("stack does not carry the panic value:\n%s", a.Stack)
-	}
-	if rep.Partial {
-		t.Fatal("quarantine must not mark the campaign partial")
-	}
-	if rep.Tally.N != cfg.Trials-1 {
-		t.Fatalf("Tally.N = %d, want %d", rep.Tally.N, cfg.Trials-1)
-	}
-	// The poisoned worker's machine is rebuilt; every other trial must be
-	// bit-identical to the clean campaign.
-	for i := range rep.Trials {
-		if i == poisoned {
-			continue
-		}
-		if rep.Trials[i] != clean.Trials[i] {
-			t.Fatalf("trial %d perturbed by quarantine: %+v != %+v", i, rep.Trials[i], clean.Trials[i])
-		}
+			cfg.OnTrial = func(trial int) {
+				if trial == poisoned {
+					panic("injected test panic")
+				}
+			}
+			rep, err := fault.Run(context.Background(), w.Target(workloads.Test), prot, "Original", cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Anomalies) != 1 {
+				t.Fatalf("anomalies = %+v, want exactly one", rep.Anomalies)
+			}
+			a := rep.Anomalies[0]
+			if a.Trial != poisoned || a.Reason != fault.AnomalyPanic {
+				t.Fatalf("anomaly %+v, want trial %d panic", a, poisoned)
+			}
+			if a.Seed != cfg.Seed+poisoned*7919 {
+				t.Fatalf("reproducer seed %d, want %d", a.Seed, cfg.Seed+poisoned*7919)
+			}
+			if !strings.Contains(a.Stack, "injected test panic") {
+				t.Fatalf("stack does not carry the panic value:\n%s", a.Stack)
+			}
+			if rep.Partial {
+				t.Fatal("quarantine must not mark the campaign partial")
+			}
+			if rep.Tally.N != cfg.Trials-1 {
+				t.Fatalf("Tally.N = %d, want %d", rep.Tally.N, cfg.Trials-1)
+			}
+			for i := range rep.Trials {
+				if i == poisoned {
+					continue
+				}
+				if rep.Trials[i] != clean.Trials[i] {
+					t.Fatalf("trial %d perturbed by quarantine: %+v != %+v", i, rep.Trials[i], clean.Trials[i])
+				}
+			}
+		})
 	}
 }
 
@@ -94,121 +111,139 @@ func TestAllTrialsQuarantinedYieldsEmptyTally(t *testing.T) {
 func TestTrialTimeoutQuarantinesWithRetry(t *testing.T) {
 	w := workloads.ByName("kmeans")
 	prot := protectedFor(t, w, core.SchemeOriginal)
-	cfg := fault.DefaultConfig()
-	cfg.Trials = 6
-	cfg.Workers = 1
-	cfg.Checkpoints = -1
-	cfg.TrialTimeout = time.Nanosecond // every wall-clock poll has expired
-	var attempts atomic.Int64
-	cfg.OnTrial = func(int) { attempts.Add(1) }
-	rep, err := fault.Run(context.Background(), w.Target(workloads.Test), prot, "Original", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.GoldenDyn < 1<<14 {
-		t.Skipf("golden run too short (%d dyn) for the deadline poll cadence", rep.GoldenDyn)
-	}
-	timeouts := 0
-	for _, a := range rep.Anomalies {
-		if a.Reason != fault.AnomalyTimeout {
-			t.Fatalf("unexpected anomaly reason: %+v", a)
-		}
-		if a.Stack != "" {
-			t.Fatalf("timeout anomaly carries a stack: %+v", a)
-		}
-		timeouts++
-	}
-	if timeouts == 0 {
-		t.Fatal("no trial hit the 1ns deadline")
-	}
-	if rep.Tally.N+timeouts != cfg.Trials {
-		t.Fatalf("N=%d + timeouts=%d != Trials=%d", rep.Tally.N, timeouts, cfg.Trials)
-	}
-	// A timed-out trial is attempted exactly twice (one bounded retry);
-	// completed trials once.
-	want := int64(rep.Tally.N + 2*timeouts)
-	if got := attempts.Load(); got != want {
-		t.Fatalf("attempts = %d, want %d (%d done, %d timeouts)", got, want, rep.Tally.N, timeouts)
+	for _, p := range positioning {
+		t.Run(p.name, func(t *testing.T) {
+			cfg := fault.DefaultConfig()
+			cfg.Trials = 6
+			cfg.Workers = 1
+			cfg.Checkpoints = p.checkpoints
+			cfg.TrialTimeout = time.Nanosecond // every wall-clock poll has expired
+			var attempts atomic.Int64
+			cfg.OnTrial = func(int) { attempts.Add(1) }
+			rep, err := fault.Run(context.Background(), w.Target(workloads.Test), prot, "Original", cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.GoldenDyn < 1<<14 {
+				t.Skipf("golden run too short (%d dyn) for the deadline poll cadence", rep.GoldenDyn)
+			}
+			timeouts := 0
+			for _, a := range rep.Anomalies {
+				if a.Reason != fault.AnomalyTimeout {
+					t.Fatalf("unexpected anomaly reason: %+v", a)
+				}
+				if a.Stack != "" {
+					t.Fatalf("timeout anomaly carries a stack: %+v", a)
+				}
+				timeouts++
+			}
+			if timeouts == 0 {
+				t.Fatal("no trial hit the 1ns deadline")
+			}
+			if rep.Tally.N+timeouts != cfg.Trials {
+				t.Fatalf("N=%d + timeouts=%d != Trials=%d", rep.Tally.N, timeouts, cfg.Trials)
+			}
+			// A timed-out trial is attempted exactly twice (one bounded
+			// retry); completed trials once.
+			want := int64(rep.Tally.N + 2*timeouts)
+			if got := attempts.Load(); got != want {
+				t.Fatalf("attempts = %d, want %d (%d done, %d timeouts)", got, want, rep.Tally.N, timeouts)
+			}
+		})
 	}
 }
 
 // TestCancellationMidCampaign cancels from inside the campaign and checks
 // graceful degradation: a valid, internally consistent partial report and
 // no leaked worker goroutines.
+//
+// On the cursor row cancellation can also land while a cursor advances
+// through a bin's golden prefix; the advance stops and the bin ends.
 func TestCancellationMidCampaign(t *testing.T) {
 	w := workloads.ByName("kmeans")
 	prot := protectedFor(t, w, core.SchemeOriginal)
-	before := runtime.NumGoroutine()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cfg := fault.DefaultConfig()
-	cfg.Trials = 200
-	cfg.Workers = 4
-	var started atomic.Int64
-	cfg.OnTrial = func(int) {
-		if started.Add(1) == 10 {
-			cancel()
-		}
-	}
-	rep, err := fault.Run(ctx, w.Target(workloads.Test), prot, "Original", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Partial {
-		t.Fatal("cancelled campaign not marked Partial")
-	}
-	if rep.EarlyStopped {
-		t.Fatal("cancellation misreported as early stop")
-	}
-	if rep.Tally.N == 0 || rep.Tally.N >= cfg.Trials {
-		t.Fatalf("partial Tally.N = %d, want in (0, %d)", rep.Tally.N, cfg.Trials)
-	}
-	sum := 0
-	for _, c := range rep.Tally.Count {
-		sum += c
-	}
-	if sum != rep.Tally.N {
-		t.Fatalf("partial outcome counts sum to %d != N=%d", sum, rep.Tally.N)
-	}
-	// Workers must have exited: Run joins the pool before returning, so any
-	// sustained goroutine growth is a leak. Allow unrelated runtime noise.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if runtime.NumGoroutine() <= before+2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d before campaign, %d after", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
+	for _, p := range positioning {
+		t.Run(p.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cfg := fault.DefaultConfig()
+			cfg.Trials = 200
+			cfg.Workers = 4
+			cfg.Checkpoints = p.checkpoints
+			var started atomic.Int64
+			cfg.OnTrial = func(int) {
+				if started.Add(1) == 10 {
+					cancel()
+				}
+			}
+			rep, err := fault.Run(ctx, w.Target(workloads.Test), prot, "Original", cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Partial {
+				t.Fatal("cancelled campaign not marked Partial")
+			}
+			if rep.EarlyStopped {
+				t.Fatal("cancellation misreported as early stop")
+			}
+			if rep.Tally.N == 0 || rep.Tally.N >= cfg.Trials {
+				t.Fatalf("partial Tally.N = %d, want in (0, %d)", rep.Tally.N, cfg.Trials)
+			}
+			sum := 0
+			for _, c := range rep.Tally.Count {
+				sum += c
+			}
+			if sum != rep.Tally.N {
+				t.Fatalf("partial outcome counts sum to %d != N=%d", sum, rep.Tally.N)
+			}
+			// Workers must have exited: Run joins the pool before returning,
+			// so any sustained goroutine growth is a leak. Allow unrelated
+			// runtime noise.
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				if runtime.NumGoroutine() <= before+2 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines: %d before campaign, %d after", before, runtime.NumGoroutine())
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }
 
 func TestEarlyStoppingSavesTrials(t *testing.T) {
 	w := workloads.ByName("kmeans")
 	prot := protectedFor(t, w, core.SchemeOriginal)
-	cfg := fault.DefaultConfig()
-	cfg.Trials = 400
-	cfg.TargetCI = 0.8 // loose on purpose: a handful of trials satisfies it
-	rep, err := fault.Run(context.Background(), w.Target(workloads.Test), prot, "Original", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.EarlyStopped {
-		t.Fatalf("campaign did not stop early: N=%d", rep.Tally.N)
-	}
-	if rep.Partial {
-		t.Fatal("early stop misreported as partial")
-	}
-	if rep.TrialsSaved <= 0 || rep.Tally.N+rep.TrialsSaved+len(rep.Anomalies) != cfg.Trials {
-		t.Fatalf("N=%d saved=%d anomalies=%d, want them to sum to %d",
-			rep.Tally.N, rep.TrialsSaved, len(rep.Anomalies), cfg.Trials)
-	}
-	// The stop criterion held at the moment it fired; in-flight trials that
-	// land afterwards only grow N, so the intervals stay well-formed.
-	if lo, hi := rep.Tally.CoverageInterval(); lo < 0 || hi > 1 || lo > hi {
-		t.Fatalf("malformed coverage CI [%v,%v]", lo, hi)
+	for _, p := range positioning {
+		t.Run(p.name, func(t *testing.T) {
+			cfg := fault.DefaultConfig()
+			cfg.Trials = 400
+			cfg.Checkpoints = p.checkpoints
+			cfg.TargetCI = 0.8 // loose on purpose: a handful of trials satisfies it
+			rep, err := fault.Run(context.Background(), w.Target(workloads.Test), prot, "Original", cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.EarlyStopped {
+				t.Fatalf("campaign did not stop early: N=%d", rep.Tally.N)
+			}
+			if rep.Partial {
+				t.Fatal("early stop misreported as partial")
+			}
+			if rep.TrialsSaved <= 0 || rep.Tally.N+rep.TrialsSaved+len(rep.Anomalies) != cfg.Trials {
+				t.Fatalf("N=%d saved=%d anomalies=%d, want them to sum to %d",
+					rep.Tally.N, rep.TrialsSaved, len(rep.Anomalies), cfg.Trials)
+			}
+			// The stop criterion held at the moment it fired; in-flight
+			// trials that land afterwards only grow N, so the intervals stay
+			// well-formed.
+			if lo, hi := rep.Tally.CoverageInterval(); lo < 0 || hi > 1 || lo > hi {
+				t.Fatalf("malformed coverage CI [%v,%v]", lo, hi)
+			}
+		})
 	}
 }
 
@@ -231,56 +266,62 @@ func TestCheckpointMoreSnapshotsThanTrials(t *testing.T) {
 	diffReports(t, "snapshots>trials", run(8), run(-1))
 }
 
-// TestCheckpointAllTriggersBeforeFirstSnapshot hunts a seed whose every
-// trigger lands before the first snapshot — the whole campaign then runs in
-// the scratch bin and no snapshot is ever restored — and checks it still
-// matches the plain scratch path.
+// TestCheckpointAllTriggersBeforeFirstSnapshot hunts, per workload, a seed
+// whose every trigger lands before the first snapshot — the whole campaign
+// then runs in bin 0, on cursors that never advance far from the origin
+// and never restore a snapshot — and checks it still matches the reset
+// path.
 func TestCheckpointAllTriggersBeforeFirstSnapshot(t *testing.T) {
 	const trials = 4
-	w := workloads.ByName("kmeans")
-	prot := protectedFor(t, w, core.SchemeOriginal)
+	for _, name := range []string{"kmeans", "tiff2bw"} {
+		t.Run(name, func(t *testing.T) {
+			w := workloads.ByName(name)
+			prot := protectedFor(t, w, core.SchemeOriginal)
 
-	probe := fault.DefaultConfig()
-	probe.Trials = 1
-	rep, err := fault.Run(context.Background(), w.Target(workloads.Test), prot, "Original", probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	goldenDyn := rep.GoldenDyn
-	// With Checkpoints=2 the first snapshot sits at goldenDyn/3 (the
-	// scheduler spaces n snapshots at goldenDyn*(k+1)/(n+1)).
-	firstSnap := goldenDyn / 3
-
-	// Reproduce the campaign's trigger draw (first Int63n after per-trial
-	// seeding) to find a seed that puts every trigger in the scratch bin.
-	seed := int64(-1)
-	for s := int64(1); s < 100_000; s++ {
-		all := true
-		for i := int64(0); i < trials; i++ {
-			if rand.New(rand.NewSource(s+i*7919)).Int63n(goldenDyn) >= firstSnap {
-				all = false
-				break
+			probe := fault.DefaultConfig()
+			probe.Trials = 1
+			rep, err := fault.Run(context.Background(), w.Target(workloads.Test), prot, "Original", probe)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if all {
-			seed = s
-			break
-		}
-	}
-	if seed < 0 {
-		t.Fatal("no all-early-trigger seed found in 100k candidates")
-	}
+			goldenDyn := rep.GoldenDyn
+			// With Checkpoints=2 the first snapshot sits at goldenDyn/3 (the
+			// scheduler spaces n snapshots at goldenDyn*(k+1)/(n+1)).
+			firstSnap := goldenDyn / 3
 
-	run := func(ckpt int) *fault.Report {
-		cfg := fault.DefaultConfig()
-		cfg.Trials = trials
-		cfg.Seed = seed
-		cfg.Checkpoints = ckpt
-		rep, err := fault.Run(context.Background(), w.Target(workloads.Test), prot, "Original", cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+			// Reproduce the campaign's trigger draw (first Int63n after
+			// per-trial seeding) to find a seed that puts every trigger in
+			// bin 0.
+			seed := int64(-1)
+			for s := int64(1); s < 100_000; s++ {
+				all := true
+				for i := int64(0); i < trials; i++ {
+					if rand.New(rand.NewSource(s+i*7919)).Int63n(goldenDyn) >= firstSnap {
+						all = false
+						break
+					}
+				}
+				if all {
+					seed = s
+					break
+				}
+			}
+			if seed < 0 {
+				t.Fatal("no all-early-trigger seed found in 100k candidates")
+			}
+
+			run := func(ckpt int) *fault.Report {
+				cfg := fault.DefaultConfig()
+				cfg.Trials = trials
+				cfg.Seed = seed
+				cfg.Checkpoints = ckpt
+				rep, err := fault.Run(context.Background(), w.Target(workloads.Test), prot, "Original", cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep
+			}
+			diffReports(t, "all-before-first-snapshot", run(2), run(-1))
+		})
 	}
-	diffReports(t, "all-before-first-snapshot", run(2), run(-1))
 }

@@ -13,8 +13,8 @@ package vm
 import "repro/internal/ir"
 
 // Suspended reports whether the machine holds a suspended in-flight run
-// (its last Run returned TrapSuspended, or it was Restored/peeled, and no
-// Run, Reset or Restore has consumed that state since).
+// (its last Run returned TrapSuspended, or it was set with Restore or
+// RestoreFrom, and no Run, Reset or Restore has consumed that state since).
 func (m *Machine) Suspended() bool { return len(m.susp) > 0 }
 
 // LiveRegCount is the number of architecturally live register slots in the

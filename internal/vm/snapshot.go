@@ -192,6 +192,77 @@ func (m *Machine) Restore(s *Snapshot) error {
 	return nil
 }
 
+// RestoreFrom re-arms m with the suspended execution state of src — the
+// machine-to-machine analogue of src.Snapshot() followed by m.Restore,
+// without materializing the intermediate immutable copy (one memory copy
+// instead of two, no per-clone allocations). src must be suspended on the
+// fast engine over the same module revision and geometry; it is not mutated
+// and stays suspended, so one source can seed any number of clones (the
+// fault campaign's golden cursor seeds every trial of a bin this way). m is
+// left suspended at src's suspend point: its next Run continues from there,
+// bit-identically to a run resumed on src itself.
+func (m *Machine) RestoreFrom(src *Machine) error {
+	if m == src {
+		return fmt.Errorf("vm: RestoreFrom onto the source machine")
+	}
+	if m.eng == nil || src.eng == nil {
+		return fmt.Errorf("vm: RestoreFrom requires the fast engine")
+	}
+	if src.eng != m.eng {
+		return fmt.Errorf("vm: source machine belongs to a different module revision")
+	}
+	if len(src.susp) == 0 {
+		return fmt.Errorf("vm: source machine is not suspended (Run must return a %v trap first)", TrapSuspended)
+	}
+	if len(src.mem) != len(m.mem) ||
+		len(src.timing.cacheTags) != len(m.timing.cacheTags) ||
+		len(src.timing.predictor) != len(m.timing.predictor) {
+		return fmt.Errorf("vm: source machine geometry differs")
+	}
+	// Mirror Restore field for field (snapshot.go documents the set); the
+	// equivalence of that set to an uninterrupted run is established by the
+	// snapshot suite, so this clone inherits it.
+	for _, l := range m.susp {
+		m.putFrame(l.ef, l.fr)
+	}
+	m.susp = m.susp[:0]
+	m.resuming = nil
+	m.resumePos = -1
+
+	copy(m.mem, src.mem)
+	m.sp = src.sp
+	m.dyn = src.dyn
+	m.laxPhis = src.laxPhis
+	m.checkFails = src.checkFails
+	m.perCheckFails = nil
+	if src.perCheckFails != nil {
+		m.perCheckFails = make(map[int]int64, len(src.perCheckFails))
+		for id, n := range src.perCheckFails {
+			m.perCheckFails[id] = n
+		}
+	}
+	m.opCounts = src.opCounts
+	for i, rc := range src.regionCounts {
+		copy(m.regionCounts[i], rc)
+	}
+	tm, st := m.timing, src.timing
+	tm.cursor, tm.slotUsed, tm.maxDone = st.cursor, st.slotUsed, st.maxDone
+	copy(tm.cacheTags, st.cacheTags)
+	copy(tm.predictor, st.predictor)
+
+	for _, l := range src.susp {
+		fr := m.getFrame(l.ef)
+		fr.entrySP = l.fr.entrySP
+		for _, slot := range l.fr.live {
+			fr.regs[slot] = l.fr.regs[slot]
+			fr.defined[slot] = true
+		}
+		fr.live = append(fr.live[:0], l.fr.live...)
+		m.susp = append(m.susp, suspLevel{ef: l.ef, fr: fr, pc: l.pc})
+	}
+	return nil
+}
+
 // MatchesSnapshot reports whether the machine's suspended execution state is
 // bit-identical to the snapshot's, over the exact field set Snapshot
 // captures — memory, stack pointer, dynamic counter, suspended call chain

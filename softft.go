@@ -380,40 +380,6 @@ func (p *Program) ProtectWith(mode Mode, prof *Profile, opts ...Option) (*Progra
 	}, nil
 }
 
-// Tuning exposes the check-amenability knobs.
-//
-// Deprecated: Tuning cannot express "set a knob to zero" — zero-valued
-// fields silently fall back to the defaults. Use ProtectWith with Options
-// instead.
-type Tuning struct {
-	RangeThreshold   float64
-	MinRangeCoverage float64
-	MinValueCoverage float64
-	// DisableOpt1 turns off check deduplication along producer chains.
-	DisableOpt1 bool
-	// DisableOpt2 keeps duplicating through check-amenable producers.
-	DisableOpt2 bool
-}
-
-// ProtectTuned is Protect with explicit tuning; zero-valued fields take the
-// defaults used in the paper reproduction.
-//
-// Deprecated: use ProtectWith, whose Options honor explicit zero values.
-func (p *Program) ProtectTuned(mode Mode, prof *Profile, t Tuning) (*Program, Stats, error) {
-	var opts []Option
-	if t.RangeThreshold > 0 {
-		opts = append(opts, WithRangeThreshold(t.RangeThreshold))
-	}
-	if t.MinRangeCoverage > 0 {
-		opts = append(opts, WithMinRangeCoverage(t.MinRangeCoverage))
-	}
-	if t.MinValueCoverage > 0 {
-		opts = append(opts, WithMinValueCoverage(t.MinValueCoverage))
-	}
-	opts = append(opts, WithOpt1(!t.DisableOpt1), WithOpt2(!t.DisableOpt2))
-	return p.ProtectWith(mode, prof, opts...)
-}
-
 // Trace runs the program writing a per-instruction execution trace to w
 // (at most limit events; 0 = unlimited). Useful for debugging kernels and
 // inspecting how a protected program interleaves checks with computation.

@@ -202,11 +202,11 @@ func TestBenchmarkCampaignViaFacade(t *testing.T) {
 func TestTuningKnobs(t *testing.T) {
 	prog, _ := Compile("kernel", testKernel)
 	prof, _ := prog.ProfileValues(testInput())
-	_, loose, err := prog.ProtectTuned(DuplicationWithValueChecks, prof, Tuning{RangeThreshold: 1 << 30, MinRangeCoverage: 0.5})
+	_, loose, err := prog.ProtectWith(DuplicationWithValueChecks, prof, WithRangeThreshold(1<<30), WithMinRangeCoverage(0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, tight, err := prog.ProtectTuned(DuplicationWithValueChecks, prof, Tuning{RangeThreshold: 1, MinRangeCoverage: 0.999999})
+	_, tight, err := prog.ProtectWith(DuplicationWithValueChecks, prof, WithRangeThreshold(1), WithMinRangeCoverage(0.999999))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,38 +371,5 @@ func TestCampaignFaultModelField(t *testing.T) {
 	// Unknown models are rejected with the registered set.
 	if _, err := prog.InjectFaults(testInput(), Campaign{Trials: 10, Output: "out", FaultModel: "cosmic-ray"}); err == nil || !strings.Contains(err.Error(), "unknown fault model") {
 		t.Fatalf("unknown model: %v", err)
-	}
-}
-
-func TestBranchTargetsShim(t *testing.T) {
-	prog, err := Compile("kernel", testKernel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The deprecated flag is a shim over the branch-target model: same
-	// seeds, bit-identical outcomes, and the resolved model is reported.
-	shim, err := prog.InjectFaults(testInput(), Campaign{Trials: 40, Seed: 5, Output: "out", BranchTargets: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shim.FaultModel != "branch-target" {
-		t.Fatalf("shim FaultModel = %q", shim.FaultModel)
-	}
-	direct, err := prog.InjectFaults(testInput(), Campaign{Trials: 40, Seed: 5, Output: "out", FaultModel: "branch-target"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(shim, direct) {
-		t.Fatalf("shim outcomes differ from -fault-model branch-target:\nshim=%+v\ndirect=%+v", shim, direct)
-	}
-	// Setting both fields is ambiguous and must be rejected, naming both.
-	_, err = prog.InjectFaults(testInput(), Campaign{Trials: 10, Output: "out", BranchTargets: true, FaultModel: "mem-flip"})
-	if err == nil || !strings.Contains(err.Error(), "BranchTargets") || !strings.Contains(err.Error(), "FaultModel") {
-		t.Fatalf("conflicting fields: %v", err)
-	}
-	// The recovery path shares campaignSetup and must reject identically.
-	_, err = prog.InjectFaultsWithRecovery(testInput(), Campaign{Trials: 10, Output: "out", BranchTargets: true, FaultModel: "mem-flip"})
-	if err == nil || !strings.Contains(err.Error(), "BranchTargets") {
-		t.Fatalf("recovery: conflicting fields: %v", err)
 	}
 }
