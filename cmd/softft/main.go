@@ -97,7 +97,6 @@ func runSolo(args []string, stdout, stderr io.Writer) error {
 		useCFC  = flags.Bool("cfc", false, "add signature-based control-flow checks")
 		trace   = flags.Int64("trace", 0, "print an execution trace of up to N instructions")
 		fmodel  = flags.String("fault-model", "", "registered fault model for -inject (default reg-flip), or 'list'")
-		fuse    = flags.String("fuse", "on", "superinstruction fusion in the fast engine: on or off (bit-identical results; throughput only)")
 
 		journal      = flags.String("journal", "", "append completed trials to this durable journal file")
 		resume       = flags.Bool("resume", false, "replay the -journal file and run only the remaining trials")
@@ -109,15 +108,6 @@ func runSolo(args []string, stdout, stderr io.Writer) error {
 	)
 	if err := parseFlags(flags, args); err != nil {
 		return err
-	}
-
-	fuseKnob := 0
-	switch *fuse {
-	case "on":
-	case "off":
-		fuseKnob = -1
-	default:
-		return usageError("-fuse takes on or off")
 	}
 
 	if *benchCampaign != "" {
@@ -273,7 +263,6 @@ func runSolo(args []string, stdout, stderr io.Writer) error {
 		c := bm.NewCampaign(*inject)
 		c.Seed = *seed
 		c.FaultModel = *fmodel
-		c.Fuse = fuseKnob
 		c.Journal = *journal
 		c.Resume = *resume
 		c.TrialTimeout = *trialTimeout

@@ -43,20 +43,6 @@ type Campaign struct {
 	// Figure 2 split). 0 uses the default threshold of 1.0, i.e. a 100%
 	// relative change.
 	LargeChange float64
-	// Checkpoints controls golden-prefix reuse: each worker walks a golden
-	// (fault-free) cursor machine forward and starts every trial as a clone
-	// of it at the trial's injection point, restarting the cursor from
-	// snapshots of the golden run instead of re-executing the fault-free
-	// prefix. 0 (the default) sizes the snapshot schedule automatically;
-	// > 0 requests an explicit count; < 0 disables golden-prefix reuse, so
-	// every trial runs from the start. Results are bit-identical either way
-	// — this is purely a throughput knob.
-	Checkpoints int
-	// Fuse controls superinstruction dispatch in the execution engine: 0
-	// (the default) keeps fused dispatch enabled; < 0 forces per-instruction
-	// dispatch. Results are bit-identical either way — like Checkpoints,
-	// this is purely a throughput knob (and an escape hatch).
-	Fuse int
 	// ShardStart and ShardEnd restrict the campaign to the trial subrange
 	// [ShardStart, ShardEnd). Both zero (the default) runs every trial.
 	// Trial indices are absolute: seeds, fault plans, and outcomes of a
@@ -246,8 +232,6 @@ func (p *Program) campaignSetup(in *Input, c Campaign) (fault.Target, fault.Conf
 	if c.LargeChange > 0 {
 		cfg.LargeChange = c.LargeChange
 	}
-	cfg.Checkpoints = c.Checkpoints
-	cfg.Fuse = c.Fuse
 	if (c.ShardStart != 0 || c.ShardEnd != 0) && c.Journal == "" {
 		return fault.Target{}, fault.Config{}, fmt.Errorf("softft: Campaign.ShardStart/ShardEnd: sharding requires Campaign.Journal (a shard's results are its journal)")
 	}
@@ -344,7 +328,7 @@ func MergeShardOutcomes(paths []string) (*Outcomes, error) {
 // (paper §IV-D): every software detection re-executes the program, which
 // for a transient fault yields the correct output.
 type RecoveryOutcome struct {
-	Trials    int
+	Trials    int     // completed trials (fewer than Campaign.Trials after an early stop)
 	Recovered int     // detections converted into correct completions
 	StillUSDC int     // unacceptable outputs that escaped detection
 	Failures  int     // crashes / runaway executions
@@ -361,7 +345,10 @@ func (p *Program) InjectFaultsWithRecovery(in *Input, c Campaign) (*RecoveryOutc
 
 // InjectFaultsWithRecoveryContext is InjectFaultsWithRecovery with
 // cancellation: when ctx is cancelled the campaign stops between trials and
-// the context's error is returned.
+// the context's error is returned. The campaign runs on the same scheduler
+// as InjectFaults, so Workers, TrialTimeout, TargetCI, OnTrial and
+// OnProgress apply; Journal, Resume and a shard range are rejected, as is a
+// campaign that quarantines a trial.
 func (p *Program) InjectFaultsWithRecoveryContext(ctx context.Context, in *Input, c Campaign) (*RecoveryOutcome, error) {
 	target, cfg, err := p.campaignSetup(in, c)
 	if err != nil {

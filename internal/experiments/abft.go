@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/ir"
-	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
@@ -29,24 +27,6 @@ type ABFTRow struct {
 	Overhead float64
 	Kernels  int // kernel loops checksummed (0 for non-ABFT schemes)
 	Checks   int // ABFT exit checks inserted
-}
-
-// timeVariant measures a variant's fault-free cycle count on the test
-// input (same procedure Prepare uses for registered schemes).
-func timeVariant(w *workloads.Workload, m *ir.Module) (int64, error) {
-	tm, err := vm.New(m, vm.DefaultConfig())
-	if err != nil {
-		return 0, err
-	}
-	if err := w.Bind(tm, workloads.Test); err != nil {
-		return 0, err
-	}
-	tm.Reset()
-	res := tm.Run(vm.RunOptions{CountChecks: true})
-	if res.Trap != nil {
-		return 0, fmt.Errorf("timing run trapped: %v", res.Trap)
-	}
-	return res.Cycles, nil
 }
 
 // ABFTvsDupVal runs the comparison campaigns and renders the table.
@@ -71,9 +51,11 @@ func ABFTvsDupVal(cfg fault.Config) ([]ABFTRow, string, error) {
 					return nil, "", fmt.Errorf("%s/%s: %w", name, sch, err)
 				}
 				variant = &Variant{Mode: sch, Module: m, Stats: stats}
-				if cyc, err = timeVariant(w, m); err != nil {
+				res, err := timedRun(w, m, workloads.Test)
+				if err != nil {
 					return nil, "", fmt.Errorf("%s/%s: %w", name, sch, err)
 				}
+				cyc = res.Cycles
 			}
 			rep, err := fault.Run(context.Background(), w.Target(workloads.Test),
 				variant.Module, core.Title(sch), cfg)

@@ -7,9 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/ir"
-	"repro/internal/profile"
-	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
@@ -32,20 +29,12 @@ func buildDupVal(w *workloads.Workload, profKind workloads.InputKind) (*Variant,
 	if err != nil {
 		return nil, err
 	}
-	mach, err := vm.New(mod.Clone(), vm.DefaultConfig())
+	prof, err := profileOn(w, mod, profKind)
 	if err != nil {
 		return nil, err
 	}
-	if err := w.Bind(mach, profKind); err != nil {
-		return nil, err
-	}
-	mach.Reset()
-	col := profile.NewCollector(profile.DefaultBins)
-	if res := mach.Run(vm.RunOptions{Profiler: col}); res.Trap != nil {
-		return nil, fmt.Errorf("%s: profiling trapped: %v", w.Name, res.Trap)
-	}
 	m := mod.Clone()
-	stats, err := core.Protect(m, core.SchemeDupVal, col.Data(), core.DefaultParams())
+	stats, err := core.Protect(m, core.SchemeDupVal, prof, core.DefaultParams())
 	if err != nil {
 		return nil, err
 	}
@@ -54,34 +43,19 @@ func buildDupVal(w *workloads.Workload, profKind workloads.InputKind) (*Variant,
 
 // overheadOn measures runtime overhead of a variant on one input kind.
 func overheadOn(w *workloads.Workload, v *Variant, kind workloads.InputKind) (float64, error) {
-	run := func(mod *ir.Module) (int64, error) {
-		mach, err := vm.New(mod, vm.DefaultConfig())
-		if err != nil {
-			return 0, err
-		}
-		if err := w.Bind(mach, kind); err != nil {
-			return 0, err
-		}
-		mach.Reset()
-		res := mach.Run(vm.RunOptions{CountChecks: true})
-		if res.Trap != nil {
-			return 0, fmt.Errorf("trap: %v", res.Trap)
-		}
-		return res.Cycles, nil
-	}
 	base, err := w.Compile()
 	if err != nil {
 		return 0, err
 	}
-	c0, err := run(base.Clone())
+	r0, err := timedRun(w, base, kind)
 	if err != nil {
 		return 0, err
 	}
-	c1, err := run(v.Module)
+	r1, err := timedRun(w, v.Module, kind)
 	if err != nil {
 		return 0, err
 	}
-	return float64(c1)/float64(c0) - 1, nil
+	return float64(r1.Cycles)/float64(r0.Cycles) - 1, nil
 }
 
 // CrossValidation runs the paper's §V sensitivity experiment on jpegdec and

@@ -61,22 +61,14 @@ func Prepare(w *workloads.Workload) (*Prepared, error) {
 	}
 
 	// Value profiling on the training input (one-time offline step, §III-C1).
-	mach, err := vm.New(mod.Clone(), vm.DefaultConfig())
+	prof, err := profileOn(w, mod, workloads.Train)
 	if err != nil {
 		return nil, err
-	}
-	if err := w.Bind(mach, workloads.Train); err != nil {
-		return nil, err
-	}
-	mach.Reset()
-	col := profile.NewCollector(profile.DefaultBins)
-	if res := mach.Run(vm.RunOptions{Profiler: col}); res.Trap != nil {
-		return nil, fmt.Errorf("%s: profiling trapped: %v", w.Name, res.Trap)
 	}
 
 	p := &Prepared{
 		Workload: w,
-		Profile:  col.Data(),
+		Profile:  prof,
 		Variants: map[string]*Variant{},
 		Cycles:   map[string]int64{},
 		Dyn:      map[string]int64{},
@@ -94,23 +86,47 @@ func Prepare(w *workloads.Workload) (*Prepared, error) {
 		p.Variants[mode] = &Variant{Mode: mode, Module: m, Stats: stats}
 
 		// Fault-free timing on the test input.
-		tm, err := vm.New(m, vm.DefaultConfig())
+		res, err := timedRun(w, m, workloads.Test)
 		if err != nil {
-			return nil, err
-		}
-		if err := w.Bind(tm, workloads.Test); err != nil {
-			return nil, err
-		}
-		tm.Reset()
-		res := tm.Run(vm.RunOptions{CountChecks: true})
-		if res.Trap != nil {
-			return nil, fmt.Errorf("%s/%s: timing run trapped: %v", w.Name, mode, res.Trap)
+			return nil, fmt.Errorf("%s/%s: %w", w.Name, mode, err)
 		}
 		p.Cycles[mode] = res.Cycles
 		p.Dyn[mode] = res.Dyn
 	}
 	prepCache[w.Name] = p
 	return p, nil
+}
+
+// runOn executes mod fault-free on w's kind input; a trap is an error.
+func runOn(w *workloads.Workload, mod *ir.Module, kind workloads.InputKind, opts vm.RunOptions) (*vm.Result, error) {
+	mach, err := vm.New(mod, vm.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	if err := w.Bind(mach, kind); err != nil {
+		return nil, err
+	}
+	mach.Reset()
+	res := mach.Run(opts)
+	if res.Trap != nil {
+		return nil, fmt.Errorf("%s: fault-free run trapped: %v", w.Name, res.Trap)
+	}
+	return res, nil
+}
+
+// profileOn collects a value profile of mod on w's kind input.
+func profileOn(w *workloads.Workload, mod *ir.Module, kind workloads.InputKind) (*profile.Data, error) {
+	col := profile.NewCollector(profile.DefaultBins)
+	if _, err := runOn(w, mod.Clone(), kind, vm.RunOptions{Profiler: col}); err != nil {
+		return nil, fmt.Errorf("profiling: %w", err)
+	}
+	return col.Data(), nil
+}
+
+// timedRun measures mod's fault-free cycles on w's kind input, counting
+// rather than trapping on check failures (the Figure 12 procedure).
+func timedRun(w *workloads.Workload, mod *ir.Module, kind workloads.InputKind) (*vm.Result, error) {
+	return runOn(w, mod, kind, vm.RunOptions{CountChecks: true})
 }
 
 // Overhead returns the runtime overhead of mode vs the original build.

@@ -9,7 +9,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/ir"
 	"repro/internal/profile"
-	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
@@ -98,30 +97,15 @@ func MultiInputProfiling() ([]MultiProfileRow, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		collect := func(kind workloads.InputKind) (*profile.Data, error) {
-			mach, err := vm.New(mod.Clone(), vm.DefaultConfig())
-			if err != nil {
-				return nil, err
-			}
-			if err := w.Bind(mach, kind); err != nil {
-				return nil, err
-			}
-			mach.Reset()
-			col := profile.NewCollector(profile.DefaultBins)
-			if res := mach.Run(vm.RunOptions{Profiler: col}); res.Trap != nil {
-				return nil, fmt.Errorf("%s: profiling trapped: %v", w.Name, res.Trap)
-			}
-			return col.Data(), nil
-		}
-		single, err := collect(workloads.Train)
+		single, err := profileOn(w, mod, workloads.Train)
 		if err != nil {
 			return nil, "", err
 		}
-		multi, err := collect(workloads.Train)
+		multi, err := profileOn(w, mod, workloads.Train)
 		if err != nil {
 			return nil, "", err
 		}
-		second, err := collect(workloads.Test) // second profiling input
+		second, err := profileOn(w, mod, workloads.Test) // second profiling input
 		if err != nil {
 			return nil, "", err
 		}

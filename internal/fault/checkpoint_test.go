@@ -238,24 +238,43 @@ func TestFalsePositivesEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestRecoveryCheckpointEquivalence checks the recovery campaign — which
-// restores snapshots both for faulty runs and for restart re-runs — against
-// its from-scratch twin.
+// TestRecoveryCheckpointEquivalence checks the recovery campaign across
+// every way the scheduler can position and finish its trials: each row must
+// give a RecoveryReport identical to the Reset-per-trial reference. The
+// convergence rows matter most — a short-circuited trial is priced at the
+// golden cycle count rather than measured.
 func TestRecoveryCheckpointEquivalence(t *testing.T) {
 	w := workloads.ByName("g721dec")
 	prot := protectedFor(t, w, core.SchemeDup)
-	run := func(ckpt int) *fault.RecoveryReport {
+	rows := []struct {
+		name                           string
+		engine                         vm.EngineKind
+		checkpoints, converge, workers int
+	}{
+		{"reset", vm.EngineFast, -1, -1, 1},
+		{"cursor", vm.EngineFast, 6, -1, 1},
+		{"cursor+converge", vm.EngineFast, 0, 0, 4},
+		{"tree", vm.EngineTree, 0, 0, 2},
+	}
+	var ref *fault.RecoveryReport
+	for _, r := range rows {
 		cfg := fault.DefaultConfig()
-		cfg.Trials = 30
-		cfg.Checkpoints = ckpt
+		cfg.Trials = 40
+		cfg.Engine = r.engine
+		cfg.Checkpoints, cfg.Converge, cfg.Workers = r.checkpoints, r.converge, r.workers
 		rep, err := fault.RunWithRecovery(context.Background(), w.Target(workloads.Test), prot, "DupOnly", cfg)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", r.name, err)
 		}
-		return rep
-	}
-	ckpt, scratch := run(6), run(-1)
-	if *ckpt != *scratch {
-		t.Fatalf("recovery reports differ:\nckpt=%+v\nscratch=%+v", *ckpt, *scratch)
+		if ref == nil {
+			ref = rep
+			if ref.Recovered == 0 {
+				t.Fatal("reference recovered nothing; the matrix exercises no restart")
+			}
+			continue
+		}
+		if *rep != *ref {
+			t.Errorf("%s: recovery report differs:\n got=%+v\nreset=%+v", r.name, *rep, *ref)
+		}
 	}
 }

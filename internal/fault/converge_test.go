@@ -26,11 +26,13 @@ void main() {
 
 // TestConvergenceShortCircuit drives finishTrial with the snapshot ladder
 // against finishTrial without it across many trials of the same fault
-// stream: every trial's
-// record must be bit-identical, and at least some masked trials must have
-// actually short-circuited — observable as the machine still being suspended
-// (Snapshot succeeds) at a dyn short of the run's end — or the fast-forward
-// is dead code.
+// stream: every trial's record and cycle count must be bit-identical, and
+// at least some masked trials must have actually short-circuited —
+// observable as the machine still being suspended (Snapshot succeeds) at a
+// dyn short of the run's end — or the fast-forward is dead code. Wherever
+// the shortcut fires, the full-suffix twin must have cost exactly the
+// golden run's cycles: that is what restart recovery records for a
+// short-circuited trial.
 func TestConvergenceShortCircuit(t *testing.T) {
 	mod, err := lang.Compile("converge", convergeSrc)
 	if err != nil {
@@ -78,20 +80,21 @@ func TestConvergenceShortCircuit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ws := (&campaign{cfg: cfg}).newWorker(nil)
+	c := &campaign{cfg: cfg, target: target, golden: golden, rep: &Report{GoldenCycles: res.Cycles}}
+	ws := c.newWorker(nil)
 	shortCircuits, masked := 0, 0
 	for trial := 0; trial < 60; trial++ {
 		p1 := drawPlan(MustModel(cfg.Model), cfg, goldenDyn, trial, ws.src, ws.rng)
 		solo.Reset()
-		tr1, to1 := finishTrial(solo, p1, target, cfg, golden, nil, time.Time{}, nil)
+		tr1, cyc1, to1 := c.finishTrial(solo, p1, time.Time{}, nil)
 
 		p2 := drawPlan(MustModel(cfg.Model), cfg, goldenDyn, trial, ws.src, ws.rng)
 		conv.Reset()
-		tr2, to2 := finishTrial(conv, p2, target, cfg, golden, nil, time.Time{}, snaps)
+		tr2, cyc2, to2 := c.finishTrial(conv, p2, time.Time{}, snaps)
 
-		if tr1 != tr2 || to1 != to2 {
-			t.Fatalf("trial %d: solo %+v (timeout %v) vs converging %+v (timeout %v)",
-				trial, tr1, to1, tr2, to2)
+		if tr1 != tr2 || cyc1 != cyc2 || to1 != to2 {
+			t.Fatalf("trial %d: solo %+v (cycles %d, timeout %v) vs converging %+v (cycles %d, timeout %v)",
+				trial, tr1, cyc1, to1, tr2, cyc2, to2)
 		}
 		if tr1.Outcome == Masked {
 			masked++
@@ -101,6 +104,9 @@ func TestConvergenceShortCircuit(t *testing.T) {
 		if _, err := conv.Snapshot(); err == nil {
 			if tr2.Outcome != Masked {
 				t.Fatalf("trial %d: short-circuited with outcome %v", trial, tr2.Outcome)
+			}
+			if cyc1 != res.Cycles {
+				t.Fatalf("trial %d: short-circuited, but its full suffix cost %d cycles, golden %d", trial, cyc1, res.Cycles)
 			}
 			shortCircuits++
 		}

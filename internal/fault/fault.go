@@ -256,6 +256,16 @@ func Run(ctx context.Context, t Target, mod *ir.Module, technique string, cfg Co
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	c, err := runCampaign(ctx, t, mod, technique, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return c.rep, nil
+}
+
+// runCampaign is Run's body: it returns the finished campaign, whose Report
+// is final and whose per-trial cycle counts RunWithRecovery prices.
+func runCampaign(ctx context.Context, t Target, mod *ir.Module, technique string, cfg Config) (*campaign, error) {
 	if cfg.Trials <= 0 {
 		return nil, fmt.Errorf("fault: non-positive trial count")
 	}
@@ -343,7 +353,7 @@ func Run(ctx context.Context, t Target, mod *ir.Module, technique string, cfg Co
 		return nil, err
 	}
 	c.finalize(ctx.Err())
-	return rep, nil
+	return c, nil
 }
 
 // newMachine builds a machine with the target's inputs bound. maxDyn of 0
@@ -413,8 +423,8 @@ func runPlanned(mach *vm.Machine, plan *Plan, cfg Config, disabled map[int]bool,
 }
 
 // finishTrial runs an already-positioned machine — reset, or cloned from
-// the golden cursor — under the trial's fault plan and classifies the
-// outcome.
+// the golden cursor — under the trial's fault plan, classifies the outcome,
+// and returns the trial's final cycle count (restart recovery prices it).
 //
 // A non-empty snaps ladder (the campaign's golden snapshots, ascending)
 // enables convergence fast-forwarding: the suffix parks at each snapshot
@@ -424,12 +434,13 @@ func runPlanned(mach *vm.Machine, plan *Plan, cfg Config, disabled map[int]bool,
 // future — most masked trials re-converge shortly after the corrupted value
 // dies, so their remaining suffix never needs to execute. The short-circuit
 // constructs exactly the Trial the full run would: trap-free, bit-equal
-// output, Masked. Two gates keep it sound: comparing before the fault fires
-// would trivially match golden while the pending fault still changes the
-// future (the injected() gate), and a re-arming model's fault can fire
-// again after the comparison point, so present-equals-golden proves nothing
-// about its future — re-arming trials never fast-forward at all.
-func finishTrial(mach *vm.Machine, plan *Plan, t Target, cfg Config, golden []uint64, disabled map[int]bool, deadline time.Time, snaps []*vm.Snapshot) (tr Trial, timedOut bool) {
+// output, Masked, and the golden run's cycle count, since the matched state
+// includes the whole timing model. Two gates keep it sound: comparing before
+// the fault fires would trivially match golden while the pending fault still
+// changes the future (the injected() gate), and a re-arming model's fault
+// can fire again after the comparison point, so present-equals-golden proves
+// nothing about its future — re-arming trials never fast-forward at all.
+func (c *campaign) finishTrial(mach *vm.Machine, plan *Plan, deadline time.Time, snaps []*vm.Snapshot) (tr Trial, cycles int64, timedOut bool) {
 	if plan.model.Rearms() {
 		snaps = nil // soundness rule: see above
 	}
@@ -437,16 +448,18 @@ func finishTrial(mach *vm.Machine, plan *Plan, t Target, cfg Config, golden []ui
 		if s.Dyn() <= mach.Dyn() {
 			continue
 		}
-		res := runPlanned(mach, plan, cfg, disabled, deadline, s.Dyn())
+		res := runPlanned(mach, plan, c.cfg, c.disabled, deadline, s.Dyn())
 		if res.Trap == nil || res.Trap.Kind != vm.TrapSuspended {
-			return classifyTrial(mach, res, plan, t, cfg, golden)
+			tr, timedOut = c.classifyTrial(mach, res, plan)
+			return tr, res.Cycles, timedOut
 		}
 		if plan.injected() && mach.MatchesSnapshot(s) {
-			return Trial{Outcome: Masked, RelChange: plan.relChange()}, false
+			return Trial{Outcome: Masked, RelChange: plan.relChange()}, c.rep.GoldenCycles, false
 		}
 	}
-	res := runPlanned(mach, plan, cfg, disabled, deadline, 0)
-	return classifyTrial(mach, res, plan, t, cfg, golden)
+	res := runPlanned(mach, plan, c.cfg, c.disabled, deadline, 0)
+	tr, timedOut = c.classifyTrial(mach, res, plan)
+	return tr, res.Cycles, timedOut
 }
 
 // fuseMode maps Config.Fuse onto the vm knob: negative disables fused
@@ -460,7 +473,8 @@ func fuseMode(cfg Config) vm.FuseMode {
 
 // classifyTrial maps a terminal Result onto the §IV-C taxonomy. Shared by
 // every suffix path so classification cannot drift.
-func classifyTrial(mach *vm.Machine, res *vm.Result, plan *Plan, t Target, cfg Config, golden []uint64) (tr Trial, timedOut bool) {
+func (c *campaign) classifyTrial(mach *vm.Machine, res *vm.Result, plan *Plan) (tr Trial, timedOut bool) {
+	t, golden := c.target, c.golden
 	tr = Trial{RelChange: plan.relChange()}
 	if res.Trap != nil {
 		tr.TrapKind = res.Trap.Kind
@@ -472,7 +486,7 @@ func classifyTrial(mach *vm.Machine, res *vm.Result, plan *Plan, t Target, cfg C
 			tr.CheckKind = res.Trap.CheckKind
 		case res.Trap.Kind == vm.TrapWatchdog:
 			tr.Outcome = Failure
-		case res.Trap.IsSymptom() && res.Trap.Dyn-plan.TriggerDyn <= cfg.SymptomWindow:
+		case res.Trap.IsSymptom() && res.Trap.Dyn-plan.TriggerDyn <= c.cfg.SymptomWindow:
 			tr.Outcome = HWDetect
 		default:
 			tr.Outcome = Failure

@@ -195,7 +195,8 @@ func TestRearmingModelNeverFalselyMasked(t *testing.T) {
 	// First: exhibit a crossing where an ungated ladder would falsely mask.
 	// Probe dyns between consecutive re-arms; at any of them where the last
 	// event was phase 1's healing store, the state matches golden exactly.
-	ws := (&campaign{cfg: cfg}).newWorker(nil)
+	c := &campaign{cfg: cfg, target: target, golden: golden, rep: &Report{GoldenCycles: res.Cycles}}
+	ws := c.newWorker(nil)
 	falselyGolden := 0
 	for off := int64(10); off < model.stride; off += 10 {
 		at := model.trigger + model.stride + off
@@ -233,17 +234,17 @@ func TestRearmingModelNeverFalselyMasked(t *testing.T) {
 		t.Fatal(err)
 	}
 	p1 := drawPlan(model, cfg, goldenDyn, 0, ws.src, ws.rng)
-	tr1, to1 := finishTrial(m1, p1, target, cfg, golden, nil, time.Time{}, snaps)
+	tr1, cyc1, to1 := c.finishTrial(m1, p1, time.Time{}, snaps)
 
 	m2, err := newMachine(target, mod, maxDyn, cfg.Engine)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p2 := drawPlan(model, cfg, goldenDyn, 0, ws.src, ws.rng)
-	tr2, to2 := finishTrial(m2, p2, target, cfg, golden, nil, time.Time{}, nil)
+	tr2, cyc2, to2 := c.finishTrial(m2, p2, time.Time{}, nil)
 
-	if tr1 != tr2 || to1 != to2 {
-		t.Fatalf("ladder %+v (timeout %v) vs plain %+v (timeout %v)", tr1, to1, tr2, to2)
+	if tr1 != tr2 || cyc1 != cyc2 || to1 != to2 {
+		t.Fatalf("ladder %+v (cycles %d, timeout %v) vs plain %+v (cycles %d, timeout %v)", tr1, cyc1, to1, tr2, cyc2, to2)
 	}
 	if tr1.Outcome == Masked {
 		t.Fatalf("re-arming trial classified Masked: %+v (falsely-golden crossings existed: %d)", tr1, falselyGolden)

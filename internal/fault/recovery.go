@@ -3,9 +3,6 @@ package fault
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"sort"
-	"time"
 
 	"repro/internal/ir"
 	"repro/internal/vm"
@@ -22,7 +19,9 @@ import (
 type RecoveryReport struct {
 	Workload  string
 	Technique string
-	Trials    int
+	// Trials counts the completed trials (fewer than Config.Trials only
+	// when TargetCI stopped the campaign early).
+	Trials int
 	// Recovered counts trials where a software check fired and the re-run
 	// produced the golden output (always, for a transient fault).
 	Recovered int
@@ -50,134 +49,86 @@ func (r *RecoveryReport) RecoveryOverhead() float64 {
 	return r.MeanCycles/float64(r.GoldenCycles) - 1
 }
 
-// RunWithRecovery executes a campaign in which every software detection
-// triggers a restart: the trial is re-run without the fault and the final
-// output must match the golden output bit for bit. Cancelling ctx stops the
-// campaign between trials and returns the context's error.
+// RunWithRecovery executes a campaign in which every detected trial — a
+// software check, or a hardware symptom or crash — is restarted: re-run
+// without the fault from its inputs, which must reproduce the golden output
+// bit for bit. The campaign runs on Run's scheduler (workers, golden cursor,
+// convergence, OnTrial/OnProgress, TargetCI) and restart recovery only
+// reads its finished outcomes and per-trial cycle counts. Every restart is
+// the same fault-free run from the same state, so it is executed and
+// checked once per campaign and costs GoldenCycles per restarted trial.
+//
+// Journals, resume and shard ranges are rejected (per-trial cycle counts
+// are not journal records), as is a campaign that quarantines a trial
+// (RecoveryReport has no anomaly list). Cancelling ctx stops the campaign
+// between trials and returns the context's error.
 func RunWithRecovery(ctx context.Context, t Target, mod *ir.Module, technique string, cfg Config) (*RecoveryReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.Trials <= 0 {
-		return nil, fmt.Errorf("fault: non-positive trial count")
+	if cfg.JournalPath != "" || cfg.Resume || cfg.ShardStart != 0 || cfg.ShardEnd != 0 {
+		return nil, fmt.Errorf("fault: restart recovery supports no journal, resume or shard range (per-trial cycle counts are not journaled)")
 	}
-	if cfg.WatchdogFactor <= 0 {
-		cfg.WatchdogFactor = 20
-	}
-	model, err := LookupModel(cfg.Model)
+	c, err := runCampaign(ctx, t, mod, technique, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if !model.EngineInjected() && cfg.Engine != vm.EngineFast {
-		return nil, fmt.Errorf("fault: fault model %q requires the fast engine (suspend-injected models park the machine via SuspendAtDyn, which only the fast engine implements)", model.Name())
-	}
-
-	goldenMach, err := newMachine(t, mod, 0, cfg.Engine)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	goldenRes := goldenMach.Run(vm.RunOptions{CountChecks: true})
-	if goldenRes.Trap != nil {
-		return nil, fmt.Errorf("fault: golden run trapped: %v", goldenRes.Trap)
+	rep := c.rep
+	if len(rep.Anomalies) > 0 {
+		a := rep.Anomalies[0]
+		return nil, fmt.Errorf("fault: recovery trial %d quarantined (%s, seed %d)", a.Trial, a.Reason, a.Seed)
 	}
-	golden, err := goldenMach.ReadGlobal(t.Output)
+	ta := &rep.Tally
+	restarts := ta.Count[SWDetect] + ta.Count[HWDetect] + ta.Count[Failure]
+	if restarts > 0 {
+		if err := c.checkRestart(); err != nil {
+			return nil, err
+		}
+	}
+	total := int64(restarts) * rep.GoldenCycles
+	for i, s := range c.state {
+		if s == trialDone {
+			total += c.cycles[i]
+		}
+	}
+	return &RecoveryReport{
+		Workload:     t.Name,
+		Technique:    technique,
+		Trials:       ta.N,
+		Recovered:    ta.Count[SWDetect],
+		StillUSDC:    ta.Count[USDC],
+		Failures:     ta.Count[HWDetect] + ta.Count[Failure],
+		MeanCycles:   float64(total) / float64(ta.N),
+		GoldenCycles: rep.GoldenCycles,
+	}, nil
+}
+
+// checkRestart executes the restart re-run — the program from its inputs,
+// fault-free, with the campaign's disabled checks — and asserts it is sound:
+// no trap, the golden output, and exactly the golden cycle count.
+func (c *campaign) checkRestart() error {
+	mach, err := newMachine(c.target, c.mod, c.maxDyn, c.cfg.Engine)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	disabled := make(map[int]bool)
-	for id, n := range goldenRes.PerCheckFails {
-		if n > 0 {
-			disabled[id] = true
-		}
+	res := mach.Run(vm.RunOptions{DisabledChecks: c.disabled, Fuse: fuseMode(c.cfg)})
+	if res.Trap != nil {
+		return fmt.Errorf("fault: recovery re-run trapped: %v", res.Trap)
 	}
-
-	rep := &RecoveryReport{
-		Workload: t.Name, Technique: technique,
-		Trials: cfg.Trials, GoldenCycles: goldenRes.Cycles,
+	if res.Cycles != c.rep.GoldenCycles {
+		return fmt.Errorf("fault: recovery re-run took %d cycles, golden run %d", res.Cycles, c.rep.GoldenCycles)
 	}
-	maxDyn := goldenRes.Dyn*cfg.WatchdogFactor + 100_000
-	mach, err := newMachine(t, mod, maxDyn, cfg.Engine)
+	out, err := mach.ReadGlobal(c.target.Output)
 	if err != nil {
-		return nil, err
+		return err
 	}
-
-	// Golden-prefix snapshots serve double duty here: faulty runs restore
-	// the snapshot nearest below the trigger, and restart re-runs — which
-	// are bit-identical to the golden run — restore the deepest one. Cycle
-	// accounting is unaffected because snapshots carry the timing counters.
-	snapAt := checkpointSchedule(cfg, goldenRes.Dyn)
-	var snaps []*vm.Snapshot
-	if len(snapAt) > 0 {
-		if snaps, err = takeSnapshots(t, mod, cfg, disabled, maxDyn, snapAt); err != nil {
-			return nil, err
+	for j := range c.golden {
+		if out[j] != c.golden[j] {
+			return fmt.Errorf("fault: recovery produced wrong output at word %d", j)
 		}
 	}
-	start := func(eff int64) error {
-		if b := sort.Search(len(snapAt), func(k int) bool { return snapAt[k] > eff }); b > 0 {
-			return mach.Restore(snaps[b-1])
-		}
-		mach.Reset()
-		return nil
-	}
-
-	src := rand.NewSource(0)
-	rng := rand.New(src)
-	var totalCycles int64
-	for i := 0; i < cfg.Trials; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		plan := drawPlan(model, cfg, goldenRes.Dyn, i, src, rng)
-		if err := start(model.EffectiveTrigger(plan.TriggerDyn)); err != nil {
-			return nil, err
-		}
-		res := runPlanned(mach, plan, cfg, disabled, time.Time{}, 0)
-		// Cycle counters accumulate across the suspend/resume chain, so the
-		// terminal Result's Cycles already covers every resumed leg.
-		totalCycles += res.Cycles
-
-		if res.Trap != nil {
-			// Restart: re-execute without the fault. Both software
-			// detections and hardware symptoms/crashes trigger recovery.
-			if err := start(goldenRes.Dyn); err != nil {
-				return nil, err
-			}
-			rerun := mach.Run(vm.RunOptions{DisabledChecks: disabled})
-			totalCycles += rerun.Cycles
-			if rerun.Trap != nil {
-				return nil, fmt.Errorf("fault: recovery re-run trapped: %v", rerun.Trap)
-			}
-			out, err := mach.ReadGlobal(t.Output)
-			if err != nil {
-				return nil, err
-			}
-			for j := range golden {
-				if out[j] != golden[j] {
-					return nil, fmt.Errorf("fault: recovery produced wrong output at word %d", j)
-				}
-			}
-			if res.Trap.Kind == vm.TrapCheck {
-				rep.Recovered++
-			} else {
-				rep.Failures++
-			}
-			continue
-		}
-		out, err := mach.ReadGlobal(t.Output)
-		if err != nil {
-			return nil, err
-		}
-		same := true
-		for j := range golden {
-			if out[j] != golden[j] {
-				same = false
-				break
-			}
-		}
-		if !same && !t.Acceptable(t.Measure(golden, out)) {
-			rep.StillUSDC++
-		}
-	}
-	rep.MeanCycles = float64(totalCycles) / float64(cfg.Trials)
-	return rep, nil
+	return nil
 }

@@ -2,6 +2,8 @@ package fault_test
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -70,5 +72,40 @@ func TestRecoveryReducesUSDCVsDetectionOnly(t *testing.T) {
 	}
 	if rep.Recovered != plain.Tally.Count[fault.SWDetect] {
 		t.Errorf("recovered %d != SWDetects %d", rep.Recovered, plain.Tally.Count[fault.SWDetect])
+	}
+}
+
+// TestRecoveryRejectsUnsupported checks that restart recovery refuses what
+// it cannot honour instead of silently ignoring it: durable or sharded
+// campaigns (per-trial cycle counts are not journaled) and quarantined
+// trials (RecoveryReport has no anomaly list).
+func TestRecoveryRejectsUnsupported(t *testing.T) {
+	w := workloads.ByName("kmeans")
+	mod, err := w.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := filepath.Join(t.TempDir(), "recovery.journal")
+	for name, mutate := range map[string]func(*fault.Config){
+		"journal": func(c *fault.Config) { c.JournalPath = journal },
+		"resume":  func(c *fault.Config) { c.Resume = true },
+		"shard":   func(c *fault.Config) { c.ShardStart, c.ShardEnd = 0, 10 },
+		"quarantine": func(c *fault.Config) {
+			c.OnTrial = func(i int) {
+				if i == 3 {
+					panic("boom")
+				}
+			}
+		},
+	} {
+		cfg := fault.DefaultConfig()
+		cfg.Trials = 20
+		mutate(&cfg)
+		if _, err := fault.RunWithRecovery(context.Background(), w.Target(workloads.Test), mod, "Original", cfg); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, err := os.Stat(journal); !os.IsNotExist(err) {
+		t.Errorf("rejected recovery campaign touched its journal: %v", err)
 	}
 }

@@ -23,9 +23,9 @@ package fault
 //     many trials the stop saved.
 //
 // All shared state lives in the campaign struct; per-trial slots
-// (rep.Trials[i], state[i]) are written only by the worker that owns trial
-// i and read only after the worker pool joins, so the only locked state is
-// the anomaly map and the early-stop tallies.
+// (rep.Trials[i], state[i], cycles[i]) are written only by the worker that
+// owns trial i and read only after the worker pool joins, so the only
+// locked state is the anomaly map and the early-stop tallies.
 
 import (
 	"context"
@@ -83,6 +83,7 @@ type campaign struct {
 	maxDyn    int64
 	rep       *Report
 	state     []uint8 // trialPending/trialDone/trialQuarantined, one per trial
+	cycles    []int64 // final cycle count of each trial decided in this process
 
 	jw *journalWriter // nil when the campaign is not journaled
 
@@ -109,6 +110,7 @@ func newCampaign(t Target, mod *ir.Module, cfg Config, model Model, golden []uin
 		maxDyn:    maxDyn,
 		rep:       rep,
 		state:     make([]uint8, cfg.Trials),
+		cycles:    make([]int64, cfg.Trials),
 		anomalies: make(map[int]Anomaly),
 		stopEarly: make(chan struct{}),
 	}
@@ -163,10 +165,11 @@ func (c *campaign) noteDone(tr Trial) {
 	}
 }
 
-// recordTrial publishes trial i's outcome: the per-trial slot, the journal,
-// and the early-stop tallies.
-func (c *campaign) recordTrial(i int, tr Trial) error {
+// recordTrial publishes trial i's outcome: the per-trial slots, the
+// journal, and the early-stop tallies.
+func (c *campaign) recordTrial(i int, tr Trial, cycles int64) error {
 	c.rep.Trials[i] = tr
+	c.cycles[i] = cycles
 	c.state[i] = trialDone
 	if c.jw != nil {
 		if err := c.jw.append(&journalRecord{T: encodeTrial(i, tr)}); err != nil {
@@ -405,7 +408,7 @@ func (ws *workerState) position(at int64) error {
 // construction, journal I/O, cursor cancellation) surface as errors.
 func (c *campaign) runOne(ws *workerState, i int, at int64, snaps []*vm.Snapshot) error {
 	for attempt := 0; ; attempt++ {
-		tr, timedOut, panicked, stack, err := c.attempt(ws, i, at, snaps)
+		tr, cycles, timedOut, panicked, stack, err := c.attempt(ws, i, at, snaps)
 		if err != nil {
 			return err
 		}
@@ -420,7 +423,7 @@ func (c *campaign) runOne(ws *workerState, i int, at int64, snaps []*vm.Snapshot
 			}
 			return c.quarantine(i, AnomalyTimeout, "")
 		}
-		return c.recordTrial(i, tr)
+		return c.recordTrial(i, tr, cycles)
 	}
 }
 
@@ -428,7 +431,7 @@ func (c *campaign) runOne(ws *workerState, i int, at int64, snaps []*vm.Snapshot
 // machine, run the suffix. A recovered panic discards the trial machine and
 // the cursor — their state is unknown mid-unwind — and reports the stack
 // for the quarantine record; the cursor re-arms for the rest of the bin.
-func (c *campaign) attempt(ws *workerState, i int, at int64, snaps []*vm.Snapshot) (tr Trial, timedOut, panicked bool, stack string, err error) {
+func (c *campaign) attempt(ws *workerState, i int, at int64, snaps []*vm.Snapshot) (tr Trial, cycles int64, timedOut, panicked bool, stack string, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			panicked = true
@@ -450,7 +453,7 @@ func (c *campaign) attempt(ws *workerState, i int, at int64, snaps []*vm.Snapsho
 	if c.cfg.TrialTimeout > 0 {
 		deadline = time.Now().Add(c.cfg.TrialTimeout)
 	}
-	tr, timedOut = finishTrial(ws.mach, plan, c.target, c.cfg, c.golden, c.disabled, deadline, snaps)
+	tr, cycles, timedOut = c.finishTrial(ws.mach, plan, deadline, snaps)
 	return
 }
 

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -230,6 +231,39 @@ func TestInjectFaultsWithRecovery(t *testing.T) {
 	}
 	if out.Overhead <= 0 {
 		t.Errorf("overhead = %v", out.Overhead)
+	}
+}
+
+// TestRecoveryHonoursCampaignFields checks that restart recovery runs on
+// the campaign scheduler rather than beside it: a Journal it cannot honour
+// is an error, and the per-trial hooks fire once per completed trial.
+func TestRecoveryHonoursCampaignFields(t *testing.T) {
+	prog, _ := Compile("kernel", testKernel)
+	hard, _, err := prog.Protect(DuplicationOnly, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := filepath.Join(t.TempDir(), "recovery.journal")
+	if _, err := hard.InjectFaultsWithRecovery(testInput(), Campaign{Trials: 40, Output: "out", Journal: journal}); err == nil {
+		t.Error("recovery accepted a Journal it does not write")
+	}
+
+	var mu sync.Mutex
+	calls, done := 0, 0 // done: the largest decided count OnProgress reported
+	c := Campaign{
+		Trials: 40, Seed: 11, Output: "out", Workers: 2,
+		OnTrial:    func(int) { mu.Lock(); calls++; mu.Unlock() },
+		OnProgress: func(d, _, _ int) { mu.Lock(); done = max(done, d); mu.Unlock() },
+	}
+	out, err := hard.InjectFaultsWithRecovery(testInput(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != c.Trials {
+		t.Errorf("OnTrial fired %d times for %d trials", calls, c.Trials)
+	}
+	if out.Trials != done || out.Trials != c.Trials {
+		t.Errorf("RecoveryOutcome.Trials = %d, completed trials %d of %d", out.Trials, done, c.Trials)
 	}
 }
 
