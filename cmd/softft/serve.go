@@ -48,6 +48,11 @@ func runServe(ctx context.Context, args []string, _, stderr io.Writer) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
+	// The idle sweep below ticks every quarter TTL, and time.NewTicker
+	// panics on a non-positive interval.
+	if *leaseTTL/4 <= 0 {
+		return usageError(fmt.Sprintf("-lease-ttl must be at least 4ns, got %v", *leaseTTL))
+	}
 	co, err := campaignd.New(campaignd.Config{
 		Dir:           *dir,
 		LeaseTTL:      *leaseTTL,

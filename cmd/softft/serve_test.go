@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net/http/httptest"
 	"sync"
@@ -60,5 +61,19 @@ func TestSubmitWaitMatchesSolo(t *testing.T) {
 	}
 	if !bytes.Equal(svc.Bytes(), solo.Bytes()) {
 		t.Fatalf("submit -wait stdout differs from solo -inject:\n--- solo\n%s--- submit\n%s", solo.String(), svc.String())
+	}
+}
+
+// TestServeRejectsShortLeaseTTL requires a lease TTL too short for the idle
+// sweep's quarter-TTL ticker — zero and negative included — to be a usage
+// error (exit 2) rather than a ticker panic after the listener is up.
+func TestServeRejectsShortLeaseTTL(t *testing.T) {
+	for _, ttl := range []string{"0", "-1s", "3ns"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		err := runServe(ctx, []string{"-lease-ttl", ttl, "-addr", "127.0.0.1:0", "-dir", t.TempDir()}, io.Discard, io.Discard)
+		cancel()
+		if !errors.As(err, new(usageError)) {
+			t.Errorf("-lease-ttl %s: got %v, want a usage error", ttl, err)
+		}
 	}
 }

@@ -12,7 +12,7 @@ package difftest
 //   - at each point, the cursor's state is captured as a Snapshot and
 //     Restored into one machine, and cloned into another with RestoreFrom;
 //     both must finish (or re-trap) exactly like the uninterrupted
-//     reference, on every observable including OpCounts and all globals;
+//     reference, on every observable including all globals;
 //   - the origin has no suspend point (SuspendAtDyn is positive): there the
 //     campaign Resets the trial machine, so the probe Resets both — by then
 //     dirty — machines and requires the reference run again;
@@ -134,9 +134,6 @@ func diffRun(label string, mod *ir.Module, mach *vm.Machine, res *vm.Result, ref
 	if res.Ret != ref.Ret || res.Dyn != ref.Dyn || res.Cycles != ref.Cycles || res.CheckFails != ref.CheckFails {
 		return fmt.Sprintf("%s: result differs: (ret=%#x dyn=%d cyc=%d fails=%d) vs (ret=%#x dyn=%d cyc=%d fails=%d)",
 			label, res.Ret, res.Dyn, res.Cycles, res.CheckFails, ref.Ret, ref.Dyn, ref.Cycles, ref.CheckFails)
-	}
-	if res.OpCounts != ref.OpCounts {
-		return fmt.Sprintf("%s: OpCounts differ", label)
 	}
 	for _, g := range mod.Globals {
 		a, err1 := mach.ReadGlobal(g.Name)

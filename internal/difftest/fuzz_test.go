@@ -223,8 +223,8 @@ func FuzzFusionDivergence(f *testing.F) {
 		}
 		ints, floats := InputsForSeed(7)
 		for _, m := range []*ir.Module{mod, fdup} {
-			ref := runModuleFuse(m, ints, floats, 200_000, vm.EngineFast, vm.FuseAuto)
-			unfused := runModuleFuse(m, ints, floats, 200_000, vm.EngineFast, vm.FuseOff)
+			ref := runModule(m, ints, floats, 200_000, vm.EngineFast, vm.RunOptions{})
+			unfused := runModule(m, ints, floats, 200_000, vm.EngineFast, vm.RunOptions{Fuse: vm.FuseOff})
 			if ref.trap != nil || unfused.trap != nil {
 				ft, fok := ref.trap.(*vm.Trap)
 				ut, uok := unfused.trap.(*vm.Trap)

@@ -109,8 +109,37 @@ type runOut struct {
 	dyn        int64
 	cycles     int64
 	checkFails int64
-	opCounts   [ir.NumOps]int64
+	trace      traceHash // zero unless the run was traced (runTraced)
 	trap       error
+}
+
+// traceHash folds every trace event into an FNV-1a accumulator, so two
+// engines' complete per-instruction streams — dyn index, function, UID and
+// produced value of every executed instruction — compare without being
+// stored.
+type traceHash struct {
+	n uint64 // events seen
+	h uint64
+}
+
+func (t *traceHash) mix(v uint64) {
+	for i := 0; i < 8; i++ {
+		t.h ^= v & 0xff
+		t.h *= 1099511628211
+		v >>= 8
+	}
+}
+
+// Trace implements vm.Tracer.
+func (t *traceHash) Trace(dyn int64, fn string, in *ir.Instr, bits uint64) {
+	t.n++
+	t.mix(uint64(dyn))
+	for i := 0; i < len(fn); i++ {
+		t.h ^= uint64(fn[i])
+		t.h *= 1099511628211
+	}
+	t.mix(uint64(in.UID))
+	t.mix(bits)
 }
 
 // CheckSource compiles src under every pipeline, applies every protection
@@ -146,14 +175,17 @@ func CheckSource(name, src string, ints []int64, floats []float64, cfg OracleCon
 						Detail: fmt.Sprintf("protection produced invalid IR: %v", err)}
 				}
 			}
-			r := runModule(pm, ints, floats, cfg.MaxDyn, vm.EngineFast)
+			r := runModule(pm, ints, floats, cfg.MaxDyn, vm.EngineFast, vm.RunOptions{})
 			if r.trap != nil {
 				return &Failure{Invariant: InvTrap, Pipeline: pl.Name, Mode: mode,
 					Detail: r.trap.Error()}
 			}
 			// Engine cross-check: the reference tree-walking interpreter
-			// must agree with the precompiled engine on every observable.
-			if d := diffEngines(r, runModule(pm, ints, floats, cfg.MaxDyn, vm.EngineTree)); d != "" {
+			// must agree with the precompiled engine on every observable,
+			// and a traced fast run must reproduce its trace stream.
+			traced := runTraced(pm, ints, floats, cfg.MaxDyn, vm.EngineFast)
+			tree := runTraced(pm, ints, floats, cfg.MaxDyn, vm.EngineTree)
+			if d := diffEngines(r, traced, tree); d != "" {
 				return &Failure{Invariant: InvEngine, Pipeline: pl.Name, Mode: mode, Detail: d}
 			}
 			// Fusion cross-check (full pipeline — the superinstruction layer
@@ -320,18 +352,15 @@ func newMachineEngine(mod *ir.Module, ints []int64, floats []float64, maxDyn int
 	return mach, nil
 }
 
-// runModule executes a module fault-free, counting (not trapping on) check
-// failures, and captures the observable outputs.
-func runModule(mod *ir.Module, ints []int64, floats []float64, maxDyn int64, engine vm.EngineKind) *runOut {
-	return runModuleFuse(mod, ints, floats, maxDyn, engine, vm.FuseAuto)
-}
-
-func runModuleFuse(mod *ir.Module, ints []int64, floats []float64, maxDyn int64, engine vm.EngineKind, fuse vm.FuseMode) *runOut {
+// runModule executes a module fault-free under opts, counting (not trapping
+// on) check failures, and captures the observable outputs.
+func runModule(mod *ir.Module, ints []int64, floats []float64, maxDyn int64, engine vm.EngineKind, opts vm.RunOptions) *runOut {
 	mach, err := newMachineEngine(mod, ints, floats, maxDyn, engine)
 	if err != nil {
 		return &runOut{trap: err}
 	}
-	res := mach.Run(vm.RunOptions{CountChecks: true, Fuse: fuse})
+	opts.CountChecks = true
+	res := mach.Run(opts)
 	if res.Trap != nil {
 		return &runOut{trap: res.Trap}
 	}
@@ -344,7 +373,17 @@ func runModuleFuse(mod *ir.Module, ints []int64, floats []float64, maxDyn int64,
 		return &runOut{trap: err}
 	}
 	return &runOut{out: out, fout: fout, dyn: res.Dyn, cycles: res.Cycles,
-		checkFails: res.CheckFails, opCounts: res.OpCounts}
+		checkFails: res.CheckFails}
+}
+
+// runTraced is runModule with a hashing tracer attached; the stream's hash
+// lands in runOut.trace. A traced fast-engine run takes the per-instruction
+// path (tracers disable fused dispatch).
+func runTraced(mod *ir.Module, ints []int64, floats []float64, maxDyn int64, engine vm.EngineKind) *runOut {
+	th := &traceHash{h: 14695981039346656037}
+	r := runModule(mod, ints, floats, maxDyn, engine, vm.RunOptions{Tracer: th})
+	r.trace = *th
+	return r
 }
 
 // diffFinished runs a suspended machine to completion and compares every
@@ -363,7 +402,7 @@ func diffFinished(label string, mach *vm.Machine, ref *runOut) string {
 		return err.Error()
 	}
 	got := &runOut{out: out, fout: fout, dyn: res.Dyn, cycles: res.Cycles,
-		checkFails: res.CheckFails, opCounts: res.OpCounts}
+		checkFails: res.CheckFails}
 	if d := diffOutputs(ref, got); d != "" {
 		return label + " " + d
 	}
@@ -375,9 +414,6 @@ func diffFinished(label string, mach *vm.Machine, ref *runOut) string {
 	}
 	if got.checkFails != ref.checkFails {
 		return fmt.Sprintf("%s checkFails: %d != %d", label, got.checkFails, ref.checkFails)
-	}
-	if got.opCounts != ref.opCounts {
-		return fmt.Sprintf("%s opCounts: %v != %v", label, got.opCounts, ref.opCounts)
 	}
 	return ""
 }
@@ -400,13 +436,18 @@ func diffOutputs(a, b *runOut) string {
 	return ""
 }
 
-// diffEngines compares a fast-engine run against a tree-interpreter run of
-// the same module. The engines promise bit-for-bit equivalence, so every
-// observable is compared: outputs, dynamic instruction count, timing-model
-// cycles, and check-failure count.
-func diffEngines(fast, tree *runOut) string {
+// diffEngines compares a fast-engine run against a traced tree-interpreter
+// run of the same module. The engines promise bit-for-bit equivalence, so
+// every observable is compared: outputs, dynamic instruction count,
+// timing-model cycles and check-failure count of fast (the fused reference
+// run), and the hashed trace stream of traced (a traced fast run) — every
+// executed instruction, in order, with the value it produced.
+func diffEngines(fast, traced, tree *runOut) string {
 	if tree.trap != nil {
 		return fmt.Sprintf("tree engine trapped where fast engine completed: %v", tree.trap)
+	}
+	if traced.trap != nil {
+		return fmt.Sprintf("traced fast run trapped where the untraced run completed: %v", traced.trap)
 	}
 	if d := diffOutputs(fast, tree); d != "" {
 		return "tree vs fast " + d
@@ -420,21 +461,21 @@ func diffEngines(fast, tree *runOut) string {
 	if fast.checkFails != tree.checkFails {
 		return fmt.Sprintf("checkFails: fast=%d tree=%d", fast.checkFails, tree.checkFails)
 	}
-	if fast.opCounts != tree.opCounts {
-		return fmt.Sprintf("opCounts: fast=%v tree=%v", fast.opCounts, tree.opCounts)
+	if traced.trace != tree.trace {
+		return fmt.Sprintf("trace stream: fast=%d events (hash %#x) tree=%d events (hash %#x)",
+			traced.trace.n, traced.trace.h, tree.trace.n, tree.trace.h)
 	}
 	return ""
 }
 
 // diffFuse compares the fast engine's fused dispatch against the forced
 // per-instruction path. The reference ref is a fused run (FuseAuto with no
-// tracer fuses); the unfused twin must reproduce it bit for bit, including
-// the per-opcode accounting the fused handlers batch through region
-// counters. Two off-center suspension cuts then land events inside fused
-// spans: the fused and unfused machines must pause at the same instruction
-// with interchangeable snapshots and finish identically.
+// tracer fuses); the unfused twin must reproduce it bit for bit. Two
+// off-center suspension cuts then land events inside fused spans: the fused
+// and unfused machines must pause at the same instruction with
+// interchangeable snapshots and finish identically.
 func diffFuse(mod *ir.Module, ints []int64, floats []float64, maxDyn int64, ref *runOut) string {
-	unfused := runModuleFuse(mod, ints, floats, maxDyn, vm.EngineFast, vm.FuseOff)
+	unfused := runModule(mod, ints, floats, maxDyn, vm.EngineFast, vm.RunOptions{Fuse: vm.FuseOff})
 	if unfused.trap != nil {
 		return fmt.Sprintf("unfused run trapped where fused run completed: %v", unfused.trap)
 	}
@@ -444,9 +485,6 @@ func diffFuse(mod *ir.Module, ints []int64, floats []float64, maxDyn int64, ref 
 	if ref.dyn != unfused.dyn || ref.cycles != unfused.cycles || ref.checkFails != unfused.checkFails {
 		return fmt.Sprintf("unfused dyn/cycles/checkFails %d/%d/%d, fused %d/%d/%d",
 			unfused.dyn, unfused.cycles, unfused.checkFails, ref.dyn, ref.cycles, ref.checkFails)
-	}
-	if ref.opCounts != unfused.opCounts {
-		return fmt.Sprintf("opCounts: fused=%v unfused=%v", ref.opCounts, unfused.opCounts)
 	}
 	for _, cut := range []int64{ref.dyn / 3, ref.dyn - 1} {
 		if cut < 1 {

@@ -88,7 +88,7 @@ func (m *Machine) execCall(ef *engFunc, args []uint64, depth int) (uint64, *Trap
 	for i := range args {
 		fr.define(i, args[i], now)
 	}
-	ret, trap := m.execLoop(ef, fr, depth)
+	ret, trap := m.execLoop(ef, fr, depth, int(ef.entry))
 	if trap != nil && trap.Kind == TrapSuspended {
 		// The frame stays live in m.susp and sp keeps the suspended stack
 		// extent; both are released by the resumed run (or Reset/Restore).
@@ -99,23 +99,15 @@ func (m *Machine) execCall(ef *engFunc, args []uint64, depth int) (uint64, *Trap
 	return ret, trap
 }
 
-// execLoop interprets ef's lowered code against fr from its entry.
-func (m *Machine) execLoop(ef *engFunc, fr *frame, depth int) (uint64, *Trap) {
-	// Credit the entry region here rather than in execLoopFrom: a resumed
-	// run re-enters mid-region, and its entry was credited before the
-	// suspension (see uncountTail for the trap-path counterpart).
-	m.regionCounts[ef.idx][ef.regionOf[ef.entry]]++
-	return m.execLoopFrom(ef, fr, depth, int(ef.entry))
-}
-
-// execLoopFrom interprets ef's lowered code against fr starting at pc.
+// execLoop interprets ef's lowered code against fr starting at pc: the
+// function's entry for a call, the suspend point for a resumed level.
 //
 // Dispatch is two-level: every define-tail computation (op >= lopIntrinsic)
 // runs through one straight-line path — preamble, inline arithmetic switch,
 // shared issue/define/profile/trace tail — while control flow, memory and
 // checks take the second switch. The preamble is duplicated across the two
 // paths so the hot arithmetic path never branches back.
-func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap) {
+func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap) {
 	code := ef.code
 	fn := ef.fn
 
@@ -144,15 +136,6 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 	lats := &m.lats
 	mem := m.mem
 	insTab := ef.ins
-
-	// Opcode accounting is region-batched: entering a block body or phi-edge
-	// segment credits one per-region counter (folded against the static
-	// histogram in foldRegionCounts), replacing a read-modify-write per
-	// dynamic instruction. Trap paths retract the pre-credited tail that
-	// never executed via uncountTail, so Result.OpCounts stays bit-identical
-	// to the interpreter's per-instruction counting.
-	rc := m.regionCounts[ef.idx]
-	regionOf := ef.regionOf
 
 	// The issue cursor stays in registers too — timing.issue is the one
 	// call every dynamic instruction makes — flushed alongside dyn at every
@@ -212,9 +195,7 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 		if trap != nil {
 			if trap.Kind == TrapSuspended {
 				m.susp = append(m.susp, suspLevel{ef: ef, fr: fr, pc: pc})
-				return 0, trap
 			}
-			m.uncountTail(ef, pc, pc+1)
 			return 0, trap
 		}
 		dyn, cur, slot, maxDone = m.dyn, tm.cursor, tm.slotUsed, tm.maxDone
@@ -506,7 +487,6 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 				if addr == 0 || addr >= uint64(len(mem)) {
 					m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
 					m.fusedSteps += fusedCnt
-					m.uncountTail(ef, pc+1, pc+2)
 					return 0, &Trap{Kind: TrapOOB, Dyn: dyn, Fn: fn.Name}
 				}
 				lat := tm.access(addr)
@@ -525,7 +505,6 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 				if addr == 0 || addr >= uint64(len(mem)) {
 					m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
 					m.fusedSteps += fusedCnt
-					m.uncountTail(ef, pc, pc+1)
 					return 0, &Trap{Kind: TrapOOB, Dyn: dyn, Fn: fn.Name}
 				}
 				lat := tm.access(addr)
@@ -552,7 +531,6 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 				if addr == 0 || addr >= uint64(len(mem)) {
 					m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
 					m.fusedSteps += fusedCnt
-					m.uncountTail(ef, pc, pc+1)
 					return 0, &Trap{Kind: TrapOOB, Dyn: dyn, Fn: fn.Name}
 				}
 				lat := tm.access(addr)
@@ -579,7 +557,6 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 				if addr == 0 || addr >= uint64(len(mem)) {
 					m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
 					m.fusedSteps += fusedCnt
-					m.uncountTail(ef, pc, pc+1)
 					return 0, &Trap{Kind: TrapOOB, Dyn: dyn, Fn: fn.Name}
 				}
 				lat := tm.access(addr)
@@ -614,7 +591,6 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 				if addr == 0 || addr >= uint64(len(mem)) {
 					m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
 					m.fusedSteps += fusedCnt
-					m.uncountTail(ef, pc+1, pc+2)
 					return 0, &Trap{Kind: TrapOOB, Dyn: dyn, Fn: fn.Name}
 				}
 				val := fr.get(l2.a1)
@@ -664,10 +640,8 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 				cur, slot = branchAt(cur, slot, pred, predMask, int(l2.aux), cond != 0, bpen)
 				if cond != 0 {
 					pc = int(l2.then)
-					rc[l2.dst]++
 				} else {
 					pc = int(l2.els)
-					rc[l2.a1]++
 				}
 				continue
 
@@ -686,7 +660,6 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 					maxDone = done
 				}
 				pc = int(l2.then)
-				rc[l2.els]++
 				continue
 
 			case fAddFJmp:
@@ -704,7 +677,6 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 					maxDone = done
 				}
 				pc = int(l2.then)
-				rc[l2.els]++
 				continue
 
 			case fJmpPhi:
@@ -717,7 +689,6 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 				if done > maxDone {
 					maxDone = done
 				}
-				rc[li.els]++
 				pe := &code[li.then]
 				v := fr.get(pe.a0)
 				cur, slot, done = issueAt(cur, slot, width, 0, lats[latInt])
@@ -726,7 +697,6 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 				}
 				fr.define(int(pe.dst), v, done)
 				pc = int(pe.then)
-				rc[pe.a1]++
 				continue
 
 			case fAddCmpCheck:
@@ -751,7 +721,6 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 					m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
 					if t := m.checkFailed(insTab[pc+1]); t != nil {
 						m.fusedSteps += fusedCnt
-						m.uncountTail(ef, pc+1, pc+2)
 						return 0, t
 					}
 				}
@@ -772,7 +741,6 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 					m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
 					if t := m.checkFailed(insTab[pc]); t != nil {
 						m.fusedSteps += fusedCnt
-						m.uncountTail(ef, pc, pc+1)
 						return 0, t
 					}
 				}
@@ -782,7 +750,6 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 					maxDone = done
 				}
 				pc = int(l2.then)
-				rc[l2.els]++
 				continue
 			}
 		}
@@ -803,7 +770,6 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 				dyn++
 				if dyn > maxDyn {
 					m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-					m.uncountTail(ef, pc, pc) // trap before the instruction counts
 					return 0, &Trap{Kind: TrapWatchdog, Dyn: dyn, Fn: fn.Name}
 				}
 				if polled && dyn&stopCheckMask == 0 {
@@ -811,14 +777,12 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 						select {
 						case <-stop:
 							m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-							m.uncountTail(ef, pc, pc)
 							return 0, &Trap{Kind: TrapCancelled, Dyn: dyn, Fn: fn.Name}
 						default:
 						}
 					}
 					if hasDeadline && time.Now().After(deadline) {
 						m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-						m.uncountTail(ef, pc, pc)
 						return 0, &Trap{Kind: TrapDeadline, Dyn: dyn, Fn: fn.Name}
 					}
 				}
@@ -884,7 +848,6 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 				switch {
 				case y == 0:
 					m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-					m.uncountTail(ef, pc, pc+1)
 					return 0, &Trap{Kind: TrapDivZero, Dyn: dyn, Fn: fn.Name}
 				case x == math.MinInt64 && y == -1:
 					bits = a0 // hardware-style overflow wrap
@@ -896,7 +859,6 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 				switch {
 				case y == 0:
 					m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-					m.uncountTail(ef, pc, pc+1)
 					return 0, &Trap{Kind: TrapDivZero, Dyn: dyn, Fn: fn.Name}
 				case x == math.MinInt64 && y == -1:
 					bits = 0
@@ -987,7 +949,6 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 				bits, ok = execIntrinsic(ir.Intrinsic(li.aux), a0, a1)
 				if !ok {
 					m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-					m.uncountTail(ef, pc, pc+1)
 					return 0, &Trap{Kind: TrapBadCall, Dyn: dyn, Fn: fn.Name}
 				}
 			case lopIntrinsic:
@@ -995,7 +956,6 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 				bits, ok = execIntrinsic(insTab[pc].Intrinsic, a0, a1)
 				if !ok {
 					m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-					m.uncountTail(ef, pc, pc+1)
 					return 0, &Trap{Kind: TrapBadCall, Dyn: dyn, Fn: fn.Name}
 				}
 				// lopZero: op/type combination outside the interpreter's
@@ -1035,7 +995,6 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 				tracer.Trace(dyn, fn.Name, insTab[pc], v)
 			}
 			pc = int(li.then)
-			rc[li.a1]++
 			continue
 		case lopPhiSeq:
 			moves := ef.phiMoves[li.aux : li.aux+li.els]
@@ -1053,7 +1012,6 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 				}
 			}
 			pc = int(li.then)
-			rc[li.a1]++
 			continue
 		case lopPhiBatch:
 			moves := ef.phiMoves[li.aux : li.aux+li.els]
@@ -1075,7 +1033,6 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 			}
 			m.phiScratch = scratch[:0]
 			pc = int(li.then)
-			rc[li.a1]++
 			continue
 		case lopBadEdge:
 			m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
@@ -1161,10 +1118,8 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 				if fuseOn && !pendingBr {
 					fuseEvent = nextEvent
 				}
-				rc[regionOf[pc]]++
 			} else {
 				pc = int(li.then)
-				rc[li.els]++
 			}
 			continue
 
@@ -1180,10 +1135,8 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 				tracer.Trace(dyn, fn.Name, insTab[pc], 0)
 			}
 			npc := int(li.els)
-			nr := li.a1
 			if cond != 0 {
 				npc = int(li.then)
-				nr = li.dst
 			}
 			if pendingBr {
 				from := insTab[pc].Blk
@@ -1200,10 +1153,8 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 				if fuseOn && !pendingBr {
 					fuseEvent = nextEvent
 				}
-				rc[regionOf[pc]]++
 			} else {
 				pc = npc
-				rc[nr]++
 			}
 			continue
 
@@ -1249,13 +1200,10 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 			ret, trap := m.execCall(cs.callee, cargs, depth+1)
 			if trap != nil {
 				if trap.Kind == TrapSuspended {
-					// The region tail stays credited — it executes after the
-					// resume — and this level parks on the in-flight call.
+					// This level parks on the in-flight call.
 					m.fusedSteps += fusedCnt
 					m.susp = append(m.susp, suspLevel{ef: ef, fr: fr, pc: pc})
-					return 0, trap
 				}
-				m.uncountTail(ef, pc, pc+1)
 				return 0, trap
 			}
 			dyn, cur, slot, maxDone = m.dyn, tm.cursor, tm.slotUsed, tm.maxDone
@@ -1276,7 +1224,6 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 			addr := fr.get(li.a0)
 			if addr == 0 || addr >= uint64(len(mem)) {
 				m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-				m.uncountTail(ef, pc, pc+1)
 				return 0, &Trap{Kind: TrapOOB, Dyn: dyn, Fn: fn.Name}
 			}
 			val := fr.get(li.a1)
@@ -1293,7 +1240,6 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 			addr := fr.get(li.a0)
 			if addr == 0 || addr >= uint64(len(mem)) {
 				m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-				m.uncountTail(ef, pc, pc+1)
 				return 0, &Trap{Kind: TrapOOB, Dyn: dyn, Fn: fn.Name}
 			}
 			lat := tm.access(addr)
@@ -1313,7 +1259,6 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 			size := fr.get(li.aux)
 			if m.sp+size > m.memWords {
 				m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-				m.uncountTail(ef, pc, pc+1)
 				return 0, &Trap{Kind: TrapStackOverflow, Dyn: dyn, Fn: fn.Name}
 			}
 			addr := m.sp
@@ -1338,7 +1283,6 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 			if a != b {
 				m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
 				if t := m.checkFailed(insTab[pc]); t != nil {
-					m.uncountTail(ef, pc, pc+1)
 					return 0, t
 				}
 			}
@@ -1355,7 +1299,6 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 			if v < lo || v > hi {
 				m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
 				if t := m.checkFailed(insTab[pc]); t != nil {
-					m.uncountTail(ef, pc, pc+1)
 					return 0, t
 				}
 			}
@@ -1372,7 +1315,6 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 			if !(v >= lo && v <= hi) {
 				m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
 				if t := m.checkFailed(insTab[pc]); t != nil {
-					m.uncountTail(ef, pc, pc+1)
 					return 0, t
 				}
 			}
@@ -1391,7 +1333,6 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 			if !ok {
 				m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
 				if t := m.checkFailed(insTab[pc]); t != nil {
-					m.uncountTail(ef, pc, pc+1)
 					return 0, t
 				}
 			}
@@ -1412,7 +1353,6 @@ func (m *Machine) execLoopFrom(ef *engFunc, fr *frame, depth, pc int) (uint64, *
 			if !ok {
 				m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
 				if t := m.checkFailed(insTab[pc]); t != nil {
-					m.uncountTail(ef, pc, pc+1)
 					return 0, t
 				}
 			}
@@ -1464,38 +1404,6 @@ func branchAt(cur int64, slot int, pred []uint8, predMask, uid int, taken bool, 
 	return cur, slot
 }
 
-// uncountTail retracts the part of the current accounting region that a trap
-// at pc kept from executing: region entry pre-credited the whole static
-// histogram, so the instructions in [from, regionEnd) are subtracted back out
-// of opCounts. from is pc for traps the interpreter raises before counting
-// the instruction (watchdog, cancellation) and pc+1 for traps it raises
-// after (division, intrinsics, memory, checks, nested calls).
-func (m *Machine) uncountTail(ef *engFunc, pc, from int) {
-	end := int(ef.regionEnd[ef.regionOf[pc]])
-	for p := from; p < end; p++ {
-		m.opCounts[ef.code[p].origOp]--
-	}
-}
-
-// foldRegionCounts folds the per-region entry counters into opCounts at the
-// end of a run: each entry credits the region's static opcode histogram
-// (trap paths already retracted any unexecuted tail). Counters are consumed,
-// so back-to-back Runs accumulate exactly like the interpreter.
-func (m *Machine) foldRegionCounts() {
-	for fi, rc := range m.regionCounts {
-		hists := m.eng.funcs[fi].regHist
-		for r, c := range rc {
-			if c == 0 {
-				continue
-			}
-			rc[r] = 0
-			for _, h := range hists[r] {
-				m.opCounts[h.op] += c * h.n
-			}
-		}
-	}
-}
-
 // engineBranchFault is the engine counterpart of maybeBranchFault: when a
 // pending branch-target fault is due, redirect the branch just taken to a
 // random block of the executing function and resolve the landing edge
@@ -1535,7 +1443,6 @@ func (m *Machine) dynEdge(ef *engFunc, fr *frame, from, to *ir.Block) (int, *Tra
 	}
 	for i, phi := range phis {
 		m.dyn++
-		m.opCounts[phi.Op]++
 		done := m.timing.issue(0, m.lats[latInt])
 		fr.define(phi.ID, scratch[i], done)
 		m.trace(ef.fn, phi, scratch[i])

@@ -182,7 +182,6 @@ blockLoop:
 			}
 			for i, phi := range phis {
 				m.dyn++
-				m.opCounts[phi.Op]++
 				done := m.timing.issue(0, m.timing.latency(phi))
 				fr.define(phi.ID, phiBits[i], done)
 				m.trace(fn, phi, phiBits[i])
@@ -211,7 +210,6 @@ blockLoop:
 					return 0, trapAt(TrapDeadline)
 				}
 			}
-			m.opCounts[in.Op]++
 
 			// tbits is the value the instruction produces, reported to the
 			// tracer after execution (the Tracer contract). Control-flow

@@ -5,13 +5,12 @@ package vm
 // After lowerFunc finalizes a function's flat linst stream, fuseFunc walks it
 // once and annotates each instruction that heads a hot adjacent pair with a
 // fuseOp pattern id. The stream itself is NOT rewritten: constituents stay in
-// place with their own opcodes, origOps, regions and operand slots, and the
-// annotation lives in two otherwise-padding bytes of the 32-byte linst. The
-// dispatch loop (engine.go) consults the annotation at the top of each
-// iteration and, when the whole span provably fits below the unified event
-// threshold, executes a dedicated straight-line handler for the pair —
-// skipping one dispatch, one event compare, and the tracer/profiler nil
-// tests per fused constituent.
+// place with their own opcodes and operand slots, and the annotation lives in
+// two otherwise-padding bytes of the 32-byte linst. The dispatch loop
+// (engine.go) consults the annotation at the top of each iteration and, when
+// the whole span provably fits below the unified event threshold, executes a
+// dedicated straight-line handler for the pair — skipping one dispatch, one
+// event compare, and the tracer/profiler nil tests per fused constituent.
 //
 // This side-band design is what keeps the engine's bit-identical-observability
 // invariant cheap:
@@ -27,22 +26,22 @@ package vm
 //     cancellation poll lands anywhere inside the span, the condition fails
 //     and the constituents execute unfused, hitting the event at exactly the
 //     instruction the unfused engine would.
-//   - Accounting needs no new machinery. Region-batched OpCounts fold the
-//     static histograms of the unchanged stream; trap paths inside fused
-//     handlers call uncountTail with the trapping constituent's pc, exactly
-//     like their unfused counterparts, so regHist and regionEnd stay
-//     consistent by construction.
+//   - Traps need no new machinery. A trapping constituent flushes dyn and
+//     the issue cursor and returns the same Trap its unfused counterpart
+//     would, so Result, snapshots and fault attribution are unchanged.
 //
 // Pattern selection is empirical: dynamic adjacent-pair frequencies were
 // measured over the 13 benchmark workloads under the original, dup, dupval
-// and abft protection schemes (regionCounts x static in-region adjacency).
-// The table below covers ~90% of measured in-region pair weight; the
+// and abft protection schemes (block-body execution counts x static adjacency).
+// The table below covers ~90% of measured in-block pair weight; the
 // dominant patterns are the array-indexing chain (mul+add, add+load via
 // ptradd, load+arith), compare+branch loop latches, loop-counter
 // add+jmp(+phi) back edges, and FullDup's duplicated-producer signatures
 // (add+add shadow pairs, add+cmpcheck, cmpcheck+jmp). Division, remainder,
 // generic intrinsics, alloca, calls and non-CmpCheck checks never fuse:
 // their trap/arity paths are cold and not worth replicating.
+
+import "repro/internal/ir"
 
 // fuseOp identifies the fused-pair pattern a linst heads; fNone on every
 // instruction that does not begin a fused span. Patterns are keyed by
@@ -88,7 +87,7 @@ const (
 	fCmpCheckJmp
 )
 
-// fuseOf matches an adjacent in-region pair (a, b) against the pattern
+// fuseOf matches an adjacent in-block pair (a, b) against the pattern
 // table, returning the pattern and the span's event-checked dyn increments.
 func fuseOf(a, b *linst) (fuseOp, uint8) {
 	switch a.op {
@@ -168,8 +167,7 @@ func fuseOf(a, b *linst) (fuseOp, uint8) {
 }
 
 // fuseFunc annotates ef's stream with fused-pair heads. Pair candidates must
-// be adjacent within one accounting region — a block body; phi-edge segments
-// have no recorded regionEnd and never pair — which excludes any span
+// be adjacent within one block body (sameBody), which excludes any span
 // crossing control flow, and the fuseOf table excludes calls, checks (except
 // the FullDup CmpCheck patterns) and trap-heavy arithmetic. A jump whose
 // target is a single-phi edge segment additionally heads a jmp+phi pair; its
@@ -181,10 +179,10 @@ func fuseOf(a, b *linst) (fuseOp, uint8) {
 // annotation only fires for control entering there directly. Overlap costs
 // nothing and maximizes coverage without a scheduling pass.
 func fuseFunc(ef *engFunc) {
-	code := ef.code
+	code, ins := ef.code, ef.ins
 	for pc := range code {
 		li := &code[pc]
-		if end := int(ef.regionEnd[ef.regionOf[pc]]); pc+1 < end {
+		if pc+1 < len(code) && sameBody(ins[pc], ins[pc+1]) {
 			if f, span := fuseOf(li, &code[pc+1]); f != fNone {
 				li.fop, li.fspan = f, span
 				continue
@@ -194,6 +192,14 @@ func fuseFunc(ef *engFunc) {
 			li.fop, li.fspan = fJmpPhi, 1
 		}
 	}
+}
+
+// sameBody reports whether two side-table entries are real instructions of
+// one block body. Pseudo-ops carry nil and single-phi edge segments carry
+// their phi, so neither phi-edge segments nor a block's trailing fell-off
+// guard ever pair.
+func sameBody(a, b *ir.Instr) bool {
+	return a != nil && b != nil && a.Op != ir.OpPhi && b.Op != ir.OpPhi && a.Blk == b.Blk
 }
 
 // FuseMode controls superinstruction dispatch for one run.

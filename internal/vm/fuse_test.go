@@ -2,9 +2,8 @@ package vm
 
 // White-box fusion tests: the side-band annotation layout, the invariants
 // fuseFunc promises (annotated pairs round-trip the pattern table and never
-// cross a region boundary), consistency of the static region histograms with
-// the lowered stream the fused handlers account against, and bit-identical
-// fallback when suspensions or fault triggers land inside a fused span.
+// leave one block body), and bit-identical fallback when suspensions or fault
+// triggers land inside a fused span.
 
 import (
 	"math/rand"
@@ -44,7 +43,9 @@ func fuseTestModules(t *testing.T) map[string]*Machine {
 
 // TestFuseAnnotations recomputes the expected annotation for every pc of the
 // lowered stream and requires fuseFunc's output to match exactly: every
-// in-region adjacent pair the table matches is annotated, every annotation
+// adjacent pair inside one block body (derived from bodyPC and the block's
+// non-phi instruction count, so the trailing lopFellOff and every phi-edge
+// segment are excluded) that the table matches is annotated, every annotation
 // round-trips fuseOf (or is a jmp→lopPhiOne pair with fspan 1), and nothing
 // else carries a mark.
 func TestFuseAnnotations(t *testing.T) {
@@ -52,10 +53,18 @@ func TestFuseAnnotations(t *testing.T) {
 		sites := 0
 		for _, ef := range mach.eng.funcs {
 			code := ef.code
+			bodyEnd := make([]int, len(code)) // pc -> end of its block body, 0 outside bodies
+			for _, b := range ef.fn.Blocks {
+				start := int(ef.bodyPC[b.Index])
+				end := start + len(b.Instrs) - len(b.Phis())
+				for pc := start; pc < end; pc++ {
+					bodyEnd[pc] = end
+				}
+			}
 			for pc := range code {
 				li := &code[pc]
 				wantOp, wantSpan := fNone, uint8(0)
-				if end := int(ef.regionEnd[ef.regionOf[pc]]); pc+1 < end {
+				if pc+1 < bodyEnd[pc] {
 					wantOp, wantSpan = fuseOf(li, &code[pc+1])
 				}
 				if wantOp == fNone && li.op == lopJmp && code[li.then].op == lopPhiOne {
@@ -76,51 +85,6 @@ func TestFuseAnnotations(t *testing.T) {
 		}
 		if got := mach.FusedSites(); got != sites {
 			t.Errorf("%s: FusedSites() = %d, recount = %d", name, got, sites)
-		}
-	}
-}
-
-// TestRegHistMatchesStream recounts every accounting region's opcode
-// histogram from the lowered stream and requires it to equal the static
-// regHist the region-batched counters fold — body regions tally origOp up to
-// regionEnd (the trailing lopFellOff sits past it), phi-edge segments carry
-// exactly their move count under ir.OpPhi, and synthetic regions stay empty.
-// Fused dispatch leaves the stream in place, so this must hold with the
-// annotations applied.
-func TestRegHistMatchesStream(t *testing.T) {
-	for name, mach := range fuseTestModules(t) {
-		for _, ef := range mach.eng.funcs {
-			for r := range ef.regHist {
-				var want [ir.NumOps]int64
-				for pc := range ef.code {
-					if int(ef.regionOf[pc]) != r {
-						continue
-					}
-					li := &ef.code[pc]
-					switch end := ef.regionEnd[r]; {
-					case end > 0:
-						if pc < int(end) {
-							want[li.origOp]++
-						}
-					case li.op == lopPhiOne:
-						want[ir.OpPhi]++
-					case li.op == lopPhiSeq || li.op == lopPhiBatch:
-						want[ir.OpPhi] += int64(li.els)
-					}
-				}
-				var got [ir.NumOps]int64
-				for _, h := range ef.regHist[r] {
-					if h.n <= 0 {
-						t.Errorf("%s/%s region %d: histogram entry %s with n=%d",
-							name, ef.fn.Name, r, h.op, h.n)
-					}
-					got[h.op] += h.n
-				}
-				if want != got {
-					t.Errorf("%s/%s region %d: regHist disagrees with stream\n got %v\nwant %v",
-						name, ef.fn.Name, r, got, want)
-				}
-			}
 		}
 	}
 }
@@ -152,9 +116,6 @@ func fusedVsUnfused(t *testing.T, label string, mach *Machine, outName string) {
 	}
 	if fr.Dyn != ur.Dyn || fr.Cycles != ur.Cycles {
 		t.Errorf("%s: fused dyn/cycles %d/%d, unfused %d/%d", label, fr.Dyn, fr.Cycles, ur.Dyn, ur.Cycles)
-	}
-	if fr.OpCounts != ur.OpCounts {
-		t.Errorf("%s: OpCounts diverge\nfused   %v\nunfused %v", label, fr.OpCounts, ur.OpCounts)
 	}
 	if (fr.Trap == nil) != (ur.Trap == nil) {
 		t.Fatalf("%s: trap mismatch: fused %v, unfused %v", label, fr.Trap, ur.Trap)

@@ -200,27 +200,21 @@ type callSite struct {
 // lopAlloca's frame-size constant), and the side-table index for
 // variable-length payloads (lopCall argument lists, phi parallel copies).
 // The original instruction pointer lives in the cold engFunc.ins side array,
-// touched only by tracer/profiler/check/attribution paths.
+// touched only by tracer/profiler/check/attribution paths (and, at lowering
+// time, by fuseFunc's block-body test).
 type linst struct {
-	op     lop
-	latk   latKind
-	prof   bool   // eligible for the value profiler (loads, I64/F64 results)
-	nargs  uint8  // operand count (consulted only in the generic-arity zone)
-	origOp ir.Op  // opcode counted in Result.OpCounts
-	fop    fuseOp // fused-pair pattern this instruction heads (fuse.go), fNone otherwise
-	fspan  uint8  // event-checked dyn increments in the fused span
-	dst    int32  // destination frame slot, -1 for void
-	then   int32  // branch target pc / phi continuation pc
-	els    int32  // lopBr false-target pc; lopPhiBatch/lopPhiSeq batch length
-	a0     int32
-	a1     int32
-	aux    int32 // see above
-}
-
-// histEntry is one line of a region's static opcode histogram.
-type histEntry struct {
-	op ir.Op
-	n  int64
+	op    lop
+	latk  latKind
+	prof  bool   // eligible for the value profiler (loads, I64/F64 results)
+	nargs uint8  // operand count (consulted only in the generic-arity zone)
+	fop   fuseOp // fused-pair pattern this instruction heads (fuse.go), fNone otherwise
+	fspan uint8  // event-checked dyn increments in the fused span
+	dst   int32  // destination frame slot, -1 for void
+	then  int32  // branch target pc / phi continuation pc
+	els   int32  // lopBr false-target pc; lopPhiBatch/lopPhiSeq batch length
+	a0    int32
+	a1    int32
+	aux   int32 // see above
 }
 
 // engFunc is one lowered function.
@@ -234,17 +228,6 @@ type engFunc struct {
 	consts   []uint64 // extension-slot images, framed at NumValues upward
 	calls    []callSite
 	phiMoves []phiMove // flat parallel-copy pool; batches are [aux, aux+els) slices
-
-	// Region-batched opcode accounting. A region is a block body or one
-	// phi-edge segment; the dispatch loop bumps one per-region counter at
-	// each region entry instead of a per-instruction opCounts update, and
-	// Run folds counter x histogram back into Result.OpCounts. Trap paths
-	// subtract the unexecuted tail of the current region (engine.go
-	// uncountTail), keeping the totals bit-identical to the reference
-	// interpreter's per-instruction counting.
-	regionOf  []int32       // pc -> region id
-	regionEnd []int32       // region id -> pc just past its last real instruction
-	regHist   [][]histEntry // region id -> static opcode histogram
 }
 
 // engModule is a lowered module, shared by every Machine built from the
@@ -289,17 +272,7 @@ func (em *engModule) lowerFunc(ef *engFunc, base map[string]uint64) {
 	ef.bodyPC = make([]int32, len(fn.Blocks))
 	var code []linst
 	var ins []*ir.Instr // kept in lockstep with code
-	var regionOf []int32
 	var fixups []fixup
-
-	// newRegion opens accounting region id covering code emitted from here
-	// until the caller stops assigning it; end is patched by endRegion.
-	newRegion := func(hist []histEntry) int32 {
-		id := int32(len(ef.regionEnd))
-		ef.regionEnd = append(ef.regionEnd, 0)
-		ef.regHist = append(ef.regHist, hist)
-		return id
-	}
 
 	// konst interns a constant into the per-function pool and returns its
 	// extension slot (NumValues upward).
@@ -318,18 +291,6 @@ func (em *engModule) lowerFunc(ef *engFunc, base map[string]uint64) {
 	for _, b := range fn.Blocks {
 		ef.bodyPC[b.Index] = int32(len(code))
 		phis := b.Phis()
-		var tally [ir.NumOps]int64
-		var hist []histEntry
-		for _, in := range b.Instrs[len(phis):] {
-			if tally[in.Op] == 0 {
-				hist = append(hist, histEntry{op: in.Op})
-			}
-			tally[in.Op]++
-		}
-		for i := range hist {
-			hist[i].n = tally[hist[i].op]
-		}
-		region := newRegion(hist)
 		for _, in := range b.Instrs[len(phis):] {
 			switch in.Op {
 			case ir.OpJmp:
@@ -340,14 +301,11 @@ func (em *engModule) lowerFunc(ef *engFunc, base map[string]uint64) {
 			}
 			code = append(code, em.lowerInstr(ef, in, base, konst))
 			ins = append(ins, in)
-			regionOf = append(regionOf, region)
 		}
-		ef.regionEnd[region] = int32(len(code))
 		// The interpreter traps when a block runs out of instructions
 		// without transferring control; unreachable after a terminator.
 		code = append(code, linst{op: lopFellOff})
 		ins = append(ins, nil)
-		regionOf = append(regionOf, region)
 	}
 
 	// Edge segments: one parallel-copy batch per (pred, succ) edge whose
@@ -381,7 +339,6 @@ func (em *engModule) lowerFunc(ef *engFunc, base map[string]uint64) {
 			mv := moves[0]
 			code = append(code, linst{op: lopPhiOne, dst: mv.dst, a0: mv.src, then: ef.bodyPC[to.Index]})
 			ins = append(ins, mv.in)
-			regionOf = append(regionOf, newRegion([]histEntry{{op: ir.OpPhi, n: 1}}))
 		case ok:
 			// The interpreter reads every incoming value before defining any
 			// phi (a parallel copy). When no destination feeds a later move's
@@ -399,12 +356,10 @@ func (em *engModule) lowerFunc(ef *engFunc, base map[string]uint64) {
 			}
 			code = append(code, linst{op: op, aux: int32(len(ef.phiMoves)), els: int32(len(moves)), then: ef.bodyPC[to.Index]})
 			ins = append(ins, nil)
-			regionOf = append(regionOf, newRegion([]histEntry{{op: ir.OpPhi, n: int64(len(moves))}}))
 			ef.phiMoves = append(ef.phiMoves, moves...)
 		default:
 			code = append(code, linst{op: lopBadEdge})
 			ins = append(ins, nil)
-			regionOf = append(regionOf, newRegion(nil))
 		}
 		edgePC[k] = pc
 		return pc
@@ -423,41 +378,20 @@ func (em *engModule) lowerFunc(ef *engFunc, base map[string]uint64) {
 		ef.entry = int32(len(code))
 		code = append(code, linst{op: lopFellOff})
 		ins = append(ins, nil)
-		regionOf = append(regionOf, newRegion(nil))
 	case len(fn.Entry().Phis()) > 0:
 		// A phi at function entry has no incoming edge; the reference
 		// interpreter traps before executing anything.
 		ef.entry = int32(len(code))
 		code = append(code, linst{op: lopBadEdge})
 		ins = append(ins, nil)
-		regionOf = append(regionOf, newRegion(nil))
 	default:
 		ef.entry = ef.bodyPC[0]
 	}
 	ef.code = code
 	ef.ins = ins
-	ef.regionOf = regionOf
-
-	// Pre-resolve the accounting region each control transfer lands in, so
-	// the dispatch loop bumps one counter instead of chasing regionOf[pc]
-	// on the critical path. The fields are free on these ops: els on jmp,
-	// dst/a1 on br (no result, one operand), a1 on the phi pseudo-ops.
-	// Branch-fault redirections still resolve through regionOf at runtime.
-	for pc := range code {
-		li := &code[pc]
-		switch li.op {
-		case lopJmp:
-			li.els = regionOf[li.then]
-		case lopBr:
-			li.dst = regionOf[li.then]
-			li.a1 = regionOf[li.els]
-		case lopPhiOne, lopPhiSeq, lopPhiBatch:
-			li.a1 = regionOf[li.then]
-		}
-	}
 
 	// Superinstruction annotation runs last, over the finalized stream: it
-	// reads resolved branch targets and region bounds and writes only the
+	// reads resolved branch targets and block membership and writes only the
 	// side-band fop/fspan bytes (fuse.go). Baked into the module-cached
 	// lowering unconditionally; whether fused dispatch actually runs is a
 	// per-run decision (RunOptions.Fuse and the engine's fuseEvent gate).
@@ -465,7 +399,7 @@ func (em *engModule) lowerFunc(ef *engFunc, base map[string]uint64) {
 }
 
 func (em *engModule) lowerInstr(ef *engFunc, in *ir.Instr, base map[string]uint64, konst func(uint64) int32) linst {
-	li := linst{origOp: in.Op, latk: latKindOf(in), dst: -1}
+	li := linst{latk: latKindOf(in), dst: -1}
 	lowerArgs := func() {
 		li.nargs = uint8(len(in.Args))
 		switch {

@@ -125,8 +125,8 @@ type RunOptions struct {
 	// (the default) executes annotated hot instruction pairs through fused
 	// straight-line handlers whenever the span fits below the unified event
 	// threshold; FuseOff forces the per-instruction path. The two settings
-	// are bit-identical in every observable — Result, OpCounts, traces,
-	// timing, snapshots, fault attribution — which the fusion equivalence
+	// are bit-identical in every observable — Result, traces, timing,
+	// snapshots, fault attribution — which the fusion equivalence
 	// suite and the difftest fuse-diff invariant enforce; FuseOff exists as
 	// an escape hatch and as the oracle's reference leg.
 	Fuse FuseMode
@@ -141,7 +141,6 @@ type Result struct {
 	CheckFails int64 // only populated with RunOptions.CountChecks
 	// PerCheckFails maps CheckID -> fail count (CountChecks mode only).
 	PerCheckFails map[int]int64
-	OpCounts      [ir.NumOps]int64
 }
 
 // funcInfo caches static per-function interpreter metadata.
@@ -180,13 +179,12 @@ type Machine struct {
 
 	// Precompiled-engine state (nil/zero under EngineTree). The lowering is
 	// shared module-wide; frame pools and scratch buffers are per machine.
-	eng          *engModule
-	engMain      *engFunc
-	lats         [latCount]int64
-	pools        [][]*frame
-	phiScratch   []uint64
-	callScratch  []uint64
-	regionCounts [][]int64 // per engFunc: region-entry counters (see foldRegionCounts)
+	eng         *engModule
+	engMain     *engFunc
+	lats        [latCount]int64
+	pools       [][]*frame
+	phiScratch  []uint64
+	callScratch []uint64
 
 	// Per-run state.
 	dyn           int64
@@ -195,7 +193,6 @@ type Machine struct {
 	laxPhis       bool
 	checkFails    int64
 	perCheckFails map[int]int64
-	opCounts      [ir.NumOps]int64
 	fusedSteps    int64 // diagnostic: fused-pair handlers executed (fuse.go)
 
 	// Suspension state (fast engine only). susp holds the in-flight call
@@ -264,10 +261,6 @@ func New(mod *ir.Module, cfg Config) (*Machine, error) {
 		m.engMain = m.eng.byFn[main]
 		m.lats = latTableFrom(cfg.Timing)
 		m.pools = make([][]*frame, len(m.eng.funcs))
-		m.regionCounts = make([][]int64, len(m.eng.funcs))
-		for i, ef := range m.eng.funcs {
-			m.regionCounts[i] = make([]int64, len(ef.regionEnd))
-		}
 	}
 	m.Reset()
 	return m, nil
@@ -335,14 +328,6 @@ func (m *Machine) Reset() {
 	m.laxPhis = false
 	m.checkFails = 0
 	m.perCheckFails = nil
-	for i := range m.opCounts {
-		m.opCounts[i] = 0
-	}
-	for _, rc := range m.regionCounts {
-		for i := range rc {
-			rc[i] = 0
-		}
-	}
 	m.timing.reset()
 }
 
@@ -393,8 +378,7 @@ func (m *Machine) ReadGlobalFloats(name string) ([]float64, error) {
 // restored machine, Run instead continues the captured execution from its
 // suspend point; counters accumulate across the suspension, so the final
 // Result of a suspend/resume chain is bit-identical to one uninterrupted
-// run. A suspended Result's OpCounts are interim (the current accounting
-// region is pre-credited in full); every other field is exact.
+// run, and every field of a suspended Result is exact.
 func (m *Machine) Run(opts RunOptions) *Result {
 	m.opts = opts
 	m.stop = opts.Stop
@@ -409,18 +393,15 @@ func (m *Machine) Run(opts RunOptions) *Result {
 		} else {
 			ret, trap = m.execCall(m.engMain, nil, 0)
 		}
-		m.foldRegionCounts()
 	} else {
 		ret, trap = m.call(m.main, nil, 0)
 	}
-	res := &Result{
+	return &Result{
 		Ret:           ret,
 		Dyn:           m.dyn,
 		Cycles:        m.timing.cycles(),
 		Trap:          trap,
 		CheckFails:    m.checkFails,
 		PerCheckFails: m.perCheckFails,
-		OpCounts:      m.opCounts,
 	}
-	return res
 }

@@ -314,6 +314,10 @@ func TestSnapshotErrors(t *testing.T) {
 	if base.Trap != nil {
 		t.Fatalf("baseline trapped: %v", base.Trap)
 	}
+	baseOut, err := mach.ReadGlobal(w.Output)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Suspend, snapshot, then Reset: the suspended state must be discarded
 	// and a fresh run must match the baseline.
@@ -328,6 +332,34 @@ func TestSnapshotErrors(t *testing.T) {
 	mach.Reset()
 	if res := mach.Run(vm.RunOptions{}); res.Trap != nil || res.Dyn != base.Dyn || res.Cycles != base.Cycles {
 		t.Fatalf("post-Reset run diverged: %+v vs %+v", res, base)
+	}
+
+	// The snapshot is a parked clone that shares no frames or memory with
+	// its source: Reset the source and run it to completion on a different
+	// input, and restoring the snapshot (onto the source itself) and
+	// finishing the run must still reproduce the baseline.
+	if err := w.Bind(mach, workloads.Train); err != nil {
+		t.Fatal(err)
+	}
+	mach.Reset()
+	if res := mach.Run(vm.RunOptions{}); res.Trap != nil {
+		t.Fatalf("train-input run trapped: %v", res.Trap)
+	}
+	if err := mach.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	res := mach.Run(vm.RunOptions{})
+	if res.Trap != nil || res.Ret != base.Ret || res.Dyn != base.Dyn || res.Cycles != base.Cycles {
+		t.Fatalf("restore after source Reset+Run diverged: %+v vs %+v", res, base)
+	}
+	out, err := mach.ReadGlobal(w.Output)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range baseOut {
+		if out[i] != baseOut[i] {
+			t.Fatalf("restore after source Reset+Run: output[%d] = %#x, want %#x", i, out[i], baseOut[i])
+		}
 	}
 
 	// A machine over a clone of the module is a different module revision
