@@ -6,6 +6,7 @@
 //	softft -list
 //	softft -bench jpegdec -mode dupval -stats
 //	softft -bench jpegdec -mode dupval -inject 500
+//	softft -bench segm -mode dupval+cfc -fault-model branch-target -inject 500
 //	softft -bench mp3dec -dump
 //	softft -src prog.sf -run
 //	softft -bench-campaign BENCH_campaign.json
@@ -86,7 +87,7 @@ func runSolo(args []string, stdout, stderr io.Writer) error {
 		list    = flags.Bool("list", false, "list built-in benchmarks")
 		bench   = flags.String("bench", "", "built-in benchmark name")
 		src     = flags.String("src", "", "compile a source file instead of a benchmark")
-		mode    = flags.String("mode", "original", "protection scheme, a '+'-composition of registered schemes (e.g. dupval, abft+dupval), or 'list'")
+		mode    = flags.String("mode", "original", "protection scheme, a '+'-composition of registered schemes (e.g. dupval, abft+dupval, dupval+cfc), or 'list'")
 		dump    = flags.Bool("dump", false, "print the (protected) IR")
 		run     = flags.Bool("run", false, "run fault-free and print statistics")
 		stats   = flags.Bool("stats", false, "print protection statistics")
@@ -94,7 +95,6 @@ func runSolo(args []string, stdout, stderr io.Writer) error {
 		seed    = flags.Int64("seed", 2014, "campaign seed")
 		profOut = flags.String("profile-out", "", "write the value profile to this file")
 		profIn  = flags.String("profile-in", "", "read a saved value profile instead of re-profiling")
-		useCFC  = flags.Bool("cfc", false, "add signature-based control-flow checks")
 		trace   = flags.Int64("trace", 0, "print an execution trace of up to N instructions")
 		fmodel  = flags.String("fault-model", "", "registered fault model for -inject (default reg-flip), or 'list'")
 
@@ -214,21 +214,12 @@ func runSolo(args []string, stdout, stderr io.Writer) error {
 			if st.ABFTKernels > 0 {
 				fmt.Fprintf(stdout, "  abft: %d kernels checksummed, %d exit checks\n", st.ABFTKernels, st.ABFTChecks)
 			}
+			if st.CFCChecks+st.CFCUnchecked > 0 {
+				fmt.Fprintf(stdout, "  cfc: %d signature checks, %d uncheckable fan-ins\n", st.CFCChecks, st.CFCUnchecked)
+			}
 		}
 	} else if *stats {
 		fmt.Fprintf(stdout, "original: %d static instrs\n", prog.NumInstrs())
-	}
-
-	if *useCFC {
-		var cs softft.CFCStats
-		prog, cs, err = prog.WithControlFlowChecks()
-		if err != nil {
-			return err
-		}
-		if *stats {
-			fmt.Fprintf(stdout, "control-flow checks: %d blocks, %d checks, %d uncheckable fan-ins\n",
-				cs.Blocks, cs.Checks, cs.Unchecked)
-		}
 	}
 
 	if *dump {

@@ -31,12 +31,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	full, cfcStats, err := hard.WithControlFlowChecks()
+	full, st, err := prog.Protect(softft.Compose(softft.DuplicationWithValueChecks, softft.ControlFlowChecks), prof)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("segm: %d blocks signature-checked, %d CFC checks (%d fan-ins uncheckable)\n\n",
-		cfcStats.Blocks, cfcStats.Checks, cfcStats.Unchecked)
+	fmt.Printf("segm: %d CFC checks (%d fan-ins uncheckable)\n\n", st.CFCChecks, st.CFCUnchecked)
 
 	programs := []struct {
 		name string

@@ -156,16 +156,12 @@ func TestExamples(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hard, _, err := prog.Protect(softft.DuplicationWithValueChecks, prof)
+			full, st, err := prog.Protect(softft.Compose(softft.DuplicationWithValueChecks, softft.ControlFlowChecks), prof)
 			if err != nil {
 				t.Fatal(err)
 			}
-			full, cfcStats, err := hard.WithControlFlowChecks()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cfcStats.Blocks == 0 || cfcStats.Checks == 0 {
-				t.Fatalf("CFC instrumented nothing: %+v", cfcStats)
+			if st.CFCChecks == 0 {
+				t.Fatalf("CFC instrumented nothing: %+v", st)
 			}
 			res, err := full.Run(bench.TestInput())
 			if err != nil {
@@ -178,8 +174,8 @@ func TestExamples(t *testing.T) {
 			if len(out) == 0 {
 				t.Fatal("segm: empty output")
 			}
-			return fmt.Sprintf("segm cfcblocks=%d cfcchecks=%d cycles=%d out=%v",
-				cfcStats.Blocks, cfcStats.Checks, res.Cycles, out[:min(16, len(out))])
+			return fmt.Sprintf("segm cfcchecks=%d cycles=%d out=%v",
+				st.CFCChecks, res.Cycles, out[:min(16, len(out))])
 		}},
 		{"imaging", func(t *testing.T) string {
 			// examples/imaging: jpegdec across all four protection modes;

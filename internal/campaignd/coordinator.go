@@ -330,7 +330,7 @@ func (co *Coordinator) Heartbeat(req heartbeatRequest) heartbeatResponse {
 	j := sh.job
 	if j.spec.TargetCI > 0 && !j.stopping {
 		done, covered, usdc := pooledCounts(j)
-		if done > 0 && ciTight(covered, done, j.spec.TargetCI) && ciTight(usdc, done, j.spec.TargetCI) {
+		if done > 0 && fault.CITight(covered, done, j.spec.TargetCI) && fault.CITight(usdc, done, j.spec.TargetCI) {
 			j.stopping = true
 			co.m.EarlyStops++
 			co.cfg.Logf("campaignd: %s early stop at %d pooled trials (target CI %.3f)", j.id, done, j.spec.TargetCI)
@@ -408,14 +408,6 @@ func pooledCounts(j *job) (done, covered, usdc int) {
 		usdc += sh.usdc
 	}
 	return
-}
-
-// ciTight reports whether the 95% Wilson interval for count/n is no wider
-// than target — the same criterion fault.Config.TargetCI applies inside a
-// single process, evaluated here over pooled cross-shard counts.
-func ciTight(count, n int, target float64) bool {
-	lo, hi := fault.Wilson(count, n, 1.96)
-	return hi-lo <= target
 }
 
 // fail marks a job failed. Callers hold co.mu.

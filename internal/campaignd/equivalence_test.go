@@ -23,13 +23,16 @@ func TestDistributedEquivalenceMatrix(t *testing.T) {
 	type cell struct {
 		bench, mode, model string
 	}
+	// Mode j of benchmark b meets model (j-b) mod len(models): offsetting
+	// by the benchmark index walks every mode through every model however
+	// many modes are registered (counting cells instead pins each mode to
+	// one model once there are as many modes as models).
 	models := softft.FaultModels()
+	n := len(models)
 	var cells []cell
-	i := 0
-	for _, bench := range softft.Benchmarks() {
-		for _, mode := range softft.Modes() {
-			cells = append(cells, cell{bench, mode.String(), models[i%len(models)]})
-			i++
+	for b, bench := range softft.Benchmarks() {
+		for j, mode := range softft.Modes() {
+			cells = append(cells, cell{bench, mode.String(), models[((j-b)%n+n)%n]})
 		}
 	}
 	if raceEnabled {
@@ -71,5 +74,32 @@ func TestDistributedEquivalenceMatrix(t *testing.T) {
 				t.Fatalf("distributed outcomes differ from solo run:\ndist=%+v\nsolo=%+v", st.Outcomes, solo)
 			}
 		})
+	}
+}
+
+// TestDistributedComposedCFCMatchesSolo runs a composed scheme through the
+// service: workers resolve "dupval+cfc" from the registry like any other
+// mode, so a sharded branch-target job merges to the solo run's Outcomes,
+// signature-check detections included.
+func TestDistributedComposedCFCMatchesSolo(t *testing.T) {
+	spec := campaignd.JobSpec{
+		Bench: "segm", Mode: "dupval+cfc", FaultModel: "branch-target",
+		Trials: 40, Seed: 2014, Shards: 4,
+	}
+	solo := soloOutcomes(t, spec)
+	if solo.SWDetectedCFC == 0 {
+		t.Fatalf("solo dupval+cfc run detected no branch faults by signature: %+v", solo)
+	}
+	co, _ := startService(t, campaignd.Config{LeaseTTL: 5 * time.Second, Logf: nil}, 2, 1)
+	id, err := co.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitDone(t, co, id)
+	if st.State != "done" {
+		t.Fatalf("job: %+v", st)
+	}
+	if !reflect.DeepEqual(st.Outcomes, solo) {
+		t.Fatalf("distributed outcomes differ from solo run:\ndist=%+v\nsolo=%+v", st.Outcomes, solo)
 	}
 }

@@ -28,17 +28,15 @@ const SigGlobal = "__cfc_sig"
 
 // Stats describes what the pass instrumented.
 type Stats struct {
-	Blocks    int // blocks instrumented with entry checks
-	Checks    int // signature checks inserted
+	Checks    int // signature checks inserted, one per checked block
 	Unchecked int // blocks skipped (too many predecessors for a check)
-	Instrs    int // instructions added in total
 }
 
 // Protect instruments every function of m with control-flow signature
-// checks. Check IDs start at startCheckID; the next free ID is returned.
-func Protect(m *ir.Module, startCheckID int) (*Stats, int, error) {
+// checks. Check IDs start at startCheckID.
+func Protect(m *ir.Module, startCheckID int) (*Stats, error) {
 	if m.Global(SigGlobal) != nil {
-		return nil, 0, fmt.Errorf("cfc: module already instrumented")
+		return nil, fmt.Errorf("cfc: module already instrumented")
 	}
 	sig := m.AddGlobal(SigGlobal, 1)
 	stats := &Stats{}
@@ -74,7 +72,6 @@ func Protect(m *ir.Module, startCheckID int) (*Stats, int, error) {
 					chk.Check = ir.CheckCFC
 					chk.CheckID = nextID
 					nextID++
-					stats.Blocks++
 					stats.Checks++
 				default:
 					// Predecessor signatures are index-based; contiguous
@@ -95,7 +92,6 @@ func Protect(m *ir.Module, startCheckID int) (*Stats, int, error) {
 						chk.Check = ir.CheckCFC
 						chk.CheckID = nextID
 						nextID++
-						stats.Blocks++
 						stats.Checks++
 					} else {
 						stats.Unchecked++
@@ -123,16 +119,14 @@ func Protect(m *ir.Module, startCheckID int) (*Stats, int, error) {
 						UID:  m.NewUID(),
 					}
 					b.InsertBefore(restore, i+1)
-					stats.Instrs++
 					i++
 				}
 			}
-			stats.Instrs += len(added)
 		}
 	}
 	m.Renumber()
 	if err := m.Verify(); err != nil {
-		return nil, 0, fmt.Errorf("cfc: instrumentation produced invalid IR: %w", err)
+		return nil, fmt.Errorf("cfc: instrumentation produced invalid IR: %w", err)
 	}
-	return stats, nextID, nil
+	return stats, nil
 }

@@ -61,6 +61,8 @@ type Stats struct {
 	CheckedInstr int    // instructions covered by a value check
 	ABFTKernels  int    // kernel loops covered by ABFT checksums
 	ABFTChecks   int    // checksum-comparison checks inserted at kernel exits
+	CFCChecks    int    // control-flow signature checks inserted, one per checked block
+	CFCUnchecked int    // fan-in blocks the signature scheme could not check
 }
 
 // FracStateVars returns state variables over original static instructions.

@@ -1,16 +1,26 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/ir"
 	"repro/internal/profile"
 )
 
-// Protect applies the named protection scheme to m in place and returns
-// static statistics — a convenience wrapper over the scheme registry (see
-// scheme.go). Callers that need the unprotected module afterwards should
-// Clone first. prof may be nil unless the scheme reports NeedsProfile.
-func Protect(m *ir.Module, scheme string, prof *profile.Data, p Params) (*Stats, error) {
-	return Apply(m, scheme, prof, p)
+// Protect resolves the scheme spec via ParseScheme ("dupval",
+// "dupval+cfc"), applies it to m in place and returns static statistics —
+// the string-addressed entry point used by the public API and the CLIs.
+// Callers that need the unprotected module afterwards should Clone first.
+// prof may be nil unless the scheme reports NeedsProfile.
+func Protect(m *ir.Module, spec string, prof *profile.Data, p Params) (*Stats, error) {
+	s, err := ParseScheme(spec)
+	if err != nil {
+		return nil, err
+	}
+	if s.NeedsProfile() && prof == nil {
+		return nil, fmt.Errorf("core: %s requires value profiles", s.Name())
+	}
+	return s.Apply(m, prof, p)
 }
 
 // dupTransform is the paper's selective protection: state-variable

@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
+	"repro/internal/cfc"
 	"repro/internal/ir"
 	"repro/internal/profile"
 )
@@ -31,13 +31,15 @@ type Scheme interface {
 	Apply(m *ir.Module, prof *profile.Data, p Params) (*Stats, error)
 }
 
-// Canonical names of the four paper schemes (MICRO 2014 configurations).
+// Canonical names of the four paper schemes (MICRO 2014 configurations),
+// then the extensions.
 const (
 	SchemeOriginal = "original" // no protection
 	SchemeDup      = "dup"      // state-variable duplication only
 	SchemeDupVal   = "dupval"   // duplication + expected-value checks (+ Opt 1 & 2)
 	SchemeFullDup  = "fulldup"  // SWIFT-style full duplication baseline
 	SchemeABFT     = "abft"     // per-kernel checksum protection (post-paper)
+	SchemeCFC      = "cfc"      // signature-based control-flow checking (§IV-C)
 )
 
 var (
@@ -63,16 +65,6 @@ func Register(s Scheme) {
 	byName[name] = s
 }
 
-// Schemes returns every registered scheme in registration order (the four
-// paper schemes first, in the paper's cost order, then extensions).
-func Schemes() []Scheme {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Scheme, len(registry))
-	copy(out, registry)
-	return out
-}
-
 // SchemeNames returns the canonical names of all registered schemes in
 // registration order.
 func SchemeNames() []string {
@@ -91,16 +83,6 @@ func Lookup(name string) (Scheme, bool) {
 	defer regMu.RUnlock()
 	s, ok := byName[name]
 	return s, ok
-}
-
-// MustScheme is Lookup for names known to be registered; it panics
-// otherwise.
-func MustScheme(name string) Scheme {
-	s, ok := Lookup(name)
-	if !ok {
-		panic(fmt.Sprintf("core: scheme %q not registered", name))
-	}
-	return s
 }
 
 // ParseScheme resolves a scheme spec: a canonical name ("dupval"), or a
@@ -180,21 +162,10 @@ func (c *composite) Apply(m *ir.Module, prof *profile.Data, p Params) (*Stats, e
 		sum.CheckedInstr += st.CheckedInstr
 		sum.ABFTKernels += st.ABFTKernels
 		sum.ABFTChecks += st.ABFTChecks
+		sum.CFCChecks += st.CFCChecks
+		sum.CFCUnchecked += st.CFCUnchecked
 	}
 	return sum, nil
-}
-
-// Apply resolves spec via ParseScheme and applies the scheme — the
-// string-addressed entry point used by the public API and the CLIs.
-func Apply(m *ir.Module, spec string, prof *profile.Data, p Params) (*Stats, error) {
-	s, err := ParseScheme(spec)
-	if err != nil {
-		return nil, err
-	}
-	if s.NeedsProfile() && prof == nil {
-		return nil, fmt.Errorf("core: %s requires value profiles", s.Name())
-	}
-	return s.Apply(m, prof, p)
 }
 
 // nextCheckID returns the smallest check ID above every check already in
@@ -260,6 +231,20 @@ func init() {
 		transform: dupTransform(true)})
 	Register(&scheme{name: SchemeFullDup, title: "Full duplication", transform: fullDupTransform})
 	Register(&scheme{name: SchemeABFT, title: "ABFT checksums", transform: abftTransform})
+	Register(&scheme{name: SchemeCFC, title: "CFC", transform: cfcTransform})
+}
+
+// cfcTransform adds CFCSS-style signature checks for branch-target faults,
+// the complementary technique §IV-C pairs with selective protection.
+// Composed after another scheme ("dupval+cfc"), its check IDs continue
+// past that scheme's.
+func cfcTransform(m *ir.Module, prof *profile.Data, p Params, st *Stats) error {
+	cs, err := cfc.Protect(m, nextCheckID(m))
+	if err != nil {
+		return err
+	}
+	st.CFCChecks, st.CFCUnchecked = cs.Checks, cs.Unchecked
+	return nil
 }
 
 // Title resolves a scheme spec to its display title ("dupval" → "Dup + val
@@ -271,23 +256,4 @@ func Title(spec string) string {
 		return spec
 	}
 	return s.Title()
-}
-
-// Titles returns registered scheme titles keyed by name (for listings).
-func Titles() map[string]string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make(map[string]string, len(byName))
-	for n, s := range byName {
-		out[n] = s.Title()
-	}
-	return out
-}
-
-// SortedNames returns registered names sorted lexically (stable listing for
-// error messages and docs).
-func SortedNames() []string {
-	names := SchemeNames()
-	sort.Strings(names)
-	return names
 }

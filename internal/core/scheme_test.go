@@ -103,7 +103,7 @@ func TestParseSchemeRoundTripAndComposition(t *testing.T) {
 func TestComposedSchemeCheckIDsUnique(t *testing.T) {
 	m := compile(t, abftSrc)
 	prof := profileABFT(t, m)
-	if _, err := Apply(m, "abft+dupval+fulldup", prof, DefaultParams()); err != nil {
+	if _, err := Protect(m, "abft+dupval+fulldup", prof, DefaultParams()); err != nil {
 		t.Fatal(err)
 	}
 	seen := map[int]bool{}

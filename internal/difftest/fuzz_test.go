@@ -315,7 +315,7 @@ func FuzzSchemeEnumeration(f *testing.F) {
 
 		for _, sch := range schemes {
 			prot := mod.Clone()
-			if _, err := core.Apply(prot, sch, prof, params); err != nil {
+			if _, err := core.Protect(prot, sch, prof, params); err != nil {
 				t.Fatalf("scheme %s failed on verified module: %v\n%s", sch, err, src)
 			}
 			if err := prot.Verify(); err != nil {

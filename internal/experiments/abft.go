@@ -46,7 +46,7 @@ func ABFTvsDupVal(cfg fault.Config) ([]ABFTRow, string, error) {
 			if variant == nil {
 				// Composed schemes are not registry entries; build on demand.
 				m := p.Variants[core.SchemeOriginal].Module.Clone()
-				stats, err := core.Apply(m, sch, p.Profile, core.DefaultParams())
+				stats, err := core.Protect(m, sch, p.Profile, core.DefaultParams())
 				if err != nil {
 					return nil, "", fmt.Errorf("%s/%s: %w", name, sch, err)
 				}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/cfc"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/ir"
@@ -43,7 +42,7 @@ func BranchFaults(cfg fault.Config) ([]CFCRow, string, error) {
 		dupval := p.Variants[core.SchemeDupVal].Module
 
 		withCFC := dupval.Clone()
-		if _, _, err := cfc.Protect(withCFC, 1_000_000); err != nil {
+		if _, err := core.Protect(withCFC, core.SchemeCFC, nil, core.DefaultParams()); err != nil {
 			return nil, "", err
 		}
 

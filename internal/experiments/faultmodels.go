@@ -58,7 +58,7 @@ func FaultModelSweep(cfg fault.Config) ([]FaultModelRow, string, error) {
 				if variant == nil {
 					// Composed schemes are not registry entries; build on demand.
 					m := p.Variants[core.SchemeOriginal].Module.Clone()
-					stats, err := core.Apply(m, sch, p.Profile, core.DefaultParams())
+					stats, err := core.Protect(m, sch, p.Profile, core.DefaultParams())
 					if err != nil {
 						return nil, "", fmt.Errorf("%s/%s: %w", name, sch, err)
 					}

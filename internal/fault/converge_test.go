@@ -2,7 +2,6 @@ package fault
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/lang"
@@ -86,11 +85,11 @@ func TestConvergenceShortCircuit(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		p1 := drawPlan(MustModel(cfg.Model), cfg, goldenDyn, trial, ws.src, ws.rng)
 		solo.Reset()
-		tr1, cyc1, to1 := c.finishTrial(solo, p1, time.Time{}, nil)
+		tr1, cyc1, to1 := c.finishTrial(solo, p1, nil, nil)
 
 		p2 := drawPlan(MustModel(cfg.Model), cfg, goldenDyn, trial, ws.src, ws.rng)
 		conv.Reset()
-		tr2, cyc2, to2 := c.finishTrial(conv, p2, time.Time{}, snaps)
+		tr2, cyc2, to2 := c.finishTrial(conv, p2, nil, snaps)
 
 		if tr1 != tr2 || cyc1 != cyc2 || to1 != to2 {
 			t.Fatalf("trial %d: solo %+v (cycles %d, timeout %v) vs converging %+v (cycles %d, timeout %v)",

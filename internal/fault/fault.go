@@ -401,7 +401,7 @@ func drawPlan(model Model, cfg Config, goldenDyn int64, trial int, src rand.Sour
 // which is sound because an uninjected plan never fast-forwards. Engine-
 // injected plans owe no parks, so their fast path is a single Run, exactly
 // the pre-registry campaign body.
-func runPlanned(mach *vm.Machine, plan *Plan, cfg Config, disabled map[int]bool, deadline time.Time, suspendAt int64) *vm.Result {
+func runPlanned(mach *vm.Machine, plan *Plan, cfg Config, disabled map[int]bool, timeout <-chan struct{}, suspendAt int64) *vm.Result {
 	for {
 		plan.hookNow(mach)
 		stop := plan.pendingAt
@@ -411,7 +411,7 @@ func runPlanned(mach *vm.Machine, plan *Plan, cfg Config, disabled map[int]bool,
 		if stop < 0 {
 			stop = 0 // no park owed: run to completion
 		}
-		res := mach.Run(vm.RunOptions{Fault: plan.VM, DisabledChecks: disabled, Deadline: deadline, SuspendAtDyn: stop, Fuse: fuseMode(cfg)})
+		res := mach.Run(vm.RunOptions{Fault: plan.VM, DisabledChecks: disabled, Stop: timeout, SuspendAtDyn: stop, Fuse: fuseMode(cfg)})
 		if res.Trap != nil && res.Trap.Kind == vm.TrapSuspended {
 			if suspendAt > 0 && mach.Dyn() >= suspendAt {
 				return res // the caller's crossing; its hooks run next call
@@ -440,7 +440,7 @@ func runPlanned(mach *vm.Machine, plan *Plan, cfg Config, disabled map[int]bool,
 // changes the future (the injected() gate), and a re-arming model's fault
 // can fire again after the comparison point, so present-equals-golden proves
 // nothing about its future — re-arming trials never fast-forward at all.
-func (c *campaign) finishTrial(mach *vm.Machine, plan *Plan, deadline time.Time, snaps []*vm.Snapshot) (tr Trial, cycles int64, timedOut bool) {
+func (c *campaign) finishTrial(mach *vm.Machine, plan *Plan, timeout <-chan struct{}, snaps []*vm.Snapshot) (tr Trial, cycles int64, timedOut bool) {
 	if plan.model.Rearms() {
 		snaps = nil // soundness rule: see above
 	}
@@ -448,7 +448,7 @@ func (c *campaign) finishTrial(mach *vm.Machine, plan *Plan, deadline time.Time,
 		if s.Dyn() <= mach.Dyn() {
 			continue
 		}
-		res := runPlanned(mach, plan, c.cfg, c.disabled, deadline, s.Dyn())
+		res := runPlanned(mach, plan, c.cfg, c.disabled, timeout, s.Dyn())
 		if res.Trap == nil || res.Trap.Kind != vm.TrapSuspended {
 			tr, timedOut = c.classifyTrial(mach, res, plan)
 			return tr, res.Cycles, timedOut
@@ -457,7 +457,7 @@ func (c *campaign) finishTrial(mach *vm.Machine, plan *Plan, deadline time.Time,
 			return Trial{Outcome: Masked, RelChange: plan.relChange()}, c.rep.GoldenCycles, false
 		}
 	}
-	res := runPlanned(mach, plan, c.cfg, c.disabled, deadline, 0)
+	res := runPlanned(mach, plan, c.cfg, c.disabled, timeout, 0)
 	tr, timedOut = c.classifyTrial(mach, res, plan)
 	return tr, res.Cycles, timedOut
 }
@@ -479,7 +479,8 @@ func (c *campaign) classifyTrial(mach *vm.Machine, res *vm.Result, plan *Plan) (
 	if res.Trap != nil {
 		tr.TrapKind = res.Trap.Kind
 		switch {
-		case res.Trap.Kind == vm.TrapDeadline:
+		case res.Trap.Kind == vm.TrapCancelled:
+			// A trial run's only Stop is its TrialTimeout channel.
 			return Trial{}, true
 		case res.Trap.Kind == vm.TrapCheck:
 			tr.Outcome = SWDetect

@@ -325,7 +325,7 @@ func TestWilsonInterval(t *testing.T) {
 		t.Fatalf("10/10: [%v,%v]", lo, hi)
 	}
 	// Interval width shrinks with n.
-	if !ciTight(50, 1000, 0.07) || ciTight(5, 10, 0.07) {
-		t.Fatal("ciTight not monotone in n")
+	if !CITight(50, 1000, 0.07) || CITight(5, 10, 0.07) {
+		t.Fatal("CITight not monotone in n")
 	}
 }

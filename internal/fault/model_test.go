@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/lang"
 	"repro/internal/vm"
@@ -209,7 +208,7 @@ func TestRearmingModelNeverFalselyMasked(t *testing.T) {
 			t.Fatal(err)
 		}
 		plan := drawPlan(model, cfg, goldenDyn, 0, ws.src, ws.rng)
-		r := runPlanned(mach, plan, cfg, nil, time.Time{}, at)
+		r := runPlanned(mach, plan, cfg, nil, nil, at)
 		if r.Trap == nil || r.Trap.Kind != vm.TrapSuspended {
 			t.Fatalf("probe at %d: not suspended: %+v", at, r.Trap)
 		}
@@ -234,14 +233,14 @@ func TestRearmingModelNeverFalselyMasked(t *testing.T) {
 		t.Fatal(err)
 	}
 	p1 := drawPlan(model, cfg, goldenDyn, 0, ws.src, ws.rng)
-	tr1, cyc1, to1 := c.finishTrial(m1, p1, time.Time{}, snaps)
+	tr1, cyc1, to1 := c.finishTrial(m1, p1, nil, snaps)
 
 	m2, err := newMachine(target, mod, maxDyn, cfg.Engine)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p2 := drawPlan(model, cfg, goldenDyn, 0, ws.src, ws.rng)
-	tr2, cyc2, to2 := c.finishTrial(m2, p2, time.Time{}, nil)
+	tr2, cyc2, to2 := c.finishTrial(m2, p2, nil, nil)
 
 	if tr1 != tr2 || cyc1 != cyc2 || to1 != to2 {
 		t.Fatalf("ladder %+v (cycles %d, timeout %v) vs plain %+v (cycles %d, timeout %v)", tr1, cyc1, to1, tr2, cyc2, to2)

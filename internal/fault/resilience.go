@@ -11,10 +11,11 @@ package fault
 //     per-trial reproducer seed, and the worker rebuilds its machine and
 //     moves on;
 //   - a wall-clock deadline (Config.TrialTimeout, layered over the
-//     dyn-count watchdog via vm.RunOptions.Deadline) reaps trials the
-//     watchdog cannot bound; a timed-out trial gets one bounded retry —
-//     transient host stalls are common under contention — before it too is
-//     quarantined;
+//     dyn-count watchdog: a timer closes the attempt's vm.RunOptions.Stop
+//     channel, and an attempt that outlives it counts as timed out even
+//     if it finished first) reaps trials the watchdog cannot bound; a
+//     timed-out trial gets one bounded retry — transient host stalls are
+//     common under contention — before it too is quarantined;
 //   - context cancellation stops workers between trials and the campaign
 //     returns a valid partial Report (Partial: true) instead of an error,
 //     so every completed Outcome survives a Ctrl-C;
@@ -154,8 +155,8 @@ func (c *campaign) noteDone(tr Trial) {
 	}
 	done, covered, usdc := c.nDone, c.nCovered, c.nUSDC
 	stop := c.cfg.TargetCI > 0 &&
-		ciTight(c.nCovered, c.nDone, c.cfg.TargetCI) &&
-		ciTight(c.nUSDC, c.nDone, c.cfg.TargetCI)
+		CITight(c.nCovered, c.nDone, c.cfg.TargetCI) &&
+		CITight(c.nUSDC, c.nDone, c.cfg.TargetCI)
 	c.mu.Unlock()
 	if c.cfg.OnProgress != nil {
 		c.cfg.OnProgress(done, covered, usdc)
@@ -449,11 +450,19 @@ func (c *campaign) attempt(ws *workerState, i int, at int64, snaps []*vm.Snapsho
 	if err = ws.position(at); err != nil {
 		return
 	}
-	var deadline time.Time
+	var timeout chan struct{}
 	if c.cfg.TrialTimeout > 0 {
-		deadline = time.Now().Add(c.cfg.TrialTimeout)
+		timeout = make(chan struct{})
+		defer time.AfterFunc(c.cfg.TrialTimeout, func() { close(timeout) }).Stop()
 	}
-	tr, cycles, timedOut = c.finishTrial(ws.mach, plan, deadline, snaps)
+	start := time.Now()
+	tr, cycles, timedOut = c.finishTrial(ws.mach, plan, timeout, snaps)
+	// The timer closes Stop from its own goroutine, which a loaded host may
+	// schedule only after a short run has finished; an attempt that outlived
+	// TrialTimeout is a timeout either way.
+	if c.cfg.TrialTimeout > 0 && time.Since(start) >= c.cfg.TrialTimeout {
+		timedOut = true
+	}
 	return
 }
 

@@ -49,9 +49,10 @@ func (t *Tally) USDCInterval() (lo, hi float64) {
 	return Wilson(t.Count[USDC], t.N, z95)
 }
 
-// ciTight reports whether the Wilson interval for successes/n is no wider
-// than target.
-func ciTight(successes, n int, target float64) bool {
+// CITight reports whether the 95% Wilson interval for successes/n is no
+// wider than target — the Config.TargetCI early-stop criterion, which the
+// campaign service also applies to pooled cross-shard counts.
+func CITight(successes, n int, target float64) bool {
 	lo, hi := Wilson(successes, n, z95)
 	return hi-lo <= target
 }

@@ -15,7 +15,6 @@ package vm
 
 import (
 	"math"
-	"time"
 
 	"repro/internal/ir"
 )
@@ -125,12 +124,6 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 	tracer := m.opts.Tracer
 	profiler := m.opts.Profiler
 	stop := m.stop
-	// The wall-clock deadline shares the Stop poll cadence and, like Stop,
-	// costs nothing when unset; polled is the "any periodic poll armed" flag
-	// folded into the event threshold.
-	deadline := m.opts.Deadline
-	hasDeadline := !deadline.IsZero()
-	polled := stop != nil || hasDeadline
 	maxDyn := m.cfg.MaxDyn
 	tm := m.timing
 	lats := &m.lats
@@ -772,25 +765,19 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 					m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
 					return 0, &Trap{Kind: TrapWatchdog, Dyn: dyn, Fn: fn.Name}
 				}
-				if polled && dyn&stopCheckMask == 0 {
-					if stop != nil {
-						select {
-						case <-stop:
-							m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-							return 0, &Trap{Kind: TrapCancelled, Dyn: dyn, Fn: fn.Name}
-						default:
-						}
-					}
-					if hasDeadline && time.Now().After(deadline) {
+				if stop != nil && dyn&stopCheckMask == 0 {
+					select {
+					case <-stop:
 						m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-						return 0, &Trap{Kind: TrapDeadline, Dyn: dyn, Fn: fn.Name}
+						return 0, &Trap{Kind: TrapCancelled, Dyn: dyn, Fn: fn.Name}
+					default:
 					}
 				}
 				nextEvent = maxDyn
 				if suspendAt < nextEvent {
 					nextEvent = suspendAt
 				}
-				if polled && dyn|stopCheckMask < nextEvent {
+				if stop != nil && dyn|stopCheckMask < nextEvent {
 					nextEvent = dyn | stopCheckMask
 				}
 				if pendingReg && fault.TriggerDyn < nextEvent {
@@ -1058,25 +1045,19 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
 				return 0, &Trap{Kind: TrapWatchdog, Dyn: dyn, Fn: fn.Name}
 			}
-			if polled && dyn&stopCheckMask == 0 {
-				if stop != nil {
-					select {
-					case <-stop:
-						m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-						return 0, &Trap{Kind: TrapCancelled, Dyn: dyn, Fn: fn.Name}
-					default:
-					}
-				}
-				if hasDeadline && time.Now().After(deadline) {
+			if stop != nil && dyn&stopCheckMask == 0 {
+				select {
+				case <-stop:
 					m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-					return 0, &Trap{Kind: TrapDeadline, Dyn: dyn, Fn: fn.Name}
+					return 0, &Trap{Kind: TrapCancelled, Dyn: dyn, Fn: fn.Name}
+				default:
 				}
 			}
 			nextEvent = maxDyn
 			if suspendAt < nextEvent {
 				nextEvent = suspendAt
 			}
-			if polled && dyn|stopCheckMask < nextEvent {
+			if stop != nil && dyn|stopCheckMask < nextEvent {
 				nextEvent = dyn | stopCheckMask
 			}
 			if pendingReg && fault.TriggerDyn < nextEvent {

@@ -250,8 +250,9 @@ func TestEngineEquivalenceBranchFaults(t *testing.T) {
 	faultSweep(t, w, mod, vm.FaultBranchTarget, 25)
 }
 
-// TestEngineCancellation checks both engines honor the Stop channel and
-// report the cancellation trap rather than a partial result.
+// TestEngineCancellation checks both engines honor a closed Stop channel —
+// the hook behind context cancellation — with the cancellation trap rather
+// than a partial result.
 func TestEngineCancellation(t *testing.T) {
 	w := workloads.ByName("jpegdec")
 	mod, err := w.Compile()
@@ -281,14 +282,19 @@ func TestEngineCancellation(t *testing.T) {
 	}
 }
 
-// TestEngineDeadline checks both engines honor an already-expired wall-clock
-// deadline (the trial-reaping hook layered over the watchdog) and that an
-// unreachable deadline never perturbs a run.
+// TestEngineDeadline checks the wall-clock bound a campaign trial timeout
+// puts on a run: a Stop closed by a timer. On both engines an expired timer
+// gives the non-symptom cancellation trap, and a timer that never fires
+// leaves the run bit-identical to one with no Stop at all.
 func TestEngineDeadline(t *testing.T) {
 	w := workloads.ByName("jpegdec")
 	mod, err := w.Compile()
 	if err != nil {
 		t.Fatal(err)
+	}
+	deadline := func(d time.Duration) (chan struct{}, *time.Timer) {
+		stop := make(chan struct{})
+		return stop, time.AfterFunc(d, func() { close(stop) })
 	}
 	for _, engine := range []vm.EngineKind{vm.EngineFast, vm.EngineTree} {
 		cfg := vm.DefaultConfig()
@@ -306,26 +312,29 @@ func TestEngineDeadline(t *testing.T) {
 			t.Fatalf("engine %d: reference run trapped: %v", engine, ref.Trap)
 		}
 
+		expired, _ := deadline(0)
+		<-expired
 		mach.Reset()
-		res := mach.Run(vm.RunOptions{Deadline: time.Now().Add(-time.Second)})
-		if res.Trap == nil || res.Trap.Kind != vm.TrapDeadline {
-			t.Fatalf("engine %d: expected deadline trap, got %v", engine, res.Trap)
+		res := mach.Run(vm.RunOptions{Stop: expired})
+		if res.Trap == nil || res.Trap.Kind != vm.TrapCancelled {
+			t.Fatalf("engine %d: expected cancellation trap, got %v", engine, res.Trap)
 		}
 		if res.Trap.IsSymptom() {
-			t.Fatal("deadline must not classify as a hardware symptom")
+			t.Fatal("an expired deadline must not classify as a hardware symptom")
 		}
 
-		// A generous deadline must leave the run bit-identical to one with
-		// no deadline at all: the poll shares the Stop cadence and touches
-		// no machine state.
+		// The poll touches no machine state, so a deadline that never
+		// fires changes nothing.
+		far, timer := deadline(time.Hour)
 		mach.Reset()
-		far := mach.Run(vm.RunOptions{Deadline: time.Now().Add(time.Hour)})
-		if far.Trap != nil {
-			t.Fatalf("engine %d: far-deadline run trapped: %v", engine, far.Trap)
+		open := mach.Run(vm.RunOptions{Stop: far})
+		timer.Stop()
+		if open.Trap != nil {
+			t.Fatalf("engine %d: far-deadline run trapped: %v", engine, open.Trap)
 		}
-		if far.Ret != ref.Ret || far.Dyn != ref.Dyn || far.Cycles != ref.Cycles {
+		if open.Ret != ref.Ret || open.Dyn != ref.Dyn || open.Cycles != ref.Cycles {
 			t.Fatalf("engine %d: far-deadline run differs: (%d,%d,%d) != (%d,%d,%d)",
-				engine, far.Ret, far.Dyn, far.Cycles, ref.Ret, ref.Dyn, ref.Cycles)
+				engine, open.Ret, open.Dyn, open.Cycles, ref.Ret, ref.Dyn, ref.Cycles)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package vm
 
 import (
 	"math"
-	"time"
 
 	"repro/internal/ir"
 )
@@ -198,16 +197,11 @@ blockLoop:
 			if m.dyn > m.cfg.MaxDyn {
 				return 0, trapAt(TrapWatchdog)
 			}
-			if m.dyn&stopCheckMask == 0 {
-				if m.stop != nil {
-					select {
-					case <-m.stop:
-						return 0, trapAt(TrapCancelled)
-					default:
-					}
-				}
-				if d := m.opts.Deadline; !d.IsZero() && time.Now().After(d) {
-					return 0, trapAt(TrapDeadline)
+			if m.stop != nil && m.dyn&stopCheckMask == 0 {
+				select {
+				case <-m.stop:
+					return 0, trapAt(TrapCancelled)
+				default:
 				}
 			}
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"repro/internal/ir"
 )
@@ -101,7 +100,9 @@ type RunOptions struct {
 	// Stop, when non-nil, is polled every few thousand dynamic
 	// instructions; once it is closed the run terminates with a
 	// TrapCancelled. Program.RunContext wires a context's Done channel
-	// here so long runs are interruptible.
+	// here so long runs are interruptible, and a campaign's TrialTimeout
+	// closes a per-attempt channel here to reap trials the MaxDyn watchdog
+	// cannot bound. Unset (nil), the poll costs nothing.
 	Stop <-chan struct{}
 	// SuspendAtDyn, when positive, pauses the run at the first
 	// fault-eligible (non-phi) instruction whose dynamic index reaches the
@@ -113,14 +114,6 @@ type RunOptions struct {
 	// nothing when it is unset. Fast engine only; the tree interpreter
 	// ignores it.
 	SuspendAtDyn int64
-	// Deadline, when nonzero, bounds the run in wall clock: it is polled at
-	// the same cadence as Stop and the run terminates with a TrapDeadline
-	// once the clock passes it. Layered over MaxDyn, it reaps runs the
-	// dynamic-instruction watchdog cannot bound — a stuck host, a
-	// pathologically slow trial — at the price of wall-clock nondeterminism,
-	// so campaign code must treat TrapDeadline as "unknown", never as an
-	// outcome. Zero (the default) disables the poll entirely.
-	Deadline time.Time
 	// Fuse controls superinstruction dispatch (fast engine only): FuseAuto
 	// (the default) executes annotated hot instruction pairs through fused
 	// straight-line handlers whenever the span fits below the unified event

@@ -27,7 +27,6 @@ const (
 	TrapBadCall                // call to an unresolved function
 	TrapCancelled              // RunOptions.Stop closed (context cancellation)
 	TrapSuspended              // RunOptions.SuspendAtDyn reached; resumable via Run
-	TrapDeadline               // RunOptions.Deadline exceeded (wall-clock bound)
 )
 
 func (k TrapKind) String() string {
@@ -50,8 +49,6 @@ func (k TrapKind) String() string {
 		return "cancelled"
 	case TrapSuspended:
 		return "suspended"
-	case TrapDeadline:
-		return "deadline"
 	}
 	return fmt.Sprintf("trap(%d)", uint8(k))
 }

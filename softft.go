@@ -195,7 +195,7 @@ type Mode struct {
 }
 
 // Predefined protection modes (the paper's four configurations plus the
-// ABFT extension).
+// ABFT and control-flow-checking extensions).
 var (
 	// Original applies no protection.
 	Original = Mode{core.SchemeOriginal}
@@ -211,6 +211,11 @@ var (
 	// ABFT maintains per-kernel dual checksums over values stored by loop
 	// nests and compares them once at each kernel exit.
 	ABFT = Mode{core.SchemeABFT}
+	// ControlFlowChecks adds CFCSS-style signature checks for branch-target
+	// faults, which duplication and value checks do not cover (§IV-C).
+	// Compose it after another mode: Compose(DuplicationWithValueChecks,
+	// ControlFlowChecks) is "dupval+cfc".
+	ControlFlowChecks = Mode{core.SchemeCFC}
 )
 
 // ParseMode resolves a scheme name ("dupval") or a '+'-composition
@@ -298,6 +303,8 @@ type Stats struct {
 	DupChecks        int
 	ABFTKernels      int // kernel loops covered by ABFT checksums
 	ABFTChecks       int // checksum comparisons inserted at kernel exits
+	CFCChecks        int // control-flow signature checks inserted
+	CFCUnchecked     int // fan-in blocks the signature scheme could not check
 }
 
 // Option tunes a protection pass (see the paper's R_thr and the coverage
@@ -377,6 +384,8 @@ func (p *Program) ProtectWith(mode Mode, prof *Profile, opts ...Option) (*Progra
 		DupChecks:        st.DupChecks,
 		ABFTKernels:      st.ABFTKernels,
 		ABFTChecks:       st.ABFTChecks,
+		CFCChecks:        st.CFCChecks,
+		CFCUnchecked:     st.CFCUnchecked,
 	}, nil
 }
 
