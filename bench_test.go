@@ -406,6 +406,40 @@ func BenchmarkInterpreter(b *testing.B) {
 	}
 }
 
+// BenchmarkProfileRun measures value profiling (§III-C1), the offline step
+// that dominates set-up: one op is the Train-input profile run of every
+// benchmark, and ns/dyn is its cost per dynamic instruction.
+func BenchmarkProfileRun(b *testing.B) {
+	var machs []*vm.Machine
+	for _, w := range workloads.All() {
+		mod, err := w.Compile()
+		if err != nil {
+			b.Fatal(err)
+		}
+		mach, err := vm.New(mod, vm.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := w.Bind(mach, workloads.Train); err != nil {
+			b.Fatal(err)
+		}
+		machs = append(machs, mach)
+	}
+	var dyn int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, mach := range machs {
+			mach.Reset()
+			res := mach.Run(vm.RunOptions{Profiler: profile.NewCollector(profile.DefaultBins)})
+			if res.Trap != nil {
+				b.Fatal(res.Trap)
+			}
+			dyn += res.Dyn
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(dyn), "ns/dyn")
+}
+
 // BenchmarkCampaign measures end-to-end fault-campaign throughput (trials
 // per second) across the engine × checkpoint grid — the workload the
 // precompiled engine and the checkpoint scheduler exist to accelerate.

@@ -117,7 +117,7 @@ func runOn(w *workloads.Workload, mod *ir.Module, kind workloads.InputKind, opts
 // profileOn collects a value profile of mod on w's kind input.
 func profileOn(w *workloads.Workload, mod *ir.Module, kind workloads.InputKind) (*profile.Data, error) {
 	col := profile.NewCollector(profile.DefaultBins)
-	if _, err := runOn(w, mod.Clone(), kind, vm.RunOptions{Profiler: col}); err != nil {
+	if _, err := runOn(w, mod, kind, vm.RunOptions{Profiler: col}); err != nil {
 		return nil, fmt.Errorf("profiling: %w", err)
 	}
 	return col.Data(), nil

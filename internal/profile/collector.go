@@ -22,6 +22,9 @@ func (d *Data) Hist(uid int) *Histogram { return d.ByUID[uid] }
 type Collector struct {
 	bins int
 	data *Data
+	// hists resolves an instruction UID to its histogram in one index, so
+	// Data.ByUID is consulted only the first time a site is seen.
+	hists []*Histogram
 }
 
 // NewCollector returns a collector building histograms with the given bin
@@ -37,6 +40,10 @@ func NewCollector(bins int) *Collector {
 // total (deflating check coverage) but enter no bin, so no expected-value
 // check is ever planned around a constant that differs from the value the
 // program actually computes.
+//
+// Instruction UIDs are non-negative and dense within a module (Module.NewUID
+// hands out 1, 2, ... and Clone preserves them), so the collector keeps a
+// table indexed by UID; it grows only to the largest UID recorded.
 func (c *Collector) Record(in *ir.Instr, bits uint64) {
 	var v float64
 	ok := true
@@ -54,16 +61,34 @@ func (c *Collector) Record(in *ir.Instr, bits uint64) {
 			ok = false
 		}
 	}
-	h := c.data.ByUID[in.UID]
+	var h *Histogram
+	if in.UID < len(c.hists) {
+		h = c.hists[in.UID]
+	}
 	if h == nil {
-		h = NewHistogram(c.bins)
-		c.data.ByUID[in.UID] = h
+		h = c.site(in.UID)
 	}
 	if ok {
 		h.Add(v)
 	} else {
 		h.AddUncheckable()
 	}
+}
+
+// site resolves uid's histogram the first time Record sees it: the one in
+// Data.ByUID (Merge may have put it there) or a new one entered there, and
+// stores it in the table.
+func (c *Collector) site(uid int) *Histogram {
+	if uid >= len(c.hists) {
+		c.hists = append(c.hists, make([]*Histogram, uid+1-len(c.hists))...)
+	}
+	h := c.data.ByUID[uid]
+	if h == nil {
+		h = NewHistogram(c.bins)
+		c.data.ByUID[uid] = h
+	}
+	c.hists[uid] = h
+	return h
 }
 
 // int64 range bounds as float64s. maxInt64F is 2^63 exactly; any float
@@ -76,9 +101,11 @@ const (
 // Data returns the collected profiles.
 func (c *Collector) Data() *Data { return c.data }
 
-// Merge folds other into d by re-adding bin midpoints weighted by count.
-// This is an approximation (the underlying streams are gone), matching the
-// paper's suggestion of combining profiles from multiple inputs.
+// Merge folds other into d by re-adding each bin's midpoint (a point bin's
+// value) with the bin's full count. This is an approximation (the underlying
+// streams are gone), matching the paper's suggestion of combining profiles
+// from multiple inputs, but every count is carried over exactly: Total grows
+// by other's Total.
 func (d *Data) Merge(other *Data) {
 	for uid, oh := range other.ByUID {
 		h := d.ByUID[uid]
@@ -95,19 +122,11 @@ func (d *Data) Merge(other *Data) {
 			h.Total += oh.Total - binned
 		}
 		for _, b := range oh.Bins {
-			mid := (b.Lo + b.Hi) / 2
-			for i := uint64(0); i < b.Count; i++ {
-				if b.Lo == b.Hi {
-					h.Add(b.Lo)
-				} else {
-					h.Add(mid)
-				}
-				// Cap replay cost: counts beyond 1e4 per bin add no
-				// information to a 5-bin histogram.
-				if i > 10_000 {
-					break
-				}
+			v := b.Lo
+			if b.Lo != b.Hi {
+				v = (b.Lo + b.Hi) / 2
 			}
+			h.addN(v, b.Count)
 		}
 	}
 }

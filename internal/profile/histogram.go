@@ -56,8 +56,8 @@ func (h *Histogram) AddUncheckable() {
 func (h *Histogram) Add(v float64) {
 	h.Total++
 	// Line 1-3: if v falls into an existing bin, bump it.
-	i := sort.Search(len(h.Bins), func(i int) bool { return h.Bins[i].Hi >= v })
-	if i < len(h.Bins) && h.Bins[i].Lo <= v && v <= h.Bins[i].Hi {
+	i, covered := h.search(v)
+	if covered {
 		h.Bins[i].Count++
 		return
 	}
@@ -84,6 +84,33 @@ func (h *Histogram) Add(v float64) {
 		Count: h.Bins[best].Count + h.Bins[best+1].Count,
 	}
 	h.Bins = append(h.Bins[:best+1], h.Bins[best+2:]...)
+}
+
+// search returns the index of the first bin whose Hi is not below v (or
+// len(h.Bins)) and whether that bin covers v. With at most B bins a linear
+// scan beats a binary search; the negated comparison makes a NaN v scan past
+// every bin, as sort.Search's predicate Hi >= v would.
+func (h *Histogram) search(v float64) (int, bool) {
+	i := 0
+	for i < len(h.Bins) && !(h.Bins[i].Hi >= v) {
+		i++
+	}
+	return i, i < len(h.Bins) && h.Bins[i].Lo <= v
+}
+
+// addN inserts v n times. Bins only ever widen, so once Add has placed v
+// the bin that covers it keeps covering it, and the remaining n-1 inserts
+// just bump that bin. A value no bin can cover (NaN) counts toward Total
+// only, like an uncheckable observation.
+func (h *Histogram) addN(v float64, n uint64) {
+	if n == 0 {
+		return
+	}
+	h.Add(v)
+	h.Total += n - 1
+	if i, covered := h.search(v); covered {
+		h.Bins[i].Count += n - 1
+	}
 }
 
 // Range is a compact value range with its observed population.
