@@ -169,6 +169,9 @@ func runSolo(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if !m.NeedsProfile() && (*profIn != "" || *profOut != "") {
+		return usageError(fmt.Sprintf("-profile-in and -profile-out need a -mode that takes a value profile; %s does not", m))
+	}
 
 	if m != softft.Original {
 		var prof *softft.Profile
@@ -197,10 +200,13 @@ func runSolo(args []string, stdout, stderr io.Writer) error {
 				if err != nil {
 					return err
 				}
-				if err := prof.Save(f, prog.Name()); err != nil {
+				err = prof.Save(f, prog.Name())
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
+				if err != nil {
 					return err
 				}
-				f.Close()
 			}
 		}
 		var st softft.Stats

@@ -167,16 +167,16 @@ func FuzzCheckpointDivergence(f *testing.F) {
 // runs, where both paths must die on the same instruction with the same
 // trap record. Each program is checked unprotected and under FullDup, whose
 // duplicated producers and CmpCheck signatures exercise the
-// shadow-computation patterns (add+cmpcheck, cmpcheck+jmp) that plain
-// source cannot express.
+// shadow-computation patterns (add+add, cmpcheck+jmp) that plain source
+// cannot express.
 func FuzzFusionDivergence(f *testing.F) {
 	// Seeds declare the oracle's 64-word in/fin arrays: diffFuse binds both
 	// unconditionally, and smaller (or missing) globals skip the cell.
 	const hdr = "global int in[64]; global float fin[64]; global int out[64]; global float fout[64];\n"
 	// Straight-line arithmetic chains: back-to-back add/mul spans.
 	f.Add(hdr + "void main() { out[0] = in[0] * 3 + in[1] * 5 + in[2] + 7; }")
-	// Array-indexing loop: mul+add address chains, add+load, add+store, the
-	// cmp+br latch and the add+jmp(+phi) back edge.
+	// Array-indexing loop: mul+add address chains, add+load, the cmp+br
+	// latch and the add+jmp(+phi) back edge.
 	f.Add(hdr + "void main() { int s = 0; for (int i = 0; i < 24; i += 1) { s += in[i & 7] * i; out[i & 7] = s; } }")
 	// Float kernel: addf/mulf pairs.
 	f.Add(hdr + "void main() { float a = 0.0; for (int i = 0; i < 12; i += 1) { a = a * 1.5 + fin[i & 7]; } fout[0] = a; }")

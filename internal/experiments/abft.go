@@ -41,31 +41,18 @@ func ABFTvsDupVal(cfg fault.Config) ([]ABFTRow, string, error) {
 			return nil, "", err
 		}
 		for _, sch := range schemes {
-			variant := p.Variants[sch]
-			cyc := p.Cycles[sch]
-			if variant == nil {
-				// Composed schemes are not registry entries; build on demand.
-				m := p.Variants[core.SchemeOriginal].Module.Clone()
-				stats, err := core.Protect(m, sch, p.Profile, core.DefaultParams())
-				if err != nil {
-					return nil, "", fmt.Errorf("%s/%s: %w", name, sch, err)
-				}
-				variant = &Variant{Mode: sch, Module: m, Stats: stats}
-				res, err := timedRun(w, m, workloads.Test)
-				if err != nil {
-					return nil, "", fmt.Errorf("%s/%s: %w", name, sch, err)
-				}
-				cyc = res.Cycles
+			variant, err := p.Variant(sch)
+			if err != nil {
+				return nil, "", err
+			}
+			ov, err := p.Overhead(sch)
+			if err != nil {
+				return nil, "", err
 			}
 			rep, err := fault.Run(context.Background(), w.Target(workloads.Test),
 				variant.Module, core.Title(sch), cfg)
 			if err != nil {
 				return nil, "", err
-			}
-			base := p.Cycles[core.SchemeOriginal]
-			ov := 0.0
-			if base > 0 {
-				ov = float64(cyc)/float64(base) - 1
 			}
 			ta := rep.Tally
 			rows = append(rows, ABFTRow{

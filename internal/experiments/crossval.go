@@ -137,7 +137,11 @@ func FalsePositivesAll() ([]FalsePosRow, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		rep, err := fault.FalsePositives(w.Target(workloads.Test), p.Variants[core.SchemeDupVal].Module)
+		v, err := p.Variant(core.SchemeDupVal)
+		if err != nil {
+			return nil, "", err
+		}
+		rep, err := fault.FalsePositives(w.Target(workloads.Test), v.Module)
 		if err != nil {
 			return nil, "", err
 		}

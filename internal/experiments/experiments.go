@@ -19,28 +19,25 @@ import (
 	"repro/internal/workloads"
 )
 
-// Techniques evaluated by Prepare: every registered protection scheme (the
-// paper's four configurations first, then extensions). Registering a scheme
-// makes a protected variant, its fault-free timing, and campaign support
-// available to every experiment with no further wiring.
-var Techniques = core.SchemeNames()
-
 // Variant is one protected build of one workload.
 type Variant struct {
 	Mode   string
 	Module *ir.Module
 	Stats  *core.Stats
+	// Cycles is the build's golden cycle count on the test input (Figure 12).
+	Cycles int64
 }
 
 // Prepared caches everything derivable without fault injection for one
-// workload: the compiled module, its training profile, and all variants.
+// workload: the compiled module, its training profile, and every variant
+// built from them so far.
 type Prepared struct {
 	Workload *workloads.Workload
 	Profile  *profile.Data
-	Variants map[string]*Variant
-	// Golden cycle counts per mode on the test input (Figure 12).
-	Cycles map[string]int64
-	Dyn    map[string]int64
+
+	mod      *ir.Module // the unprotected compilation every variant clones
+	mu       sync.Mutex
+	variants map[string]*Variant
 }
 
 var (
@@ -48,7 +45,8 @@ var (
 	prepCache = map[string]*Prepared{}
 )
 
-// Prepare compiles, profiles and protects one workload (cached).
+// Prepare compiles and profiles one workload (cached). Variants are built on
+// first use by Prepared.Variant.
 func Prepare(w *workloads.Workload) (*Prepared, error) {
 	prepMu.Lock()
 	defer prepMu.Unlock()
@@ -65,36 +63,40 @@ func Prepare(w *workloads.Workload) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	p := &Prepared{
-		Workload: w,
-		Profile:  prof,
-		Variants: map[string]*Variant{},
-		Cycles:   map[string]int64{},
-		Dyn:      map[string]int64{},
-	}
-	for _, mode := range Techniques {
-		m := mod.Clone()
-		var prof *profile.Data
-		if sch, err := core.ParseScheme(mode); err == nil && sch.NeedsProfile() {
-			prof = p.Profile
-		}
-		stats, err := core.Protect(m, mode, prof, core.DefaultParams())
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", w.Name, mode, err)
-		}
-		p.Variants[mode] = &Variant{Mode: mode, Module: m, Stats: stats}
-
-		// Fault-free timing on the test input.
-		res, err := timedRun(w, m, workloads.Test)
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", w.Name, mode, err)
-		}
-		p.Cycles[mode] = res.Cycles
-		p.Dyn[mode] = res.Dyn
-	}
+	p := &Prepared{Workload: w, Profile: prof, mod: mod, variants: map[string]*Variant{}}
 	prepCache[w.Name] = p
 	return p, nil
+}
+
+// Variant returns the build of mode — a registered scheme or a
+// '+'-composition such as "abft+dupval" — protecting it and timing it
+// fault-free on the test input the first time it is asked for.
+func (p *Prepared) Variant(mode string) (*Variant, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if v, ok := p.variants[mode]; ok {
+		return v, nil
+	}
+	sch, err := core.ParseScheme(mode)
+	if err != nil {
+		return nil, err
+	}
+	var prof *profile.Data
+	if sch.NeedsProfile() {
+		prof = p.Profile
+	}
+	m := p.mod.Clone()
+	stats, err := core.Protect(m, mode, prof, core.DefaultParams())
+	if err != nil {
+		return nil, fmt.Errorf("%s/%s: %w", p.Workload.Name, mode, err)
+	}
+	res, err := timedRun(p.Workload, m, workloads.Test)
+	if err != nil {
+		return nil, fmt.Errorf("%s/%s: %w", p.Workload.Name, mode, err)
+	}
+	v := &Variant{Mode: mode, Module: m, Stats: stats, Cycles: res.Cycles}
+	p.variants[mode] = v
+	return v, nil
 }
 
 // runOn executes mod fault-free on w's kind input; a trap is an error.
@@ -130,18 +132,26 @@ func timedRun(w *workloads.Workload, mod *ir.Module, kind workloads.InputKind) (
 }
 
 // Overhead returns the runtime overhead of mode vs the original build.
-func (p *Prepared) Overhead(mode string) float64 {
-	base := p.Cycles[core.SchemeOriginal]
-	if base == 0 {
-		return 0
+func (p *Prepared) Overhead(mode string) (float64, error) {
+	base, err := p.Variant(core.SchemeOriginal)
+	if err != nil {
+		return 0, err
 	}
-	return float64(p.Cycles[mode])/float64(base) - 1
+	v, err := p.Variant(mode)
+	if err != nil || base.Cycles == 0 {
+		return 0, err
+	}
+	return float64(v.Cycles)/float64(base.Cycles) - 1, nil
 }
 
 // Campaign runs a fault campaign for one workload/mode pair on the given
 // input kind.
 func Campaign(p *Prepared, mode string, kind workloads.InputKind, cfg fault.Config) (*fault.Report, error) {
-	return fault.Run(context.Background(), p.Workload.Target(kind), p.Variants[mode].Module, core.Title(mode), cfg)
+	v, err := p.Variant(mode)
+	if err != nil {
+		return nil, err
+	}
+	return fault.Run(context.Background(), p.Workload.Target(kind), v.Module, core.Title(mode), cfg)
 }
 
 // GeoMean returns the geometric mean of 1+x values minus 1 (for overheads)

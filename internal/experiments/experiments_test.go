@@ -60,6 +60,7 @@ func TestFig10StaticStats(t *testing.T) {
 	if !strings.Contains(table, "mean") {
 		t.Error("missing mean row")
 	}
+	matchGolden(t, "fig10.txt", table)
 }
 
 func TestFig12OverheadShape(t *testing.T) {
@@ -85,7 +86,7 @@ func TestFig12OverheadShape(t *testing.T) {
 	if mDup > mVal {
 		t.Errorf("mean DupOnly overhead %v exceeds DupVal %v", mDup, mVal)
 	}
-	_ = table
+	matchGolden(t, "fig12.txt", table)
 }
 
 func TestFig2SharesSumToOne(t *testing.T) {
@@ -104,11 +105,12 @@ func TestFig2SharesSumToOne(t *testing.T) {
 	if !strings.Contains(table, "ASDC") {
 		t.Error("table missing ASDC column")
 	}
+	matchGolden(t, "fig2_t60.txt", table)
 }
 
 func TestFig11And13Directional(t *testing.T) {
 	cfg := tinyCfg()
-	rows11, _, err := Fig11(cfg)
+	rows11, table11, err := Fig11(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +135,9 @@ func TestFig11And13Directional(t *testing.T) {
 	}
 	t.Logf("aggregate USDC: orig=%d dup=%d dup+val=%d (of %d trials each)",
 		usdc[core.SchemeOriginal], usdc[core.SchemeDup], usdc[core.SchemeDupVal], trials[core.SchemeOriginal])
+	matchGolden(t, "fig11_t60.txt", table11)
 
-	rows13, _, err := Fig13(cfg)
+	rows13, table13, err := Fig13(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,6 +146,7 @@ func TestFig11And13Directional(t *testing.T) {
 			t.Errorf("%s/%s: SDC %v < ASDC+USDC %v", r.Name, r.Mode, r.SDC, r.ASDC+r.USDC)
 		}
 	}
+	matchGolden(t, "fig13_t60.txt", table13)
 }
 
 func TestFig1Narrative(t *testing.T) {
@@ -170,7 +174,7 @@ func TestFalsePositivesAll(t *testing.T) {
 			t.Errorf("%s: false positive every %.0f instructions is uselessly noisy", r.Name, r.InstrPerFail)
 		}
 	}
-	t.Logf("\n%s", table)
+	matchGolden(t, "falsepos.txt", table)
 }
 
 func TestCrossValidationDeltasSmall(t *testing.T) {
@@ -190,7 +194,7 @@ func TestCrossValidationDeltasSmall(t *testing.T) {
 			t.Errorf("%s: outcome delta %.2f implausibly large", r.Name, r.MaxOutcomeDelta)
 		}
 	}
-	t.Logf("\n%s", table)
+	matchGolden(t, "crossval_t120.txt", table)
 }
 
 func TestFullDupUSDC(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/ir"
 	"repro/internal/profile"
 	"repro/internal/workloads"
 )
@@ -28,7 +27,7 @@ type CFCRow struct {
 }
 
 // BranchFaults evaluates branch-target fault coverage for unprotected,
-// Dup+val-chks, and Dup+val-chks+CFC builds.
+// Dup+val-chks, and Dup+val-chks+CFC (dupval+cfc) builds.
 func BranchFaults(cfg fault.Config) ([]CFCRow, string, error) {
 	cfg.Model = fault.ModelBranchTarget
 	var rows []CFCRow
@@ -39,23 +38,17 @@ func BranchFaults(cfg fault.Config) ([]CFCRow, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		dupval := p.Variants[core.SchemeDupVal].Module
-
-		withCFC := dupval.Clone()
-		if _, err := core.Protect(withCFC, core.SchemeCFC, nil, core.DefaultParams()); err != nil {
-			return nil, "", err
-		}
-
-		configs := []struct {
-			label string
-			mod   *ir.Module
-		}{
-			{"Original", p.Variants[core.SchemeOriginal].Module},
-			{"Dup + val chks", dupval},
-			{"Dup + val chks + CFC", withCFC},
+		configs := []struct{ label, mode string }{
+			{"Original", core.SchemeOriginal},
+			{"Dup + val chks", core.SchemeDupVal},
+			{"Dup + val chks + CFC", core.SchemeDupVal + "+" + core.SchemeCFC},
 		}
 		for _, c := range configs {
-			rep, err := fault.Run(context.Background(), w.Target(workloads.Test), c.mod, c.label, cfg)
+			v, err := p.Variant(c.mode)
+			if err != nil {
+				return nil, "", err
+			}
+			rep, err := fault.Run(context.Background(), w.Target(workloads.Test), v.Module, c.label, cfg)
 			if err != nil {
 				return nil, "", err
 			}

@@ -42,6 +42,7 @@ func TestBranchFaultsCFCImprovesCoverage(t *testing.T) {
 	if !strings.Contains(table, "CFC detections") {
 		t.Error("table missing CFC column")
 	}
+	matchGolden(t, "branchfaults_t120.txt", table)
 }
 
 func TestMultiInputProfilingReducesFalsePositives(t *testing.T) {
@@ -63,7 +64,7 @@ func TestMultiInputProfilingReducesFalsePositives(t *testing.T) {
 		t.Errorf("multi-input profiling increased false positives: %d -> %d", singleFails, multiFails)
 	}
 	t.Logf("aggregate fault-free check failures on held-out input: %d (1 profile) -> %d (2 profiles)", singleFails, multiFails)
-	_ = table
+	matchGolden(t, "multiprofile.txt", table)
 }
 
 func TestRecoveryExperiment(t *testing.T) {

@@ -54,15 +54,9 @@ func FaultModelSweep(cfg fault.Config) ([]FaultModelRow, string, error) {
 		}
 		for _, model := range fault.ModelNames() {
 			for _, sch := range schemes {
-				variant := p.Variants[sch]
-				if variant == nil {
-					// Composed schemes are not registry entries; build on demand.
-					m := p.Variants[core.SchemeOriginal].Module.Clone()
-					stats, err := core.Protect(m, sch, p.Profile, core.DefaultParams())
-					if err != nil {
-						return nil, "", fmt.Errorf("%s/%s: %w", name, sch, err)
-					}
-					variant = &Variant{Mode: sch, Module: m, Stats: stats}
+				variant, err := p.Variant(sch)
+				if err != nil {
+					return nil, "", err
 				}
 				c := cfg
 				c.Model = model

@@ -38,4 +38,5 @@ func TestFaultModelSweepShape(t *testing.T) {
 	if !strings.Contains(table, "abft+dupval") {
 		t.Error("table missing the composed abft+dupval scheme")
 	}
+	matchGolden(t, "faultmodels_t10.txt", table)
 }

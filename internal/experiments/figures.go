@@ -175,7 +175,11 @@ func Fig10() ([]Fig10Row, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		st := p.Variants[core.SchemeDupVal].Stats
+		v, err := p.Variant(core.SchemeDupVal)
+		if err != nil {
+			return nil, "", err
+		}
+		st := v.Stats
 		r := Fig10Row{
 			Name:        w.Name,
 			StateVars:   st.FracStateVars(),
@@ -294,11 +298,15 @@ func Fig12() ([]Fig12Row, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		r := Fig12Row{
-			Name:    w.Name,
-			DupOnly: p.Overhead(core.SchemeDup),
-			DupVal:  p.Overhead(core.SchemeDupVal),
-			FullDup: p.Overhead(core.SchemeFullDup),
+		r := Fig12Row{Name: w.Name}
+		for mode, dst := range map[string]*float64{
+			core.SchemeDup:     &r.DupOnly,
+			core.SchemeDupVal:  &r.DupVal,
+			core.SchemeFullDup: &r.FullDup,
+		} {
+			if *dst, err = p.Overhead(mode); err != nil {
+				return nil, "", err
+			}
 		}
 		rows = append(rows, r)
 		od = append(od, r.DupOnly)

@@ -1,10 +1,14 @@
 package experiments
 
-// Golden-table regression for the §IV-D recovery experiment: restart
-// recovery must price and classify every trial exactly as the serial
-// restart loop it replaced. testdata/golden/recovery_t40.txt was rendered by
-// that loop — which re-executed every detected trial from a snapshot — at
-// 40 trials per benchmark and the default seed; any divergence means the
+// Golden-table regression: every figure and extension table the tests
+// render is compared byte for byte against testdata/golden/<name>.txt, so a
+// change that moves a published number has to regenerate a golden file in
+// plain sight. The trial counts are the small ones the shape tests already
+// use; no extra campaigns run for the pinning.
+//
+// recovery_t40.txt was rendered by the serial restart loop that restart
+// recovery replaced — it re-executed every detected trial from a snapshot —
+// at 40 trials per benchmark and the default seed; any divergence means the
 // scheduler changed a recovery outcome or a cycle count.
 
 import (
@@ -15,6 +19,19 @@ import (
 	"repro/internal/fault"
 )
 
+// matchGolden fails t unless table equals testdata/golden/name.
+func matchGolden(t *testing.T, name, table string) {
+	t.Helper()
+	path := filepath.Join("..", "..", "testdata", "golden", name)
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if table != string(want) {
+		t.Errorf("table diverged from %s:\n got:\n%s\nwant:\n%s", path, table, want)
+	}
+}
+
 func TestGoldenRecoveryTable(t *testing.T) {
 	cfg := fault.DefaultConfig()
 	cfg.Trials = 40
@@ -23,12 +40,5 @@ func TestGoldenRecoveryTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("..", "..", "testdata", "golden", "recovery_t40.txt")
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if table != string(want) {
-		t.Errorf("recovery table diverged from the serial restart loop's output (%s):\n got:\n%s\nwant:\n%s", path, table, want)
-	}
+	matchGolden(t, "recovery_t40.txt", table)
 }

@@ -33,7 +33,11 @@ func Recovery(cfg fault.Config) ([]RecoveryRow, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		rep, err := fault.RunWithRecovery(context.Background(), w.Target(workloads.Test), p.Variants[core.SchemeDupVal].Module, "Dup + val chks", cfg)
+		v, err := p.Variant(core.SchemeDupVal)
+		if err != nil {
+			return nil, "", err
+		}
+		rep, err := fault.RunWithRecovery(context.Background(), w.Target(workloads.Test), v.Module, "Dup + val chks", cfg)
 		if err != nil {
 			return nil, "", err
 		}

@@ -445,26 +445,6 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				pc += 2
 				continue
 
-			case fSubMulF:
-				fusedCnt++
-				dyn += 2
-				a0, a1 := fr.get(li.a0), fr.get(li.a1)
-				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[li.latk])
-				if done > maxDone {
-					maxDone = done
-				}
-				fr.define(int(li.dst), f2b(b2f(a0)-b2f(a1)), done)
-				b0, b1 := fr.get(l2.a0), fr.get(l2.a1)
-				opsReady = maxi(fr.readyAt(l2.a0), fr.readyAt(l2.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[l2.latk])
-				if done > maxDone {
-					maxDone = done
-				}
-				fr.define(int(l2.dst), f2b(b2f(b0)*b2f(b1)), done)
-				pc += 2
-				continue
-
 			case fAddLoad:
 				fusedCnt++
 				dyn++
@@ -488,32 +468,6 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 					maxDone = done
 				}
 				fr.define(int(l2.dst), mem[addr], done)
-				pc += 2
-				continue
-
-			case fLoadAdd:
-				fusedCnt++
-				dyn++
-				addr := fr.get(li.a0)
-				if addr == 0 || addr >= uint64(len(mem)) {
-					m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-					m.fusedSteps += fusedCnt
-					return 0, &Trap{Kind: TrapOOB, Dyn: dyn, Fn: fn.Name}
-				}
-				lat := tm.access(addr)
-				cur, slot, done = issueAt(cur, slot, width, fr.readyAt(li.a0), lat)
-				if done > maxDone {
-					maxDone = done
-				}
-				fr.define(int(li.dst), mem[addr], done)
-				dyn++
-				b0, b1 := fr.get(l2.a0), fr.get(l2.a1)
-				opsReady := maxi(fr.readyAt(l2.a0), fr.readyAt(l2.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[l2.latk])
-				if done > maxDone {
-					maxDone = done
-				}
-				fr.define(int(l2.dst), b0+b1, done)
 				pc += 2
 				continue
 
@@ -566,34 +520,6 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 					maxDone = done
 				}
 				fr.define(int(l2.dst), b0*b1, done)
-				pc += 2
-				continue
-
-			case fAddStore:
-				fusedCnt++
-				dyn++
-				a0, a1 := fr.get(li.a0), fr.get(li.a1)
-				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[li.latk])
-				if done > maxDone {
-					maxDone = done
-				}
-				fr.define(int(li.dst), a0+a1, done)
-				dyn++
-				addr := fr.get(l2.a0)
-				if addr == 0 || addr >= uint64(len(mem)) {
-					m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-					m.fusedSteps += fusedCnt
-					return 0, &Trap{Kind: TrapOOB, Dyn: dyn, Fn: fn.Name}
-				}
-				val := fr.get(l2.a1)
-				opsReady = maxi(fr.readyAt(l2.a0), fr.readyAt(l2.a1))
-				tm.access(addr)
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[latStore])
-				if done > maxDone {
-					maxDone = done
-				}
-				mem[addr] = val
 				pc += 2
 				continue
 
@@ -655,23 +581,6 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				pc = int(l2.then)
 				continue
 
-			case fAddFJmp:
-				fusedCnt++
-				dyn += 2
-				a0, a1 := fr.get(li.a0), fr.get(li.a1)
-				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[li.latk])
-				if done > maxDone {
-					maxDone = done
-				}
-				fr.define(int(li.dst), f2b(b2f(a0)+b2f(a1)), done)
-				cur, slot, done = issueAt(cur, slot, width, 0, 0)
-				if done > maxDone {
-					maxDone = done
-				}
-				pc = int(l2.then)
-				continue
-
 			case fJmpPhi:
 				// The phi copy is a pseudo-op: it advances dyn but never
 				// passes the event preamble (matching blockLoop), which is
@@ -690,34 +599,6 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				}
 				fr.define(int(pe.dst), v, done)
 				pc = int(pe.then)
-				continue
-
-			case fAddCmpCheck:
-				fusedCnt++
-				dyn++
-				a0, a1 := fr.get(li.a0), fr.get(li.a1)
-				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[li.latk])
-				if done > maxDone {
-					maxDone = done
-				}
-				fr.define(int(li.dst), a0+a1, done)
-				dyn++
-				a := fr.get(l2.a0)
-				b := fr.get(l2.a1)
-				opsReady = maxi(fr.readyAt(l2.a0), fr.readyAt(l2.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[latCheck])
-				if done > maxDone {
-					maxDone = done
-				}
-				if a != b {
-					m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-					if t := m.checkFailed(insTab[pc+1]); t != nil {
-						m.fusedSteps += fusedCnt
-						return 0, t
-					}
-				}
-				pc += 2
 				continue
 
 			case fCmpCheckJmp:

@@ -30,16 +30,16 @@ package vm
 //     the issue cursor and returns the same Trap its unfused counterpart
 //     would, so Result, snapshots and fault attribution are unchanged.
 //
-// Pattern selection is empirical: dynamic adjacent-pair frequencies were
-// measured over the 13 benchmark workloads under the original, dup, dupval
-// and abft protection schemes (block-body execution counts x static adjacency).
-// The table below covers ~90% of measured in-block pair weight; the
-// dominant patterns are the array-indexing chain (mul+add, add+load via
-// ptradd, load+arith), compare+branch loop latches, loop-counter
-// add+jmp(+phi) back edges, and FullDup's duplicated-producer signatures
-// (add+add shadow pairs, add+cmpcheck, cmpcheck+jmp). Division, remainder,
-// generic intrinsics, alloca, calls and non-CmpCheck checks never fuse:
-// their trap/arity paths are cold and not worth replicating.
+// Pattern selection is measured: a pattern stays in the table only while it
+// carries at least 1% of some registered scheme's fused steps, summed over
+// the 13 workloads' Test-input golden runs (TestFusedPatternsCarryWeight
+// replays fused dispatch over traced runs to enforce it). The survivors are
+// the array-indexing chain (mul+add, add+load via ptradd, load+arith),
+// compare+branch loop latches, loop-counter add+jmp(+phi) back edges, and
+// the duplication schemes' shadow signatures (add+add, cmpcheck+jmp).
+// Division, remainder, stores, generic intrinsics, alloca, calls and
+// non-CmpCheck checks never fuse: their trap/arity paths are cold or their
+// pairs too rare to pay for a handler.
 
 import "repro/internal/ir"
 
@@ -67,23 +67,18 @@ const (
 	fAddAddF
 	fMulAddF
 	fMulMulF
-	fSubMulF
 
 	// Memory pairs (address-generation chains).
 	fAddLoad
-	fLoadAdd
 	fLoadSub
 	fLoadMul
-	fAddStore
 
 	// Control pairs.
 	fCmpBrI
 	fAddJmp
-	fAddFJmp
 	fJmpPhi
 
-	// Duplicated-producer patterns (FullDup / ABFT shadow computation).
-	fAddCmpCheck
+	// Check pairs: a duplication comparison closing its block.
 	fCmpCheckJmp
 )
 
@@ -101,12 +96,8 @@ func fuseOf(a, b *linst) (fuseOp, uint8) {
 			return fAddLt, 2
 		case lopLoad:
 			return fAddLoad, 2
-		case lopStore:
-			return fAddStore, 2
 		case lopJmp:
 			return fAddJmp, 2
-		case lopCmpCheck:
-			return fAddCmpCheck, 2
 		}
 	case lopMulI:
 		switch b.op {
@@ -126,19 +117,14 @@ func fuseOf(a, b *linst) (fuseOp, uint8) {
 		}
 	case lopLoad:
 		switch b.op {
-		case lopAddI, lopPtrAdd:
-			return fLoadAdd, 2
 		case lopSubI:
 			return fLoadSub, 2
 		case lopMulI:
 			return fLoadMul, 2
 		}
 	case lopAddF:
-		switch b.op {
-		case lopAddF:
+		if b.op == lopAddF {
 			return fAddAddF, 2
-		case lopJmp:
-			return fAddFJmp, 2
 		}
 	case lopMulF:
 		switch b.op {
@@ -146,10 +132,6 @@ func fuseOf(a, b *linst) (fuseOp, uint8) {
 			return fMulAddF, 2
 		case lopMulF:
 			return fMulMulF, 2
-		}
-	case lopSubF:
-		if b.op == lopMulF {
-			return fSubMulF, 2
 		}
 	case lopEqI, lopNeI, lopLtI, lopLeI, lopGtI, lopGeI:
 		// The branch handler reads its condition from l2.a0 like the unfused
