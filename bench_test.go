@@ -367,45 +367,6 @@ func BenchmarkAblationRangeThreshold(b *testing.B) {
 	b.ReportMetric(float64(counts[1<<20]), "checks_rthr_1M")
 }
 
-// BenchmarkInterpreter measures raw single-run throughput on the heaviest
-// kernel for both execution engines (dynamic instructions per second appear
-// as the custom metric), so benchstat shows the precompiled engine's gain
-// over the tree-walking reference.
-func BenchmarkInterpreter(b *testing.B) {
-	w := workloads.ByName("jpegdec")
-	mod, err := w.Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, bc := range []struct {
-		name   string
-		engine vm.EngineKind
-	}{{"fast", vm.EngineFast}, {"tree", vm.EngineTree}} {
-		b.Run(bc.name, func(b *testing.B) {
-			cfg := vm.DefaultConfig()
-			cfg.Engine = bc.engine
-			mach, err := vm.New(mod.Clone(), cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := w.Bind(mach, workloads.Test); err != nil {
-				b.Fatal(err)
-			}
-			var dyn int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mach.Reset()
-				res := mach.Run(vm.RunOptions{})
-				if res.Trap != nil {
-					b.Fatal(res.Trap)
-				}
-				dyn += res.Dyn
-			}
-			b.ReportMetric(float64(dyn)/b.Elapsed().Seconds(), "instrs/s")
-		})
-	}
-}
-
 // BenchmarkProfileRun measures value profiling (§III-C1), the offline step
 // that dominates set-up: one op is the Train-input profile run of every
 // benchmark, and ns/dyn is its cost per dynamic instruction.

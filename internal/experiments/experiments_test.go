@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -220,5 +221,56 @@ func TestGeoMeanAndMean(t *testing.T) {
 	}
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Errorf("Mean = %v", got)
+	}
+}
+
+// TestCachedCampaignKeysOnResultFields asks the figure cache again with each
+// result-affecting fault.Config field changed: it must return that
+// configuration's Report, not the first call's. A throughput knob must
+// still hit the first entry.
+func TestCachedCampaignKeysOnResultFields(t *testing.T) {
+	p, err := Prepare(workloads.ByName("g721dec"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mode := core.SchemeOriginal
+	base := tinyCfg()
+	base.Trials = 24
+	first, err := cachedCampaign(p, mode, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		field string
+		set   func(*fault.Config)
+	}{
+		{"Model", func(c *fault.Config) { c.Model = "branch-target" }},
+		{"LargeChange", func(c *fault.Config) { c.LargeChange = 1e-6 }},
+		{"WatchdogFactor", func(c *fault.Config) { c.WatchdogFactor = 2 }},
+		{"SymptomWindow", func(c *fault.Config) { c.SymptomWindow = 1 }},
+		{"Seed", func(c *fault.Config) { c.Seed++ }},
+	} {
+		cfg := base
+		c.set(&cfg)
+		got, err := cachedCampaign(p, mode, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got == first {
+			t.Errorf("%s changed but the cache returned the first report", c.field)
+			continue
+		}
+		want, err := Campaign(p, mode, workloads.Test, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: cached report differs from a fresh campaign", c.field)
+		}
+	}
+	cfg := base
+	cfg.Workers = 1
+	if got, err := cachedCampaign(p, mode, cfg); err != nil || got != first {
+		t.Errorf("Workers is a throughput knob but missed the cache (err %v)", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -14,12 +15,29 @@ import (
 // campaign cache so figures sharing campaigns (2, 11, 13) reuse runs.
 var (
 	campMu    sync.Mutex
-	campCache = map[string]*fault.Report{}
+	campCache = map[campKey]*fault.Report{}
 )
+
+// campKey is a cached campaign's identity: the workload, the scheme and
+// every fault.Config field that can change its Report. The throughput knobs
+// (Workers, Engine, Checkpoints, Lockstep, Fuse, Converge) are left out, as
+// in the journal header; so are the journal and the hooks.
+type campKey struct {
+	workload, mode, model        string
+	trials, shardStart, shardEnd int
+	seed, window, watchdog       int64
+	largeChange, targetCI        float64
+	trialTimeout                 time.Duration
+}
 
 // cachedCampaign runs (or reuses) a campaign on the test input.
 func cachedCampaign(p *Prepared, mode string, cfg fault.Config) (*fault.Report, error) {
-	key := fmt.Sprintf("%s|%s|%d|%d", p.Workload.Name, mode, cfg.Trials, cfg.Seed)
+	key := campKey{
+		workload: p.Workload.Name, mode: mode, model: cfg.Model,
+		trials: cfg.Trials, shardStart: cfg.ShardStart, shardEnd: cfg.ShardEnd,
+		seed: cfg.Seed, window: cfg.SymptomWindow, watchdog: cfg.WatchdogFactor,
+		largeChange: cfg.LargeChange, targetCI: cfg.TargetCI, trialTimeout: cfg.TrialTimeout,
+	}
 	campMu.Lock()
 	if r, ok := campCache[key]; ok {
 		campMu.Unlock()

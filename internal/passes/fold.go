@@ -165,112 +165,47 @@ func sameValue(a, b ir.Value) bool {
 	return oka && okb && ca.Ty == cb.Ty && ca.Bits == cb.Bits
 }
 
-// foldConst evaluates an all-constant operation. Division by zero and other
-// trapping cases return nil (the trap must still happen at runtime).
+// foldConst evaluates an all-constant operation with ir.Eval, the evaluator
+// the machine executes, so a folded constant is bit-identical to the value
+// the machine would have computed. It returns nil for the traps (integer
+// division or remainder by zero, where Eval's ok is false) and for the
+// cases kept out of the folder on purpose: the MinInt64/-1 overflow wrap,
+// FToI saturation (NaN, ±Inf, out of range), float remainder, pointer
+// arithmetic, and ops outside the integer and float sets it folds.
+// TestFoldDeclines lists them.
 func foldConst(in *ir.Instr, c0, c1 *ir.Const) ir.Value {
-	if in.Ty == ir.F64 && in.Op != ir.OpFToI {
-		a := c0.Float()
-		var b float64
-		if c1 != nil {
-			b = c1.Float()
-		}
-		switch in.Op {
-		case ir.OpAdd:
-			return ir.ConstFloat(a + b)
-		case ir.OpSub:
-			return ir.ConstFloat(a - b)
-		case ir.OpMul:
-			return ir.ConstFloat(a * b)
-		case ir.OpDiv:
-			return ir.ConstFloat(a / b)
-		case ir.OpNeg:
-			return ir.ConstFloat(-a)
-		case ir.OpIToF:
-			return ir.ConstFloat(float64(c0.Int()))
-		}
-		return nil
-	}
-
-	x := c0.Int()
-	var y int64
+	var b1 uint64
 	if c1 != nil {
-		y = c1.Int()
+		b1 = c1.Bits
 	}
-	switch in.Op {
-	case ir.OpAdd:
-		return ir.ConstInt(x + y)
-	case ir.OpSub:
-		return ir.ConstInt(x - y)
-	case ir.OpMul:
-		return ir.ConstInt(x * y)
-	case ir.OpDiv:
-		if y == 0 || (x == math.MinInt64 && y == -1) {
+	isFloat := in.Ty == ir.F64 && in.Op != ir.OpFToI
+	switch {
+	case isFloat:
+		switch in.Op {
+		case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpNeg, ir.OpIToF:
+		default:
 			return nil
 		}
-		return ir.ConstInt(x / y)
-	case ir.OpRem:
-		if y == 0 || (x == math.MinInt64 && y == -1) {
+	case in.Op == ir.OpDiv || in.Op == ir.OpRem:
+		if c0.Int() == math.MinInt64 && int64(b1) == -1 {
 			return nil
 		}
-		return ir.ConstInt(x % y)
-	case ir.OpAnd:
-		return ir.ConstInt(x & y)
-	case ir.OpOr:
-		return ir.ConstInt(x | y)
-	case ir.OpXor:
-		return ir.ConstInt(x ^ y)
-	case ir.OpShl:
-		return ir.ConstInt(x << uint(y&63))
-	case ir.OpShr:
-		return ir.ConstInt(x >> uint(y&63))
-	case ir.OpNeg:
-		return ir.ConstInt(-x)
-	case ir.OpFToI:
+	case in.Op == ir.OpFToI:
 		f := c0.Float()
 		if math.IsNaN(f) || f >= math.MaxInt64 || f <= math.MinInt64 {
-			return nil // keep runtime saturation semantics out of the folder
+			return nil
 		}
-		return ir.ConstInt(int64(f))
-	case ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe:
-		var cond bool
-		if c0.Ty == ir.F64 {
-			a, b := c0.Float(), c1.Float()
-			switch in.Op {
-			case ir.OpEq:
-				cond = a == b
-			case ir.OpNe:
-				cond = a != b
-			case ir.OpLt:
-				cond = a < b
-			case ir.OpLe:
-				cond = a <= b
-			case ir.OpGt:
-				cond = a > b
-			case ir.OpGe:
-				cond = a >= b
-			}
-		} else {
-			switch in.Op {
-			case ir.OpEq:
-				cond = x == y
-			case ir.OpNe:
-				cond = x != y
-			case ir.OpLt:
-				cond = x < y
-			case ir.OpLe:
-				cond = x <= y
-			case ir.OpGt:
-				cond = x > y
-			case ir.OpGe:
-				cond = x >= y
-			}
-		}
-		if cond {
-			return ir.ConstInt(1)
-		}
-		return ir.ConstInt(0)
+	case in.Op == ir.OpPtrAdd || in.Op == ir.OpIToF:
+		return nil
 	}
-	return nil
+	bits, ok := ir.Eval(in.Op, in.Ty, c0.Ty, c0.Bits, b1)
+	if !ok {
+		return nil
+	}
+	if isFloat {
+		return &ir.Const{Ty: ir.F64, Bits: bits}
+	}
+	return ir.ConstInt(int64(bits))
 }
 
 // simplifyBranches converts conditional branches on constants into jumps

@@ -1,6 +1,7 @@
 package passes
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/ir"
@@ -124,19 +125,75 @@ func TestFoldMulByZero(t *testing.T) {
 	}
 }
 
-func TestFoldDoesNotFoldDivByZero(t *testing.T) {
-	f := foldFunc(t, func(b *ir.Builder) ir.Value {
-		return b.Bin(ir.OpDiv, ir.ConstInt(5), ir.ConstInt(0))
-	})
-	div := 0
-	f.Instrs(func(in *ir.Instr) bool {
-		if in.Op == ir.OpDiv {
-			div++
+// TestFoldDeclines lists every all-constant case the folder leaves to run
+// time: the traps, the MinInt64/-1 wrap, FToI saturation, float remainder
+// and pointer arithmetic. The folder computes with ir.Eval, the machine's
+// own evaluator, so this table is what keeps a shared evaluator from
+// widening folding silently.
+func TestFoldDeclines(t *testing.T) {
+	minInt, minusOne := ir.ConstInt(math.MinInt64), ir.ConstInt(-1)
+	ftoi := func(f float64) func(b *ir.Builder) ir.Value {
+		return func(b *ir.Builder) ir.Value { return b.FToI(ir.ConstFloat(f)) }
+	}
+	cases := []struct {
+		name  string
+		op    ir.Op
+		build func(b *ir.Builder) ir.Value
+	}{
+		{"div by 0", ir.OpDiv, func(b *ir.Builder) ir.Value { return b.Bin(ir.OpDiv, ir.ConstInt(5), ir.ConstInt(0)) }},
+		{"rem by 0", ir.OpRem, func(b *ir.Builder) ir.Value { return b.Bin(ir.OpRem, ir.ConstInt(5), ir.ConstInt(0)) }},
+		{"MinInt64 / -1", ir.OpDiv, func(b *ir.Builder) ir.Value { return b.Bin(ir.OpDiv, minInt, minusOne) }},
+		{"MinInt64 % -1", ir.OpRem, func(b *ir.Builder) ir.Value { return b.Bin(ir.OpRem, minInt, minusOne) }},
+		{"ftoi NaN", ir.OpFToI, ftoi(math.NaN())},
+		{"ftoi +Inf", ir.OpFToI, ftoi(math.Inf(1))},
+		{"ftoi -Inf", ir.OpFToI, ftoi(math.Inf(-1))},
+		{"ftoi 2^63", ir.OpFToI, ftoi(0x1p63)},
+		{"ftoi -2^63", ir.OpFToI, ftoi(-0x1p63)},
+		{"ftoi 1e19", ir.OpFToI, ftoi(1e19)},
+		{"ftoi -1e19", ir.OpFToI, ftoi(-1e19)},
+		{"f64 rem", ir.OpRem, func(b *ir.Builder) ir.Value { return b.Bin(ir.OpRem, ir.ConstFloat(7.5), ir.ConstFloat(2)) }},
+		{"ptradd", ir.OpPtrAdd, func(b *ir.Builder) ir.Value { return b.PtrAdd(&ir.Const{Ty: ir.Ptr, Bits: 1}, ir.ConstInt(2)) }},
+	}
+	for _, c := range cases {
+		f := foldFunc(t, c.build)
+		n := 0
+		f.Instrs(func(in *ir.Instr) bool {
+			if in.Op == c.op {
+				n++
+			}
+			return true
+		})
+		if n != 1 {
+			t.Errorf("%s was folded:\n%s", c.name, f.Dump())
 		}
-		return true
-	})
-	if div != 1 {
-		t.Fatal("trapping division was folded away")
+	}
+}
+
+// TestFoldEdgeValues checks that edge cases the folder does fold give the
+// machine's bits: signed zeros, masked shift counts, NaN comparisons and
+// truncating FToI.
+func TestFoldEdgeValues(t *testing.T) {
+	negZero := math.Float64bits(math.Copysign(0, -1))
+	cases := []struct {
+		name  string
+		build func(b *ir.Builder) ir.Value
+		want  uint64
+	}{
+		{"neg 0.0", func(b *ir.Builder) ir.Value { return b.Neg(ir.ConstFloat(0)) }, negZero},
+		{"shl count 65", func(b *ir.Builder) ir.Value { return b.Bin(ir.OpShl, ir.ConstInt(1), ir.ConstInt(65)) }, 2},
+		{"NaN == NaN", func(b *ir.Builder) ir.Value {
+			return b.Bin(ir.OpEq, ir.ConstFloat(math.NaN()), ir.ConstFloat(math.NaN()))
+		}, 0},
+		{"-0.0 == 0.0", func(b *ir.Builder) ir.Value {
+			return b.Bin(ir.OpEq, &ir.Const{Ty: ir.F64, Bits: negZero}, ir.ConstFloat(0))
+		}, 1},
+		{"ftoi -2.9", func(b *ir.Builder) ir.Value { return b.FToI(ir.ConstFloat(-2.9)) }, uint64(math.MaxUint64 - 1)},
+	}
+	for _, c := range cases {
+		f := foldFunc(t, c.build)
+		if got := storedConst(t, f).Bits; got != c.want {
+			t.Errorf("%s folded to %#x, want %#x", c.name, got, c.want)
+		}
 	}
 }
 

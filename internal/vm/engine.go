@@ -130,9 +130,11 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 	mem := m.mem
 	insTab := ef.ins
 
-	// The issue cursor stays in registers too — timing.issue is the one
-	// call every dynamic instruction makes — flushed alongside dyn at every
-	// escape point and reloaded after nested calls (see issueAt).
+	// The issue state — cycle, slot count, completion horizon — stays in
+	// locals too, threaded through issueAt, the one call every dynamic
+	// instruction makes; it is flushed alongside dyn at every escape point
+	// and reloaded after nested calls. issueAt is out of line here: the
+	// inliner caps what this big function inlines at cost 20.
 	cur, slot, maxDone := tm.cursor, tm.slotUsed, tm.maxDone
 	width := tm.width
 	bpen := tm.cfg.BranchPenalty
@@ -230,17 +232,11 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				dyn += 2
 				a0, a1 := fr.get(li.a0), fr.get(li.a1)
 				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[li.latk])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[li.latk])
 				fr.define(int(li.dst), a0+a1, done)
 				b0, b1 := fr.get(l2.a0), fr.get(l2.a1)
 				opsReady = maxi(fr.readyAt(l2.a0), fr.readyAt(l2.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[l2.latk])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[l2.latk])
 				fr.define(int(l2.dst), b0+b1, done)
 				pc += 2
 				continue
@@ -250,17 +246,11 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				dyn += 2
 				a0, a1 := fr.get(li.a0), fr.get(li.a1)
 				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[li.latk])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[li.latk])
 				fr.define(int(li.dst), a0+a1, done)
 				b0, b1 := fr.get(l2.a0), fr.get(l2.a1)
 				opsReady = maxi(fr.readyAt(l2.a0), fr.readyAt(l2.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[l2.latk])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[l2.latk])
 				fr.define(int(l2.dst), b0-b1, done)
 				pc += 2
 				continue
@@ -270,17 +260,11 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				dyn += 2
 				a0, a1 := fr.get(li.a0), fr.get(li.a1)
 				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[li.latk])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[li.latk])
 				fr.define(int(li.dst), a0+a1, done)
 				b0, b1 := fr.get(l2.a0), fr.get(l2.a1)
 				opsReady = maxi(fr.readyAt(l2.a0), fr.readyAt(l2.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[l2.latk])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[l2.latk])
 				fr.define(int(l2.dst), cbits(int64(b0) < int64(b1)), done)
 				pc += 2
 				continue
@@ -290,17 +274,11 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				dyn += 2
 				a0, a1 := fr.get(li.a0), fr.get(li.a1)
 				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[li.latk])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[li.latk])
 				fr.define(int(li.dst), a0*a1, done)
 				b0, b1 := fr.get(l2.a0), fr.get(l2.a1)
 				opsReady = maxi(fr.readyAt(l2.a0), fr.readyAt(l2.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[l2.latk])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[l2.latk])
 				fr.define(int(l2.dst), b0+b1, done)
 				pc += 2
 				continue
@@ -310,17 +288,11 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				dyn += 2
 				a0, a1 := fr.get(li.a0), fr.get(li.a1)
 				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[li.latk])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[li.latk])
 				fr.define(int(li.dst), a0*a1, done)
 				b0, b1 := fr.get(l2.a0), fr.get(l2.a1)
 				opsReady = maxi(fr.readyAt(l2.a0), fr.readyAt(l2.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[l2.latk])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[l2.latk])
 				fr.define(int(l2.dst), b0-b1, done)
 				pc += 2
 				continue
@@ -330,17 +302,11 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				dyn += 2
 				a0, a1 := fr.get(li.a0), fr.get(li.a1)
 				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[li.latk])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[li.latk])
 				fr.define(int(li.dst), a0*a1, done)
 				b0, b1 := fr.get(l2.a0), fr.get(l2.a1)
 				opsReady = maxi(fr.readyAt(l2.a0), fr.readyAt(l2.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[l2.latk])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[l2.latk])
 				fr.define(int(l2.dst), b0*b1, done)
 				pc += 2
 				continue
@@ -350,17 +316,11 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				dyn += 2
 				a0, a1 := fr.get(li.a0), fr.get(li.a1)
 				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[li.latk])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[li.latk])
 				fr.define(int(li.dst), a0-a1, done)
 				b0, b1 := fr.get(l2.a0), fr.get(l2.a1)
 				opsReady = maxi(fr.readyAt(l2.a0), fr.readyAt(l2.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[l2.latk])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[l2.latk])
 				fr.define(int(l2.dst), b0+b1, done)
 				pc += 2
 				continue
@@ -370,17 +330,11 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				dyn += 2
 				a0, a1 := fr.get(li.a0), fr.get(li.a1)
 				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[li.latk])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[li.latk])
 				fr.define(int(li.dst), a0-a1, done)
 				b0, b1 := fr.get(l2.a0), fr.get(l2.a1)
 				opsReady = maxi(fr.readyAt(l2.a0), fr.readyAt(l2.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[l2.latk])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[l2.latk])
 				fr.define(int(l2.dst), b0*b1, done)
 				pc += 2
 				continue
@@ -390,17 +344,11 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				dyn += 2
 				a0, a1 := fr.get(li.a0), fr.get(li.a1)
 				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[li.latk])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[li.latk])
 				fr.define(int(li.dst), f2b(b2f(a0)+b2f(a1)), done)
 				b0, b1 := fr.get(l2.a0), fr.get(l2.a1)
 				opsReady = maxi(fr.readyAt(l2.a0), fr.readyAt(l2.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[l2.latk])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[l2.latk])
 				fr.define(int(l2.dst), f2b(b2f(b0)+b2f(b1)), done)
 				pc += 2
 				continue
@@ -410,17 +358,11 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				dyn += 2
 				a0, a1 := fr.get(li.a0), fr.get(li.a1)
 				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[li.latk])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[li.latk])
 				fr.define(int(li.dst), f2b(b2f(a0)*b2f(a1)), done)
 				b0, b1 := fr.get(l2.a0), fr.get(l2.a1)
 				opsReady = maxi(fr.readyAt(l2.a0), fr.readyAt(l2.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[l2.latk])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[l2.latk])
 				fr.define(int(l2.dst), f2b(b2f(b0)+b2f(b1)), done)
 				pc += 2
 				continue
@@ -430,17 +372,11 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				dyn += 2
 				a0, a1 := fr.get(li.a0), fr.get(li.a1)
 				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[li.latk])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[li.latk])
 				fr.define(int(li.dst), f2b(b2f(a0)*b2f(a1)), done)
 				b0, b1 := fr.get(l2.a0), fr.get(l2.a1)
 				opsReady = maxi(fr.readyAt(l2.a0), fr.readyAt(l2.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[l2.latk])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[l2.latk])
 				fr.define(int(l2.dst), f2b(b2f(b0)*b2f(b1)), done)
 				pc += 2
 				continue
@@ -450,10 +386,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				dyn++
 				a0, a1 := fr.get(li.a0), fr.get(li.a1)
 				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[li.latk])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[li.latk])
 				fr.define(int(li.dst), a0+a1, done)
 				dyn++
 				addr := fr.get(l2.a0)
@@ -463,10 +396,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 					return 0, &Trap{Kind: TrapOOB, Dyn: dyn, Fn: fn.Name}
 				}
 				lat := tm.access(addr)
-				cur, slot, done = issueAt(cur, slot, width, fr.readyAt(l2.a0), lat)
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, fr.readyAt(l2.a0), lat)
 				fr.define(int(l2.dst), mem[addr], done)
 				pc += 2
 				continue
@@ -481,18 +411,12 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 					return 0, &Trap{Kind: TrapOOB, Dyn: dyn, Fn: fn.Name}
 				}
 				lat := tm.access(addr)
-				cur, slot, done = issueAt(cur, slot, width, fr.readyAt(li.a0), lat)
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, fr.readyAt(li.a0), lat)
 				fr.define(int(li.dst), mem[addr], done)
 				dyn++
 				b0, b1 := fr.get(l2.a0), fr.get(l2.a1)
 				opsReady := maxi(fr.readyAt(l2.a0), fr.readyAt(l2.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[l2.latk])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[l2.latk])
 				fr.define(int(l2.dst), b0-b1, done)
 				pc += 2
 				continue
@@ -507,18 +431,12 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 					return 0, &Trap{Kind: TrapOOB, Dyn: dyn, Fn: fn.Name}
 				}
 				lat := tm.access(addr)
-				cur, slot, done = issueAt(cur, slot, width, fr.readyAt(li.a0), lat)
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, fr.readyAt(li.a0), lat)
 				fr.define(int(li.dst), mem[addr], done)
 				dyn++
 				b0, b1 := fr.get(l2.a0), fr.get(l2.a1)
 				opsReady := maxi(fr.readyAt(l2.a0), fr.readyAt(l2.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[l2.latk])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[l2.latk])
 				fr.define(int(l2.dst), b0*b1, done)
 				pc += 2
 				continue
@@ -528,10 +446,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				dyn += 2
 				a0, a1 := fr.get(li.a0), fr.get(li.a1)
 				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[li.latk])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[li.latk])
 				var bits uint64
 				switch li.op {
 				case lopEqI:
@@ -552,10 +467,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				// branch's own operand slot — the fused pair does not assume
 				// the compare feeds the branch.
 				cond := fr.get(l2.a0)
-				cur, slot, done = issueAt(cur, slot, width, fr.readyAt(l2.a0), 0)
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, _ = issueAt(cur, slot, width, maxDone, fr.readyAt(l2.a0), 0)
 				cur, slot = branchAt(cur, slot, pred, predMask, int(l2.aux), cond != 0, bpen)
 				if cond != 0 {
 					pc = int(l2.then)
@@ -569,15 +481,9 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				dyn += 2
 				a0, a1 := fr.get(li.a0), fr.get(li.a1)
 				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[li.latk])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[li.latk])
 				fr.define(int(li.dst), a0+a1, done)
-				cur, slot, done = issueAt(cur, slot, width, 0, 0)
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, _ = issueAt(cur, slot, width, maxDone, 0, 0)
 				pc = int(l2.then)
 				continue
 
@@ -587,16 +493,10 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				// why this span's fspan is 1.
 				fusedCnt++
 				dyn += 2
-				cur, slot, done = issueAt(cur, slot, width, 0, 0)
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, _ = issueAt(cur, slot, width, maxDone, 0, 0)
 				pe := &code[li.then]
 				v := fr.get(pe.a0)
-				cur, slot, done = issueAt(cur, slot, width, 0, lats[latInt])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, 0, lats[latInt])
 				fr.define(int(pe.dst), v, done)
 				pc = int(pe.then)
 				continue
@@ -607,10 +507,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				a := fr.get(li.a0)
 				b := fr.get(li.a1)
 				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
-				cur, slot, done = issueAt(cur, slot, width, opsReady, lats[latCheck])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, _ = issueAt(cur, slot, width, maxDone, opsReady, lats[latCheck])
 				if a != b {
 					m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
 					if t := m.checkFailed(insTab[pc]); t != nil {
@@ -619,10 +516,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 					}
 				}
 				dyn++
-				cur, slot, done = issueAt(cur, slot, width, 0, 0)
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, _ = issueAt(cur, slot, width, maxDone, 0, 0)
 				pc = int(l2.then)
 				continue
 			}
@@ -812,16 +706,16 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				}
 				bits = uint64(v)
 
-			case lopIntrinsic1, lopIntrinsic2:
-				var ok bool
-				bits, ok = execIntrinsic(ir.Intrinsic(li.aux), a0, a1)
-				if !ok {
-					m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-					return 0, &Trap{Kind: TrapBadCall, Dyn: dyn, Fn: fn.Name}
+			case lopIntrinsic1, lopIntrinsic2, lopIntrinsic:
+				// The arity-zoned forms carry the kind in aux; the generic
+				// form reads it from the side table. Clamp, the one reader
+				// of a third operand, has its own opcode.
+				kind := ir.Intrinsic(li.aux)
+				if op == lopIntrinsic {
+					kind = insTab[pc].Intrinsic
 				}
-			case lopIntrinsic:
 				var ok bool
-				bits, ok = execIntrinsic(insTab[pc].Intrinsic, a0, a1)
+				bits, ok = ir.EvalIntrinsic(kind, a0, a1, 0)
 				if !ok {
 					m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
 					return 0, &Trap{Kind: TrapBadCall, Dyn: dyn, Fn: fn.Name}
@@ -831,10 +725,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 			}
 
 			var done int64
-			cur, slot, done = issueAt(cur, slot, width, opsReady, lats[li.latk])
-			if done > maxDone {
-				maxDone = done
-			}
+			cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[li.latk])
 			fr.define(int(li.dst), bits, done)
 			if li.prof && profiler != nil {
 				profiler.Record(insTab[pc], bits)
@@ -854,10 +745,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 			v := fr.get(li.a0)
 			dyn++
 			var done int64
-			cur, slot, done = issueAt(cur, slot, width, 0, lats[latInt])
-			if done > maxDone {
-				maxDone = done
-			}
+			cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, 0, lats[latInt])
 			fr.define(int(li.dst), v, done)
 			if tracer != nil {
 				tracer.Trace(dyn, fn.Name, insTab[pc], v)
@@ -870,10 +758,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				v := fr.get(moves[i].src)
 				dyn++
 				var done int64
-				cur, slot, done = issueAt(cur, slot, width, 0, lats[latInt])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, 0, lats[latInt])
 				fr.define(int(moves[i].dst), v, done)
 				if tracer != nil {
 					tracer.Trace(dyn, fn.Name, moves[i].in, v)
@@ -890,10 +775,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 			for i := range moves {
 				dyn++
 				var done int64
-				cur, slot, done = issueAt(cur, slot, width, 0, lats[latInt])
-				if done > maxDone {
-					maxDone = done
-				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, 0, lats[latInt])
 				fr.define(int(moves[i].dst), scratch[i], done)
 				if tracer != nil {
 					tracer.Trace(dyn, fn.Name, moves[i].in, scratch[i])
@@ -957,11 +839,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 		var tbits uint64
 		switch op {
 		case lopJmp:
-			var done int64
-			cur, slot, done = issueAt(cur, slot, width, 0, 0)
-			if done > maxDone {
-				maxDone = done
-			}
+			cur, slot, maxDone, _ = issueAt(cur, slot, width, maxDone, 0, 0)
 			if tracer != nil {
 				tracer.Trace(dyn, fn.Name, insTab[pc], 0)
 			}
@@ -987,11 +865,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 
 		case lopBr:
 			cond := fr.get(li.a0)
-			var done int64
-			cur, slot, done = issueAt(cur, slot, width, fr.readyAt(li.a0), 0)
-			if done > maxDone {
-				maxDone = done
-			}
+			cur, slot, maxDone, _ = issueAt(cur, slot, width, maxDone, fr.readyAt(li.a0), 0)
 			cur, slot = branchAt(cur, slot, pred, predMask, int(li.aux), cond != 0, bpen)
 			if tracer != nil {
 				tracer.Trace(dyn, fn.Name, insTab[pc], 0)
@@ -1025,11 +899,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 			if li.nargs > 0 {
 				ret = fr.get(li.a0)
 			}
-			var done int64
-			cur, slot, done = issueAt(cur, slot, width, 0, 0)
-			if done > maxDone {
-				maxDone = done
-			}
+			cur, slot, maxDone, _ = issueAt(cur, slot, width, maxDone, 0, 0)
 			if tracer != nil {
 				tracer.Trace(dyn, fn.Name, insTab[pc], 0)
 			}
@@ -1053,11 +923,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 					opsReady = r
 				}
 			}
-			var done int64
-			cur, slot, done = issueAt(cur, slot, width, opsReady, m.cfg.Timing.CallOverhead)
-			if done > maxDone {
-				maxDone = done
-			}
+			cur, slot, maxDone, _ = issueAt(cur, slot, width, maxDone, opsReady, m.cfg.Timing.CallOverhead)
 			m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
 			ret, trap := m.execCall(cs.callee, cargs, depth+1)
 			if trap != nil {
@@ -1091,11 +957,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 			val := fr.get(li.a1)
 			opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
 			tm.access(addr)
-			var done int64
-			cur, slot, done = issueAt(cur, slot, width, opsReady, lats[latStore])
-			if done > maxDone {
-				maxDone = done
-			}
+			cur, slot, maxDone, _ = issueAt(cur, slot, width, maxDone, opsReady, lats[latStore])
 			mem[addr] = val
 
 		case lopLoad:
@@ -1106,10 +968,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 			}
 			lat := tm.access(addr)
 			var done int64
-			cur, slot, done = issueAt(cur, slot, width, fr.readyAt(li.a0), lat)
-			if done > maxDone {
-				maxDone = done
-			}
+			cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, fr.readyAt(li.a0), lat)
 			bits := mem[addr]
 			fr.define(int(li.dst), bits, done)
 			tbits = bits
@@ -1126,10 +985,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 			addr := m.sp
 			m.sp += size
 			var done int64
-			cur, slot, done = issueAt(cur, slot, width, 0, lats[latInt])
-			if done > maxDone {
-				maxDone = done
-			}
+			cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, 0, lats[latInt])
 			fr.define(int(li.dst), addr, done)
 			tbits = addr
 
@@ -1137,11 +993,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 			a := fr.get(li.a0)
 			b := fr.get(li.a1)
 			opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
-			var done int64
-			cur, slot, done = issueAt(cur, slot, width, opsReady, lats[latCheck])
-			if done > maxDone {
-				maxDone = done
-			}
+			cur, slot, maxDone, _ = issueAt(cur, slot, width, maxDone, opsReady, lats[latCheck])
 			if a != b {
 				m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
 				if t := m.checkFailed(insTab[pc]); t != nil {
@@ -1153,11 +1005,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 			v := int64(fr.get(li.a0))
 			lo := int64(fr.get(li.a1))
 			hi := int64(fr.get(li.aux))
-			var done int64
-			cur, slot, done = issueAt(cur, slot, width, fr.readyAt(li.a0), lats[latCheck])
-			if done > maxDone {
-				maxDone = done
-			}
+			cur, slot, maxDone, _ = issueAt(cur, slot, width, maxDone, fr.readyAt(li.a0), lats[latCheck])
 			if v < lo || v > hi {
 				m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
 				if t := m.checkFailed(insTab[pc]); t != nil {
@@ -1169,11 +1017,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 			v := b2f(fr.get(li.a0))
 			lo := b2f(fr.get(li.a1))
 			hi := b2f(fr.get(li.aux))
-			var done int64
-			cur, slot, done = issueAt(cur, slot, width, fr.readyAt(li.a0), lats[latCheck])
-			if done > maxDone {
-				maxDone = done
-			}
+			cur, slot, maxDone, _ = issueAt(cur, slot, width, maxDone, fr.readyAt(li.a0), lats[latCheck])
 			if !(v >= lo && v <= hi) {
 				m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
 				if t := m.checkFailed(insTab[pc]); t != nil {
@@ -1187,11 +1031,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 			if !ok && li.nargs == 3 {
 				ok = v == fr.get(li.aux)
 			}
-			var done int64
-			cur, slot, done = issueAt(cur, slot, width, fr.readyAt(li.a0), lats[latCheck])
-			if done > maxDone {
-				maxDone = done
-			}
+			cur, slot, maxDone, _ = issueAt(cur, slot, width, maxDone, fr.readyAt(li.a0), lats[latCheck])
 			if !ok {
 				m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
 				if t := m.checkFailed(insTab[pc]); t != nil {
@@ -1207,11 +1047,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 			if !ok && li.nargs == 3 {
 				ok = v == b2f(fr.get(li.aux))
 			}
-			var done int64
-			cur, slot, done = issueAt(cur, slot, width, fr.readyAt(li.a0), lats[latCheck])
-			if done > maxDone {
-				maxDone = done
-			}
+			cur, slot, maxDone, _ = issueAt(cur, slot, width, maxDone, fr.readyAt(li.a0), lats[latCheck])
 			if !ok {
 				m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
 				if t := m.checkFailed(insTab[pc]); t != nil {
@@ -1224,46 +1060,6 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 		}
 		pc++
 	}
-}
-
-// issueAt is timing.issue over register-resident cursor state: execLoop keeps
-// the issue cycle, slot count and completion horizon in locals — the one call
-// every dynamic instruction makes must not go through memory — and flushes
-// them back to the timing struct at every escape point.
-func issueAt(cur int64, slot, width int, opsReady, lat int64) (int64, int, int64) {
-	at := cur
-	if opsReady > at {
-		at = opsReady
-		cur = opsReady
-		slot = 0
-	}
-	slot++
-	if slot >= width {
-		cur++
-		slot = 0
-	}
-	return cur, slot, at + lat
-}
-
-// branchAt is timing.branch over the same register-resident state.
-func branchAt(cur int64, slot int, pred []uint8, predMask, uid int, taken bool, bpen int64) (int64, int) {
-	var s int
-	if predMask >= 0 {
-		s = uid & predMask
-	} else {
-		s = uid % len(pred)
-	}
-	p := pred[s]
-	if (p >= 2) != taken {
-		cur += bpen
-		slot = 0
-	}
-	if taken && p < 3 {
-		pred[s] = p + 1
-	} else if !taken && p > 0 {
-		pred[s] = p - 1
-	}
-	return cur, slot
 }
 
 // engineBranchFault is the engine counterpart of maybeBranchFault: when a
@@ -1311,48 +1107,6 @@ func (m *Machine) dynEdge(ef *engFunc, fr *frame, from, to *ir.Block) (int, *Tra
 	}
 	m.phiScratch = scratch[:0]
 	return int(ef.bodyPC[to.Index]), nil
-}
-
-// execIntrinsic executes a lowered intrinsic call (clamp has its own opcode).
-// Each case corresponds to one resolved path through evalIntrinsic in exec.go;
-// ok is false for an unknown kind, which the dispatch loop turns into the
-// interpreter's bad-call trap.
-func execIntrinsic(kind ir.Intrinsic, a0, a1 uint64) (uint64, bool) {
-	switch kind {
-	case ir.IntrSqrt:
-		return f2b(math.Sqrt(b2f(a0))), true
-	case ir.IntrFAbs:
-		return f2b(math.Abs(b2f(a0))), true
-	case ir.IntrIAbs:
-		v := int64(a0)
-		if v < 0 {
-			v = -v
-		}
-		return uint64(v), true
-	case ir.IntrFMin:
-		return f2b(math.Min(b2f(a0), b2f(a1))), true
-	case ir.IntrFMax:
-		return f2b(math.Max(b2f(a0), b2f(a1))), true
-	case ir.IntrIMin:
-		if int64(a0) < int64(a1) {
-			return a0, true
-		}
-		return a1, true
-	case ir.IntrIMax:
-		if int64(a0) > int64(a1) {
-			return a0, true
-		}
-		return a1, true
-	case ir.IntrExp:
-		return f2b(math.Exp(b2f(a0))), true
-	case ir.IntrLog:
-		return f2b(math.Log(b2f(a0))), true
-	case ir.IntrFloor:
-		return f2b(math.Floor(b2f(a0))), true
-	case ir.IntrPow:
-		return f2b(math.Pow(b2f(a0), b2f(a1))), true
-	}
-	return 0, false
 }
 
 func cbits(b bool) uint64 {

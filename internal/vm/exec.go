@@ -181,7 +181,7 @@ blockLoop:
 			}
 			for i, phi := range phis {
 				m.dyn++
-				done := m.timing.issue(0, m.timing.latency(phi))
+				done := m.timing.issue(0, m.lats[latInt])
 				fr.define(phi.ID, phiBits[i], done)
 				m.trace(fn, phi, phiBits[i])
 			}
@@ -272,7 +272,7 @@ blockLoop:
 				val := m.eval(fr, in.Args[1])
 				opsReady := maxi(m.readyOf(fr, in.Args[0]), m.readyOf(fr, in.Args[1]))
 				m.timing.access(addr)
-				m.timing.issue(opsReady, m.cfg.Timing.LatStore)
+				m.timing.issue(opsReady, m.lats[latStore])
 				m.mem[addr] = val
 
 			case ir.OpLoad:
@@ -296,7 +296,7 @@ blockLoop:
 				}
 				addr := m.sp
 				m.sp += size
-				done := m.timing.issue(0, m.cfg.Timing.LatInt)
+				done := m.timing.issue(0, m.lats[latInt])
 				fr.define(in.ID, addr, done)
 				tbits = addr
 
@@ -304,7 +304,7 @@ blockLoop:
 				a := m.eval(fr, in.Args[0])
 				b := m.eval(fr, in.Args[1])
 				opsReady := maxi(m.readyOf(fr, in.Args[0]), m.readyOf(fr, in.Args[1]))
-				m.timing.issue(opsReady, m.cfg.Timing.CheckLatency)
+				m.timing.issue(opsReady, m.lats[latCheck])
 				if a != b {
 					if t := m.checkFailed(in); t != nil {
 						return 0, t
@@ -315,7 +315,7 @@ blockLoop:
 				v := m.eval(fr, in.Args[0])
 				lo := m.eval(fr, in.Args[1])
 				hi := m.eval(fr, in.Args[2])
-				m.timing.issue(m.readyOf(fr, in.Args[0]), m.cfg.Timing.CheckLatency)
+				m.timing.issue(m.readyOf(fr, in.Args[0]), m.lats[latCheck])
 				out := false
 				if in.Args[0].Type() == ir.F64 {
 					fv := math.Float64frombits(v)
@@ -349,7 +349,7 @@ blockLoop:
 				if !ok && len(in.Args) == 3 {
 					ok = eq(v, m.eval(fr, in.Args[2]))
 				}
-				m.timing.issue(m.readyOf(fr, in.Args[0]), m.cfg.Timing.CheckLatency)
+				m.timing.issue(m.readyOf(fr, in.Args[0]), m.lats[latCheck])
 				if !ok {
 					if t := m.checkFailed(in); t != nil {
 						return 0, t
@@ -367,7 +367,7 @@ blockLoop:
 						opsReady = r
 					}
 				}
-				done := m.timing.issue(opsReady, m.timing.latency(in))
+				done := m.timing.issue(opsReady, m.lats[latKindOf(in)])
 				fr.define(in.ID, bits, done)
 				tbits = bits
 				if m.opts.Profiler != nil && (in.Ty == ir.I64 || in.Ty == ir.F64) {
@@ -394,175 +394,27 @@ func (m *Machine) checkFailed(in *ir.Instr) *Trap {
 	return &Trap{Kind: TrapCheck, Dyn: m.dyn, CheckID: in.CheckID, CheckKind: in.Check, Fn: in.Blk.Fn.Name}
 }
 
-// evalArith executes pure computations.
+// evalArith executes pure computations through the ir evaluators, which the
+// constant folder shares.
 func (m *Machine) evalArith(fr *frame, in *ir.Instr) (uint64, *Trap) {
 	a0 := m.eval(fr, in.Args[0])
-	var a1 uint64
+	var a1, a2 uint64
 	if len(in.Args) > 1 {
 		a1 = m.eval(fr, in.Args[1])
 	}
-
-	if in.Ty == ir.F64 && in.Op != ir.OpFToI {
-		switch in.Op {
-		case ir.OpAdd:
-			return f2b(b2f(a0) + b2f(a1)), nil
-		case ir.OpSub:
-			return f2b(b2f(a0) - b2f(a1)), nil
-		case ir.OpMul:
-			return f2b(b2f(a0) * b2f(a1)), nil
-		case ir.OpDiv:
-			return f2b(b2f(a0) / b2f(a1)), nil
-		case ir.OpRem:
-			return f2b(math.Mod(b2f(a0), b2f(a1))), nil
-		case ir.OpNeg:
-			return f2b(-b2f(a0)), nil
-		case ir.OpIToF:
-			return f2b(float64(int64(a0))), nil
-		case ir.OpIntrinsic:
-			return m.evalIntrinsic(in, a0, a1, fr)
+	if in.Op == ir.OpIntrinsic {
+		if len(in.Args) > 2 {
+			a2 = m.eval(fr, in.Args[2])
 		}
+		if bits, ok := ir.EvalIntrinsic(in.Intrinsic, a0, a1, a2); ok {
+			return bits, nil
+		}
+		return 0, &Trap{Kind: TrapBadCall, Dyn: m.dyn, Fn: fr.fn.Name}
 	}
-
-	x, y := int64(a0), int64(a1)
-	switch in.Op {
-	case ir.OpAdd:
-		return uint64(x + y), nil
-	case ir.OpSub:
-		return uint64(x - y), nil
-	case ir.OpMul:
-		return uint64(x * y), nil
-	case ir.OpDiv:
-		if y == 0 {
-			return 0, &Trap{Kind: TrapDivZero, Dyn: m.dyn, Fn: fr.fn.Name}
-		}
-		if x == math.MinInt64 && y == -1 {
-			return uint64(x), nil // hardware-style overflow wrap
-		}
-		return uint64(x / y), nil
-	case ir.OpRem:
-		if y == 0 {
-			return 0, &Trap{Kind: TrapDivZero, Dyn: m.dyn, Fn: fr.fn.Name}
-		}
-		if x == math.MinInt64 && y == -1 {
-			return 0, nil
-		}
-		return uint64(x % y), nil
-	case ir.OpAnd:
-		return a0 & a1, nil
-	case ir.OpOr:
-		return a0 | a1, nil
-	case ir.OpXor:
-		return a0 ^ a1, nil
-	case ir.OpShl:
-		return uint64(x << uint(y&63)), nil
-	case ir.OpShr:
-		return uint64(x >> uint(y&63)), nil
-	case ir.OpNeg:
-		return uint64(-x), nil
-	case ir.OpFToI:
-		f := b2f(a0)
-		switch {
-		case math.IsNaN(f):
-			return 0, nil
-		case f >= math.MaxInt64:
-			v := int64(math.MaxInt64)
-			return uint64(v), nil
-		case f <= math.MinInt64:
-			v := int64(math.MinInt64)
-			return uint64(v), nil
-		}
-		return uint64(int64(f)), nil
-	case ir.OpPtrAdd:
-		return a0 + a1, nil
-	case ir.OpIntrinsic:
-		return m.evalIntrinsic(in, a0, a1, fr)
+	if bits, ok := ir.Eval(in.Op, in.Ty, in.Args[0].Type(), a0, a1); ok {
+		return bits, nil
 	}
-
-	// Comparisons: typed by operand.
-	var cond bool
-	if in.Args[0].Type() == ir.F64 {
-		f0, f1 := b2f(a0), b2f(a1)
-		switch in.Op {
-		case ir.OpEq:
-			cond = f0 == f1
-		case ir.OpNe:
-			cond = f0 != f1
-		case ir.OpLt:
-			cond = f0 < f1
-		case ir.OpLe:
-			cond = f0 <= f1
-		case ir.OpGt:
-			cond = f0 > f1
-		case ir.OpGe:
-			cond = f0 >= f1
-		}
-	} else {
-		switch in.Op {
-		case ir.OpEq:
-			cond = a0 == a1
-		case ir.OpNe:
-			cond = a0 != a1
-		case ir.OpLt:
-			cond = x < y
-		case ir.OpLe:
-			cond = x <= y
-		case ir.OpGt:
-			cond = x > y
-		case ir.OpGe:
-			cond = x >= y
-		}
-	}
-	if cond {
-		return 1, nil
-	}
-	return 0, nil
-}
-
-func (m *Machine) evalIntrinsic(in *ir.Instr, a0, a1 uint64, fr *frame) (uint64, *Trap) {
-	switch in.Intrinsic {
-	case ir.IntrSqrt:
-		return f2b(math.Sqrt(b2f(a0))), nil
-	case ir.IntrFAbs:
-		return f2b(math.Abs(b2f(a0))), nil
-	case ir.IntrIAbs:
-		v := int64(a0)
-		if v < 0 {
-			v = -v
-		}
-		return uint64(v), nil
-	case ir.IntrFMin:
-		return f2b(math.Min(b2f(a0), b2f(a1))), nil
-	case ir.IntrFMax:
-		return f2b(math.Max(b2f(a0), b2f(a1))), nil
-	case ir.IntrIMin:
-		if int64(a0) < int64(a1) {
-			return a0, nil
-		}
-		return a1, nil
-	case ir.IntrIMax:
-		if int64(a0) > int64(a1) {
-			return a0, nil
-		}
-		return a1, nil
-	case ir.IntrExp:
-		return f2b(math.Exp(b2f(a0))), nil
-	case ir.IntrLog:
-		return f2b(math.Log(b2f(a0))), nil
-	case ir.IntrFloor:
-		return f2b(math.Floor(b2f(a0))), nil
-	case ir.IntrPow:
-		return f2b(math.Pow(b2f(a0), b2f(a1))), nil
-	case ir.IntrClampI:
-		v, lo, hi := int64(a0), int64(a1), int64(m.eval(fr, in.Args[2]))
-		if v < lo {
-			v = lo
-		}
-		if v > hi {
-			v = hi
-		}
-		return uint64(v), nil
-	}
-	return 0, &Trap{Kind: TrapBadCall, Dyn: m.dyn, Fn: fr.fn.Name}
+	return 0, &Trap{Kind: TrapDivZero, Dyn: m.dyn, Fn: fr.fn.Name}
 }
 
 func b2f(b uint64) float64 { return math.Float64frombits(b) }

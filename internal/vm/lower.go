@@ -106,72 +106,6 @@ const (
 	lopFirstBinary = lopAddI
 )
 
-// latKind indexes the per-machine latency table; resolved at lowering time
-// from the same decision tree as timing.latency.
-type latKind uint8
-
-const (
-	latInt latKind = iota
-	latMul
-	latDiv
-	latFAdd
-	latFMul
-	latFDiv
-	latIntrin
-	latStore
-	latCheck
-	latCount
-)
-
-// latTableFrom bakes a TimingConfig into a dense latency table.
-func latTableFrom(c TimingConfig) [latCount]int64 {
-	var t [latCount]int64
-	t[latInt] = c.LatInt
-	t[latMul] = c.LatMul
-	t[latDiv] = c.LatDiv
-	t[latFAdd] = c.LatFAdd
-	t[latFMul] = c.LatFMul
-	t[latFDiv] = c.LatFDiv
-	t[latIntrin] = c.LatIntrin
-	t[latStore] = c.LatStore
-	t[latCheck] = c.CheckLatency
-	return t
-}
-
-// latKindOf mirrors timing.latency, resolving the latency class statically.
-func latKindOf(in *ir.Instr) latKind {
-	switch in.Op {
-	case ir.OpAdd, ir.OpSub:
-		if in.Ty == ir.F64 {
-			return latFAdd
-		}
-		return latInt
-	case ir.OpMul:
-		if in.Ty == ir.F64 {
-			return latFMul
-		}
-		return latMul
-	case ir.OpDiv, ir.OpRem:
-		if in.Ty == ir.F64 {
-			return latFDiv
-		}
-		return latDiv
-	case ir.OpIToF, ir.OpFToI:
-		return latFAdd
-	case ir.OpIntrinsic:
-		switch in.Intrinsic {
-		case ir.IntrIAbs, ir.IntrIMin, ir.IntrIMax, ir.IntrClampI, ir.IntrFMin, ir.IntrFMax, ir.IntrFAbs:
-			return latInt
-		}
-		return latIntrin
-	case ir.OpStore:
-		return latStore
-	case ir.OpCmpCheck, ir.OpRangeCheck, ir.OpValCheck:
-		return latCheck
-	}
-	return latInt
-}
-
 // Operands are pre-resolved int32 frame slots. Slots below NumValues hold
 // params and instruction results; slots at NumValues and above are read-only
 // extension slots holding the function's deduplicated constants and global
@@ -495,9 +429,9 @@ func (em *engModule) lowerInstr(ef *engFunc, in *ir.Instr, base map[string]uint6
 }
 
 // lowerArith resolves a pure computation to a typed opcode, replicating
-// evalArith's decision tree: the float forms apply only to F64-typed
+// ir.Eval's decision tree: the float forms apply only to F64-typed
 // results (FToI excepted), comparisons are typed by their first operand,
-// and anything else falls through to the interpreter's implicit zero.
+// and anything else falls through to Eval's implicit zero.
 func lowerArith(in *ir.Instr) lop {
 	if in.Ty == ir.F64 && in.Op != ir.OpFToI {
 		switch in.Op {

@@ -167,6 +167,7 @@ type Machine struct {
 	inputs map[string][]uint64 // host-bound globals, re-applied on Reset
 
 	timing *timing
+	lats   [latCount]int64 // latency per latKind, baked from cfg.Timing
 	info   map[*ir.Func]*funcInfo
 	main   *ir.Func
 
@@ -174,7 +175,6 @@ type Machine struct {
 	// shared module-wide; frame pools and scratch buffers are per machine.
 	eng         *engModule
 	engMain     *engFunc
-	lats        [latCount]int64
 	pools       [][]*frame
 	phiScratch  []uint64
 	callScratch []uint64
@@ -214,6 +214,7 @@ func New(mod *ir.Module, cfg Config) (*Machine, error) {
 		globalBase: make(map[string]uint64),
 		inputs:     make(map[string][]uint64),
 		timing:     newTiming(cfg.Timing),
+		lats:       latTableFrom(cfg.Timing),
 		info:       make(map[*ir.Func]*funcInfo),
 		main:       main,
 	}
@@ -252,7 +253,6 @@ func New(mod *ir.Module, cfg Config) (*Machine, error) {
 		sh.engOnce.Do(func() { sh.eng = lowerModule(mod) })
 		m.eng = sh.eng
 		m.engMain = m.eng.byFn[main]
-		m.lats = latTableFrom(cfg.Timing)
 		m.pools = make([][]*frame, len(m.eng.funcs))
 	}
 	m.Reset()

@@ -124,23 +124,34 @@ func (t *timing) cycles() int64 {
 
 // issue models issuing one instruction whose operands become ready at
 // opsReady and which takes lat cycles; it returns the completion time.
-func (t *timing) issue(opsReady int64, lat int64) int64 {
-	at := t.cursor
+func (t *timing) issue(opsReady int64, lat int64) (done int64) {
+	t.cursor, t.slotUsed, t.maxDone, done = issueAt(t.cursor, t.slotUsed, t.width, t.maxDone, opsReady, lat)
+	return done
+}
+
+// issueAt is the issue step both engines take for every dynamic
+// instruction, over the cursor state passed by value: issue cycle cur, slot
+// count slot and completion horizon maxDone. It returns the updated state
+// and the instruction's completion time. execLoop keeps that state in locals
+// and flushes it to the timing struct at every escape point; the tree
+// interpreter calls it through timing.issue.
+func issueAt(cur int64, slot, width int, maxDone, opsReady, lat int64) (int64, int, int64, int64) {
+	at := cur
 	if opsReady > at {
 		at = opsReady
-		t.cursor = opsReady
-		t.slotUsed = 0
+		cur = opsReady
+		slot = 0
 	}
-	t.slotUsed++
-	if t.slotUsed >= t.width {
-		t.cursor++
-		t.slotUsed = 0
+	slot++
+	if slot >= width {
+		cur++
+		slot = 0
 	}
 	done := at + lat
-	if done > t.maxDone {
-		t.maxDone = done
+	if done > maxDone {
+		maxDone = done
 	}
-	return done
+	return cur, slot, maxDone, done
 }
 
 // access models a data-cache access at word address addr, returning the
@@ -162,62 +173,98 @@ func (t *timing) access(addr uint64) int64 {
 }
 
 // branch models a branch with the 2-bit predictor; uid identifies the
-// static branch, taken is the outcome. A misprediction stalls the front end.
+// static branch, taken is the outcome.
 func (t *timing) branch(uid int, taken bool) {
-	var slot int
-	if t.predMask >= 0 {
-		slot = uid & t.predMask
-	} else {
-		slot = uid % len(t.predictor)
-	}
-	p := t.predictor[slot]
-	predictTaken := p >= 2
-	if predictTaken != taken {
-		t.cursor += t.cfg.BranchPenalty
-		t.slotUsed = 0
-	}
-	if taken && p < 3 {
-		t.predictor[slot] = p + 1
-	} else if !taken && p > 0 {
-		t.predictor[slot] = p - 1
-	}
+	t.cursor, t.slotUsed = branchAt(t.cursor, t.slotUsed, t.predictor, t.predMask, uid, taken, t.cfg.BranchPenalty)
 }
 
-// latency returns the base latency for op.
-func (t *timing) latency(in *ir.Instr) int64 {
-	c := &t.cfg
+// branchAt is the branch step both engines take, over the same by-value
+// cursor state as issueAt: predictor slot uid&predMask (uid modulo the table
+// size when that is not a power of two), and a misprediction stalls the
+// front end for bpen cycles.
+func branchAt(cur int64, slot int, pred []uint8, predMask, uid int, taken bool, bpen int64) (int64, int) {
+	var s int
+	if predMask >= 0 {
+		s = uid & predMask
+	} else {
+		s = uid % len(pred)
+	}
+	p := pred[s]
+	if (p >= 2) != taken {
+		cur += bpen
+		slot = 0
+	}
+	if taken && p < 3 {
+		pred[s] = p + 1
+	} else if !taken && p > 0 {
+		pred[s] = p - 1
+	}
+	return cur, slot
+}
+
+// latKind indexes a machine's latency table (Machine.lats); both engines
+// classify an instruction with latKindOf, the engine once at lowering time.
+type latKind uint8
+
+const (
+	latInt latKind = iota
+	latMul
+	latDiv
+	latFAdd
+	latFMul
+	latFDiv
+	latIntrin
+	latStore
+	latCheck
+	latCount
+)
+
+// latTableFrom bakes a TimingConfig into a dense latency table.
+func latTableFrom(c TimingConfig) [latCount]int64 {
+	var t [latCount]int64
+	t[latInt] = c.LatInt
+	t[latMul] = c.LatMul
+	t[latDiv] = c.LatDiv
+	t[latFAdd] = c.LatFAdd
+	t[latFMul] = c.LatFMul
+	t[latFDiv] = c.LatFDiv
+	t[latIntrin] = c.LatIntrin
+	t[latStore] = c.LatStore
+	t[latCheck] = c.CheckLatency
+	return t
+}
+
+// latKindOf returns in's latency class. Loads are absent: their latency is
+// the cache access's (timing.access).
+func latKindOf(in *ir.Instr) latKind {
 	switch in.Op {
 	case ir.OpAdd, ir.OpSub:
 		if in.Ty == ir.F64 {
-			return c.LatFAdd
+			return latFAdd
 		}
-		return c.LatInt
+		return latInt
 	case ir.OpMul:
 		if in.Ty == ir.F64 {
-			return c.LatFMul
+			return latFMul
 		}
-		return c.LatMul
+		return latMul
 	case ir.OpDiv, ir.OpRem:
 		if in.Ty == ir.F64 {
-			return c.LatFDiv
+			return latFDiv
 		}
-		return c.LatDiv
-	case ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr, ir.OpNeg,
-		ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe,
-		ir.OpPtrAdd, ir.OpPhi, ir.OpAlloca:
-		return c.LatInt
+		return latDiv
 	case ir.OpIToF, ir.OpFToI:
-		return c.LatFAdd
+		return latFAdd
 	case ir.OpIntrinsic:
 		switch in.Intrinsic {
 		case ir.IntrIAbs, ir.IntrIMin, ir.IntrIMax, ir.IntrClampI, ir.IntrFMin, ir.IntrFMax, ir.IntrFAbs:
-			return c.LatInt
+			return latInt
 		}
-		return c.LatIntrin
+		return latIntrin
 	case ir.OpStore:
-		return c.LatStore
+		return latStore
 	case ir.OpCmpCheck, ir.OpRangeCheck, ir.OpValCheck:
-		return c.CheckLatency
+		return latCheck
 	}
-	return c.LatInt
+	return latInt
 }
