@@ -328,9 +328,8 @@ func (co *Coordinator) Heartbeat(req heartbeatRequest) heartbeatResponse {
 	}
 
 	j := sh.job
-	if j.spec.TargetCI > 0 && !j.stopping {
-		done, covered, usdc := pooledCounts(j)
-		if done > 0 && fault.CITight(covered, done, j.spec.TargetCI) && fault.CITight(usdc, done, j.spec.TargetCI) {
+	if !j.stopping {
+		if done, covered, usdc := pooledCounts(j); fault.EarlyStop(done, covered, usdc, j.spec.TargetCI) {
 			j.stopping = true
 			co.m.EarlyStops++
 			co.cfg.Logf("campaignd: %s early stop at %d pooled trials (target CI %.3f)", j.id, done, j.spec.TargetCI)

@@ -9,27 +9,10 @@ import "repro/internal/ir"
 // (the paper's "maximum amount of duplication possible without duplicating
 // loads/stores"); phis are mirrored like state variables so redundancy is
 // carried across iterations.
-func fullDuplicate(f *ir.Func, startCheckID int) (stats Stats, nextCheckID int, err error) {
-	f.ComputeCFG()
-	dt := ir.BuildDomTree(f)
-	loops := ir.FindLoops(f, dt)
-
-	// Mirror every phi that is a loop-header phi (these need independent
-	// carried state); other phis act as chain terminators.
-	var svs []*StateVar
-	for _, l := range loops {
-		for _, phi := range l.Header.Phis() {
-			sv := &StateVar{Phi: phi, Loop: l}
-			for i, pred := range phi.Preds {
-				if l.Contains(pred) {
-					sv.Updates = append(sv.Updates, StateUpdate{Pred: pred, Value: phi.Args[i]})
-				}
-			}
-			if len(sv.Updates) > 0 {
-				svs = append(svs, sv)
-			}
-		}
-	}
+func fullDuplicate(f *ir.Func, startCheckID int) (stats Stats, nextCheckID int) {
+	// Mirror every loop-header phi carrying in-loop state (these need
+	// independent carried state); other phis act as chain terminators.
+	svs := FindStateVars(f)
 	stats.StateVars = len(svs)
 
 	d := newDuplicator(f, nil, false)
@@ -87,5 +70,5 @@ func fullDuplicate(f *ir.Func, startCheckID int) (stats Stats, nextCheckID int, 
 
 	stats.DupInstrs = d.cloned
 	stats.DupChecks = dupChecks
-	return stats, nextCheckID, nil
+	return stats, nextCheckID
 }

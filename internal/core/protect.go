@@ -77,10 +77,7 @@ func dupTransform(valChecks bool) func(m *ir.Module, prof *profile.Data, p Param
 func fullDupTransform(m *ir.Module, prof *profile.Data, p Params, stats *Stats) error {
 	nextID := nextCheckID(m)
 	for _, f := range m.Funcs {
-		fs, next, err := fullDuplicate(f, nextID)
-		if err != nil {
-			return err
-		}
+		fs, next := fullDuplicate(f, nextID)
 		nextID = next
 		stats.StateVars += fs.StateVars
 		stats.DupInstrs += fs.DupInstrs

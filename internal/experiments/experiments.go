@@ -8,7 +8,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/core"
@@ -152,19 +151,6 @@ func Campaign(p *Prepared, mode string, kind workloads.InputKind, cfg fault.Conf
 		return nil, err
 	}
 	return fault.Run(context.Background(), p.Workload.Target(kind), v.Module, core.Title(mode), cfg)
-}
-
-// GeoMean returns the geometric mean of 1+x values minus 1 (for overheads)
-// — the conventional way to average overhead factors.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	prod := 1.0
-	for _, x := range xs {
-		prod *= 1 + x
-	}
-	return math.Pow(prod, 1/float64(len(xs))) - 1
 }
 
 // Mean returns the arithmetic mean.

@@ -21,9 +21,9 @@ package fault
 //     (and nothing else), exactly like a trial's prefix: disabled checks
 //     leave no trace in any counter, so the snapshot state equals the state
 //     a from-scratch trial holds at the suspend point, bit for bit.
-//  3. Trial randomness is unaffected: triggers are pre-drawn with the same
-//     per-trial seed scheme and draw order drawPlan uses, and drawPlan
-//     re-seeds and re-draws them, so binning never perturbs a sequence.
+//  3. Trial randomness is unaffected: binning reads each trial's trigger
+//     from its own drawPlan, which re-seeds per trial, and the trial re-draws
+//     the same plan, so binning never perturbs a sequence.
 
 import (
 	"fmt"
@@ -75,19 +75,6 @@ func checkpointSchedule(cfg Config, goldenDyn int64) []int64 {
 		return nil
 	}
 	return snapAt
-}
-
-// drawTriggers pre-draws every trial's TriggerDyn for binning, using the
-// identical seed scheme and first-draw position as drawPlan.
-func drawTriggers(cfg Config, goldenDyn int64) []int64 {
-	src := rand.NewSource(0)
-	rng := rand.New(src)
-	triggers := make([]int64, cfg.Trials)
-	for i := range triggers {
-		src.Seed(seedFor(cfg, i))
-		triggers[i] = rng.Int63n(goldenDyn)
-	}
-	return triggers
 }
 
 // The earliest dyn index whose machine state a trial's injection can
@@ -145,10 +132,12 @@ func (c *campaign) schedule(pending []int, workers int, snapAt []int64, snaps []
 		}
 		return work
 	}
-	eff := drawTriggers(c.cfg, c.goldenDyn)
+	src := rand.NewSource(0)
+	rng := rand.New(src)
+	eff := make([]int64, c.cfg.Trials)
 	bins := make([][]int, len(snapAt)+1)
 	for _, i := range pending {
-		eff[i] = c.model.EffectiveTrigger(eff[i])
+		eff[i] = c.model.EffectiveTrigger(drawPlan(c.model, c.cfg, c.goldenDyn, i, src, rng).TriggerDyn)
 		b := sort.Search(len(snapAt), func(k int) bool { return snapAt[k] > eff[i] })
 		bins[b] = append(bins[b], i)
 	}

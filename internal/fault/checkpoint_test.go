@@ -219,25 +219,6 @@ func TestCampaignEngineEquivalenceBranch(t *testing.T) {
 	diffReports(t, "branch", run(vm.EngineFast), run(vm.EngineTree))
 }
 
-// TestFalsePositivesEngineEquivalence compares the CountChecks accounting
-// path across engines on a DupVal binary whose value checks fire
-// fault-free.
-func TestFalsePositivesEngineEquivalence(t *testing.T) {
-	w := workloads.ByName("svm")
-	prot := protectedFor(t, w, core.SchemeDupVal)
-	fast, err := fault.FalsePositivesEngine(w.Target(workloads.Test), prot, vm.EngineFast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := fault.FalsePositivesEngine(w.Target(workloads.Test), prot, vm.EngineTree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *fast != *tree {
-		t.Fatalf("false-positive reports differ:\nfast=%+v\ntree=%+v", *fast, *tree)
-	}
-}
-
 // TestRecoveryCheckpointEquivalence checks the recovery campaign across
 // every way the scheduler can position and finish its trials: each row must
 // give a RecoveryReport identical to the Reset-per-trial reference. The

@@ -21,13 +21,7 @@ type FalsePositiveReport struct {
 // FalsePositives runs the protected module fault-free on the target's
 // input and counts expected-value check failures.
 func FalsePositives(t Target, mod *ir.Module) (*FalsePositiveReport, error) {
-	return FalsePositivesEngine(t, mod, vm.EngineFast)
-}
-
-// FalsePositivesEngine is FalsePositives on an explicit execution engine,
-// letting equivalence tests compare check-failure accounting across engines.
-func FalsePositivesEngine(t Target, mod *ir.Module, engine vm.EngineKind) (*FalsePositiveReport, error) {
-	mach, err := newMachine(t, mod, 0, engine)
+	mach, err := newMachine(t, mod, 0, vm.EngineFast)
 	if err != nil {
 		return nil, err
 	}
@@ -45,30 +39,4 @@ func FalsePositivesEngine(t Target, mod *ir.Module, engine vm.EngineKind) (*Fals
 		rep.InstrPerFail = float64(res.Dyn) / float64(res.CheckFails)
 	}
 	return rep, nil
-}
-
-// CheckStats summarizes static check population of a protected module.
-type CheckStats struct {
-	DupChecks   int
-	ValueChecks int
-	ABFTChecks  int
-}
-
-// CountChecks tallies check instructions in a module.
-func CountChecks(m *ir.Module) CheckStats {
-	var cs CheckStats
-	for _, f := range m.Funcs {
-		f.Instrs(func(in *ir.Instr) bool {
-			switch in.Check {
-			case ir.CheckDup:
-				cs.DupChecks++
-			case ir.CheckValue:
-				cs.ValueChecks++
-			case ir.CheckABFT:
-				cs.ABFTChecks++
-			}
-			return true
-		})
-	}
-	return cs
 }

@@ -25,8 +25,9 @@ void main() {
 `
 
 // protectOn compiles falseposSrc, profiles it on train, and returns a
-// DupVal-protected module plus a Target bound to the given run input.
-func protectOn(t *testing.T, train, run []int64) (Target, *ir.Module) {
+// DupVal-protected module, its protection statistics, and a Target bound to
+// the given run input.
+func protectOn(t *testing.T, train, run []int64) (Target, *ir.Module, *core.Stats) {
 	t.Helper()
 	mod, err := lang.Compile("falsepos", falseposSrc)
 	if err != nil {
@@ -45,7 +46,8 @@ func protectOn(t *testing.T, train, run []int64) (Target, *ir.Module) {
 		t.Fatal(res.Trap)
 	}
 	prot := mod.Clone()
-	if _, err := core.Protect(prot, core.SchemeDupVal, col.Data(), core.DefaultParams()); err != nil {
+	st, err := core.Protect(prot, core.SchemeDupVal, col.Data(), core.DefaultParams())
+	if err != nil {
 		t.Fatal(err)
 	}
 	tgt := Target{
@@ -55,7 +57,7 @@ func protectOn(t *testing.T, train, run []int64) (Target, *ir.Module) {
 			return m.BindInputInts("in", run)
 		},
 	}
-	return tgt, prot
+	return tgt, prot, st
 }
 
 func constInput(v int64) []int64 {
@@ -71,7 +73,7 @@ func constInput(v int64) []int64 {
 // else is the class of bug the difftest oracle's invariant 3 hunts.
 func TestFalsePositivesZeroOnTrainingInput(t *testing.T) {
 	train := constInput(5)
-	tgt, prot := protectOn(t, train, train)
+	tgt, prot, _ := protectOn(t, train, train)
 	rep, err := FalsePositives(tgt, prot)
 	if err != nil {
 		t.Fatal(err)
@@ -96,8 +98,8 @@ func TestFalsePositivesZeroOnTrainingInput(t *testing.T) {
 // accounting (fail count, distinct check IDs, instructions-per-failure)
 // must be internally consistent.
 func TestFalsePositivesCountedOnShiftedInput(t *testing.T) {
-	tgt, prot := protectOn(t, constInput(5), constInput(9))
-	if cs := CountChecks(prot); cs.ValueChecks == 0 {
+	tgt, prot, st := protectOn(t, constInput(5), constInput(9))
+	if st.ValueChecks == 0 {
 		t.Fatal("crafted workload got no value checks planned — test premise broken")
 	}
 	rep, err := FalsePositives(tgt, prot)

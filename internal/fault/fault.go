@@ -9,7 +9,6 @@ package fault
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"time"
@@ -204,16 +203,40 @@ func (t *Tally) Coverage() float64 {
 	if t.N == 0 {
 		return 0
 	}
-	return float64(t.Count[Masked]+t.Count[HWDetect]+t.Count[SWDetect]) / float64(t.N)
+	return float64(t.covered()) / float64(t.N)
 }
 
-// MarginOfError returns the 95%-confidence margin for a proportion p
-// estimated from this tally (Leveugle et al.).
-func (t *Tally) MarginOfError(p float64) float64 {
-	if t.N == 0 {
-		return 1
+// covered counts the trials the paper's coverage admits.
+func (t *Tally) covered() int { return t.Count[Masked] + t.Count[HWDetect] + t.Count[SWDetect] }
+
+// add counts one decided trial: its outcome, the SWDetect attribution, and
+// the SDC split, where a USDC is large when the corrupted value changed by
+// at least largeChange (Config.LargeChange).
+func (t *Tally) add(tr Trial, largeChange float64) {
+	t.N++
+	t.Count[tr.Outcome]++
+	if tr.Outcome == SWDetect {
+		switch tr.CheckKind {
+		case ir.CheckDup:
+			t.SWDetectDup++
+		case ir.CheckCFC:
+			t.SWDetectCFC++
+		case ir.CheckABFT:
+			t.SWDetectABFT++
+		default:
+			t.SWDetectValue++
+		}
 	}
-	return 1.96 * math.Sqrt(p*(1-p)/float64(t.N))
+	if tr.SDC {
+		t.SDC++
+		if tr.Acceptable {
+			t.ASDC++
+		} else if tr.RelChange >= largeChange {
+			t.USDCLarge++
+		} else {
+			t.USDCSmall++
+		}
+	}
 }
 
 // Report is the result of one campaign.
@@ -264,7 +287,7 @@ func Run(ctx context.Context, t Target, mod *ir.Module, technique string, cfg Co
 }
 
 // runCampaign is Run's body: it returns the finished campaign, whose Report
-// is final and whose per-trial cycle counts RunWithRecovery prices.
+// is final and whose cycle sum RunWithRecovery prices.
 func runCampaign(ctx context.Context, t Target, mod *ir.Module, technique string, cfg Config) (*campaign, error) {
 	if cfg.Trials <= 0 {
 		return nil, fmt.Errorf("fault: non-positive trial count")
@@ -307,16 +330,6 @@ func runCampaign(ctx context.Context, t Target, mod *ir.Module, technique string
 		}
 	}
 
-	rep := &Report{
-		Workload:       t.Name,
-		Technique:      technique,
-		FaultModel:     model.Name(),
-		GoldenDyn:      goldenRes.Dyn,
-		GoldenCycles:   goldenRes.Cycles,
-		DisabledChecks: len(disabled),
-		Trials:         make([]Trial, cfg.Trials),
-	}
-
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -326,17 +339,22 @@ func runCampaign(ctx context.Context, t Target, mod *ir.Module, technique string
 	}
 	maxDyn := goldenRes.Dyn*cfg.WatchdogFactor + 100_000
 
-	c := newCampaign(t, mod, cfg, model, golden, goldenRes.Dyn, disabled, maxDyn, rep)
-	c.excludeOutsideShard(shardLo, shardHi)
+	hdr := headerFor(t, technique, cfg, model.Name(), shardLo, shardHi, len(disabled), goldenRes.Dyn, goldenRes.Cycles)
+	c := newCampaign(hdr, cfg)
+	c.cursor = cfg.Checkpoints >= 0 && cfg.Engine == vm.EngineFast
+	c.model, c.target, c.mod, c.golden, c.goldenDyn = model, t, mod, golden, goldenRes.Dyn
+	c.disabled, c.maxDyn = disabled, maxDyn
 	if cfg.JournalPath != "" {
-		hdr := headerFor(t, technique, cfg, model.Name(), shardLo, shardHi, len(disabled), goldenRes.Dyn, goldenRes.Cycles)
 		jw, st, err := openJournal(cfg.JournalPath, cfg.Resume, hdr)
 		if err != nil {
 			return nil, err
 		}
 		c.jw = jw
 		if st != nil {
-			c.restoreFromJournal(st)
+			if c.rep.Replayed, err = c.fold([]*journalState{st}); err != nil {
+				c.closeJournal()
+				return nil, err
+			}
 		}
 	}
 
@@ -376,10 +394,9 @@ func newMachine(t Target, mod *ir.Module, maxDyn int64, engine vm.EngineKind) (*
 }
 
 // drawPlan re-seeds src with the trial's seed and draws its fault plan from
-// the model. The trigger is the first draw after seeding — the position
-// drawTriggers and the anomaly reproducer scheme rely on, for every model —
-// and the model's space draws consume rng lazily at injection time, exactly
-// as a fresh rand.New(seed) would.
+// the model: the trial's only plan rule, shared by the scheduler's binning
+// and the trial itself. The model's space draws consume rng lazily at
+// injection time, exactly as a fresh rand.New(seed) would.
 func drawPlan(model Model, cfg Config, goldenDyn int64, trial int, src rand.Source, rng *rand.Rand) *Plan {
 	src.Seed(seedFor(cfg, trial))
 	p := model.Draw(goldenDyn, rng)

@@ -209,16 +209,6 @@ func TestCampaignCancellation(t *testing.T) {
 	}
 }
 
-func TestMarginOfError(t *testing.T) {
-	ta := fault.Tally{N: 1000}
-	// Paper: 13000 injections -> 3.1% margin at 95% for p=0.5... for
-	// n=1000, p=0.5: 1.96*sqrt(.25/1000) = 3.1%.
-	m := ta.MarginOfError(0.5)
-	if m < 0.030 || m > 0.032 {
-		t.Fatalf("margin = %v, want ~0.031", m)
-	}
-}
-
 func TestFalsePositiveMeasurement(t *testing.T) {
 	w := workloads.ByName("jpegdec")
 	mod, err := w.Compile()
@@ -235,7 +225,8 @@ func TestFalsePositiveMeasurement(t *testing.T) {
 	mach.Run(vm.RunOptions{Profiler: col})
 
 	prot := mod.Clone()
-	if _, err := core.Protect(prot, core.SchemeDupVal, col.Data(), core.DefaultParams()); err != nil {
+	st, err := core.Protect(prot, core.SchemeDupVal, col.Data(), core.DefaultParams())
+	if err != nil {
 		t.Fatal(err)
 	}
 	rep, err := fault.FalsePositives(w.Target(workloads.Test), prot)
@@ -245,12 +236,11 @@ func TestFalsePositiveMeasurement(t *testing.T) {
 	if rep.Dyn == 0 {
 		t.Fatal("no instructions executed")
 	}
-	cs := fault.CountChecks(prot)
-	if cs.ValueChecks == 0 {
+	if st.ValueChecks == 0 {
 		t.Fatal("protected module has no value checks")
 	}
 	t.Logf("false positives: %d fails in %d instrs (%d checks); 1 per %.0f",
-		rep.CheckFails, rep.Dyn, cs.ValueChecks, rep.InstrPerFail)
+		rep.CheckFails, rep.Dyn, st.ValueChecks, rep.InstrPerFail)
 }
 
 func TestGoldenFiringChecksAreDisabled(t *testing.T) {

@@ -119,6 +119,10 @@ func encodeTrial(i int, tr Trial) *journalTrial {
 	}
 }
 
+func encodeAnomaly(a Anomaly) *journalAnomaly {
+	return &journalAnomaly{Index: a.Trial, Seed: a.Seed, Reason: a.Reason, Stack: a.Stack}
+}
+
 func decodeTrial(jt *journalTrial) Trial {
 	return Trial{
 		Outcome:    Outcome(jt.Outcome),
@@ -152,6 +156,13 @@ func headerFor(t Target, technique string, cfg Config, model string, lo, hi, dis
 		ShardEnd:        hi,
 		Disabled:        disabled,
 	}
+}
+
+// config is the part of the campaign's configuration that a campaign
+// rebuilt from its journal alone (a merge or a consolidation) needs to
+// count its trials.
+func (h *journalHeader) config() Config {
+	return Config{Trials: h.Trials, Seed: h.Seed, LargeChange: math.Float64frombits(h.LargeChangeBits)}
 }
 
 // mismatch returns a description of the first identity field on which the

@@ -42,12 +42,9 @@ type Model interface {
 	Name() string
 	// Title is the human-readable label ("Memory bit flip").
 	Title() string
-	// Draw draws one trial's plan from a freshly seeded per-trial rng. The
-	// FIRST draw after seeding must be the trigger, rng.Int63n(goldenDyn) —
-	// the checkpoint scheduler (drawTriggers) and the anomaly reproducer
-	// scheme pin that position. Space draws (slot, address, bit, width)
-	// must be deferred to injection time, when the machine state they
-	// condition on exists.
+	// Draw draws one trial's plan from a freshly seeded per-trial rng.
+	// Space draws (slot, address, bit, width) must be deferred to injection
+	// time, when the machine state they condition on exists.
 	Draw(goldenDyn int64, rng *rand.Rand) *Plan
 	// EngineInjected reports whether plans carry a vm.FaultPlan the engine
 	// executes itself. Suspend-injected models (false) require the fast
@@ -317,7 +314,7 @@ func (memFlipModel) Inject(m *vm.Machine, p *Plan) bool {
 	now := old ^ (1 << uint(bit))
 	m.SetMemWord(addr, now)
 	p.addr, p.mask = addr, 1<<uint(bit)
-	p.RelChange = relChangeInt(old, now)
+	p.RelChange = vm.RelChange(ir.I64, old, now)
 	return true
 }
 
@@ -357,7 +354,7 @@ func (burstModel) Inject(m *vm.Machine, p *Plan) bool {
 		old, ty := m.LiveReg(i)
 		now := old ^ mask
 		m.SetLiveReg(i, now)
-		p.RelChange = relChangeTyped(ty, old, now)
+		p.RelChange = vm.RelChange(ty, old, now)
 		return true
 	}
 	addr := 1 + uint64(p.rng.Int63n(int64(m.MemUsed()-1)))
@@ -365,7 +362,7 @@ func (burstModel) Inject(m *vm.Machine, p *Plan) bool {
 	now := old ^ mask
 	m.SetMemWord(addr, now)
 	p.addr = addr
-	p.RelChange = relChangeInt(old, now)
+	p.RelChange = vm.RelChange(ir.I64, old, now)
 	return true
 }
 
@@ -417,7 +414,7 @@ func stuckAtInject(m *vm.Machine, p *Plan) bool {
 	m.SetMemWord(addr, now)
 	p.addr, p.mask = addr, 1<<uint(bit)
 	p.val = now & p.mask
-	p.RelChange = relChangeInt(old, now)
+	p.RelChange = vm.RelChange(ir.I64, old, now)
 	return true
 }
 
@@ -469,29 +466,4 @@ func (p *Plan) strideBase() int64 {
 		return p.stride * 64
 	}
 	return 64
-}
-
-// ---------------------------------------------------------------------------
-// Relative-change attribution, mirroring the in-engine injector's rules so
-// every model feeds the same USDC large/small split (Figure 2).
-
-func relChangeTyped(ty ir.Type, old, now uint64) float64 {
-	if ty == ir.F64 {
-		o, n := math.Float64frombits(old), math.Float64frombits(now)
-		d := math.Abs(n - o)
-		den := math.Max(math.Abs(o), 1)
-		rc := d / den
-		if math.IsNaN(rc) || math.IsInf(rc, 0) {
-			rc = math.Inf(1)
-		}
-		return rc
-	}
-	return relChangeInt(old, now)
-}
-
-func relChangeInt(old, now uint64) float64 {
-	o, n := int64(old), int64(now)
-	d := math.Abs(float64(n) - float64(o))
-	den := math.Max(math.Abs(float64(o)), 1)
-	return d / den
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/vm"
 )
@@ -140,7 +141,7 @@ func (f fakeStuck) Inject(m *vm.Machine, p *Plan) bool {
 	now := old ^ p.mask
 	m.SetMemWord(p.addr, now)
 	p.val = now & p.mask
-	p.RelChange = relChangeInt(old, now)
+	p.RelChange = vm.RelChange(ir.I64, old, now)
 	return true
 }
 

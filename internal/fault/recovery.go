@@ -54,9 +54,9 @@ func (r *RecoveryReport) RecoveryOverhead() float64 {
 // without the fault from its inputs, which must reproduce the golden output
 // bit for bit. The campaign runs on Run's scheduler (workers, golden cursor,
 // convergence, OnTrial/OnProgress, TargetCI) and restart recovery only
-// reads its finished outcomes and per-trial cycle counts. Every restart is
-// the same fault-free run from the same state, so it is executed and
-// checked once per campaign and costs GoldenCycles per restarted trial.
+// reads its finished Tally and the sum of its trials' cycle counts. Every
+// restart is the same fault-free run from the same state, so it is executed
+// and checked once per campaign and costs GoldenCycles per restarted trial.
 //
 // Journals, resume and shard ranges are rejected (per-trial cycle counts
 // are not journal records), as is a campaign that quarantines a trial
@@ -88,12 +88,7 @@ func RunWithRecovery(ctx context.Context, t Target, mod *ir.Module, technique st
 			return nil, err
 		}
 	}
-	total := int64(restarts) * rep.GoldenCycles
-	for i, s := range c.state {
-		if s == trialDone {
-			total += c.cycles[i]
-		}
-	}
+	total := int64(restarts)*rep.GoldenCycles + c.cycleSum
 	return &RecoveryReport{
 		Workload:     t.Name,
 		Technique:    technique,

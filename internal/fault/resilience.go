@@ -24,9 +24,15 @@ package fault
 //     many trials the stop saved.
 //
 // All shared state lives in the campaign struct; per-trial slots
-// (rep.Trials[i], state[i], cycles[i]) are written only by the worker that
-// owns trial i and read only after the worker pool joins, so the only
-// locked state is the anomaly map and the early-stop tallies.
+// (rep.Trials[i], state[i]) are written only by the worker that owns trial
+// i and read only after the worker pool joins, so the only locked state is
+// the anomaly map, the running Tally and the cycle sum.
+//
+// Every decided trial enters the campaign through noteDone (and every
+// quarantined one through noteQuarantined), whether it was just run
+// (recordTrial, quarantine), replayed on resume, or folded from shard
+// journals by a merge or a consolidation (fold): one running Tally feeds
+// OnProgress, the early-stop rule and the final Report alike.
 
 import (
 	"context"
@@ -83,53 +89,50 @@ type campaign struct {
 	disabled  map[int]bool
 	maxDyn    int64
 	rep       *Report
-	state     []uint8 // trialPending/trialDone/trialQuarantined, one per trial
-	cycles    []int64 // final cycle count of each trial decided in this process
+	state     []uint8 // one disposition per trial
 
 	jw *journalWriter // nil when the campaign is not journaled
 
 	mu        sync.Mutex
 	anomalies map[int]Anomaly
-	nDone     int // completed trials (early-stop tallies, incl. replayed)
-	nCovered  int // Masked + HWDetect + SWDetect among them
-	nUSDC     int
+	tally     Tally // every decided trial, replayed ones included
+	cycleSum  int64 // final cycles of the trials decided in this process
 
 	stopEarly chan struct{}
 	stopOnce  sync.Once
 }
 
-func newCampaign(t Target, mod *ir.Module, cfg Config, model Model, golden []uint64, goldenDyn int64, disabled map[int]bool, maxDyn int64, rep *Report) *campaign {
-	return &campaign{
-		cfg:       cfg,
-		cursor:    cfg.Checkpoints >= 0 && cfg.Engine == vm.EngineFast,
-		model:     model,
-		target:    t,
-		mod:       mod,
-		golden:    golden,
-		goldenDyn: goldenDyn,
-		disabled:  disabled,
-		maxDyn:    maxDyn,
-		rep:       rep,
-		state:     make([]uint8, cfg.Trials),
-		cycles:    make([]int64, cfg.Trials),
+// newCampaign builds the records of the campaign a journal header names:
+// its Report shell and one disposition per trial, where trials outside the
+// header's shard range are another shard's. Run adds the execution state;
+// a journal merge or consolidation only folds records in.
+func newCampaign(h *journalHeader, cfg Config) *campaign {
+	c := &campaign{
+		cfg: cfg,
+		rep: &Report{
+			Workload:       h.Workload,
+			Technique:      h.Technique,
+			FaultModel:     h.Model,
+			GoldenDyn:      h.GoldenDyn,
+			GoldenCycles:   h.GoldenCycles,
+			DisabledChecks: h.Disabled,
+			Trials:         make([]Trial, h.Trials),
+		},
+		state:     make([]uint8, h.Trials),
 		anomalies: make(map[int]Anomaly),
 		stopEarly: make(chan struct{}),
 	}
-}
-
-// seedFor is the campaign's per-trial rng seed scheme — the single source
-// of truth shared by drawPlan, drawTriggers and anomaly reproducers.
-func seedFor(cfg Config, trial int) int64 { return cfg.Seed + int64(trial)*7919 }
-
-// excludeOutsideShard marks every trial outside [lo, hi) as another shard's
-// responsibility before any disposition is taken.
-func (c *campaign) excludeOutsideShard(lo, hi int) {
 	for i := range c.state {
-		if i < lo || i >= hi {
+		if i < h.ShardStart || i >= h.ShardEnd {
 			c.state[i] = trialExcluded
 		}
 	}
+	return c
 }
+
+// seedFor is the campaign's per-trial rng seed scheme — the single source
+// of truth shared by drawPlan and anomaly reproducers.
+func seedFor(cfg Config, trial int) int64 { return cfg.Seed + int64(trial)*7919 }
 
 // stopRequested reports whether the early-stop criterion has fired.
 func (c *campaign) stopRequested() bool {
@@ -141,83 +144,99 @@ func (c *campaign) stopRequested() bool {
 	}
 }
 
-// noteDone folds one completed trial into the early-stop tallies, reports
-// progress to the OnProgress hook, and fires the stop signal once both
-// Wilson intervals are tight enough.
-func (c *campaign) noteDone(tr Trial) {
+// noteDone counts trial i's outcome into the running Tally (cycles is its
+// final cycle count, 0 for a trial not run here), reports progress to the
+// OnProgress hook, and fires the stop signal once EarlyStop holds.
+func (c *campaign) noteDone(i int, tr Trial, cycles int64) {
+	c.rep.Trials[i] = tr
+	c.state[i] = trialDone
 	c.mu.Lock()
-	c.nDone++
-	switch tr.Outcome {
-	case Masked, HWDetect, SWDetect:
-		c.nCovered++
-	case USDC:
-		c.nUSDC++
-	}
-	done, covered, usdc := c.nDone, c.nCovered, c.nUSDC
-	stop := c.cfg.TargetCI > 0 &&
-		CITight(c.nCovered, c.nDone, c.cfg.TargetCI) &&
-		CITight(c.nUSDC, c.nDone, c.cfg.TargetCI)
+	c.tally.add(tr, c.cfg.LargeChange)
+	c.cycleSum += cycles
+	done, covered, usdc := c.tally.N, c.tally.covered(), c.tally.Count[USDC]
 	c.mu.Unlock()
 	if c.cfg.OnProgress != nil {
 		c.cfg.OnProgress(done, covered, usdc)
 	}
-	if stop {
+	if EarlyStop(done, covered, usdc, c.cfg.TargetCI) {
 		c.stopOnce.Do(func() { close(c.stopEarly) })
 	}
 }
 
-// recordTrial publishes trial i's outcome: the per-trial slots, the
-// journal, and the early-stop tallies.
+// recordTrial publishes the outcome of trial i, just run: the journal,
+// then the campaign's records.
 func (c *campaign) recordTrial(i int, tr Trial, cycles int64) error {
-	c.rep.Trials[i] = tr
-	c.cycles[i] = cycles
-	c.state[i] = trialDone
 	if c.jw != nil {
 		if err := c.jw.append(&journalRecord{T: encodeTrial(i, tr)}); err != nil {
 			return err
 		}
 	}
-	c.noteDone(tr)
+	c.noteDone(i, tr, cycles)
 	return nil
 }
 
-// quarantine retires trial i as an anomaly instead of an outcome.
+// noteQuarantined retires trial a.Trial as an anomaly instead of an
+// outcome.
+func (c *campaign) noteQuarantined(a Anomaly) {
+	c.state[a.Trial] = trialQuarantined
+	c.mu.Lock()
+	c.anomalies[a.Trial] = a
+	c.mu.Unlock()
+}
+
+// quarantine retires trial i, just attempted, as an anomaly: the campaign's
+// records, then the journal.
 func (c *campaign) quarantine(i int, reason, stack string) error {
 	a := Anomaly{Trial: i, Seed: seedFor(c.cfg, i), Reason: reason, Stack: stack}
-	c.state[i] = trialQuarantined
-	c.mu.Lock()
-	c.anomalies[i] = a
-	c.mu.Unlock()
+	c.noteQuarantined(a)
 	if c.jw != nil {
-		return c.jw.append(&journalRecord{A: &journalAnomaly{
-			Index: i, Seed: a.Seed, Reason: a.Reason, Stack: a.Stack,
-		}})
+		return c.jw.append(&journalRecord{A: encodeAnomaly(a)})
 	}
 	return nil
 }
 
-// restoreFromJournal splices a replayed journal state into the campaign so
-// already-decided trials are never re-run. Records outside the campaign's
-// shard range are skipped defensively (the header identity check already
-// rejects a journal from a different shard).
-func (c *campaign) restoreFromJournal(st *journalState) {
-	for i, tr := range st.trials {
-		if c.state[i] == trialExcluded {
-			continue
+// fold splices replayed journal states into the campaign — a resume's own
+// journal, or the journals a merge or consolidation unions — and returns
+// how many trials it decided. Records outside the campaign's shard range
+// are skipped. Two records of one trial must agree: trials are
+// deterministic, so a disagreement, or a trial both decided and
+// quarantined, means corruption or mixed campaigns. Anomaly stacks may
+// differ (panic stacks are path-specific); the first state's record wins.
+func (c *campaign) fold(states []*journalState) (int, error) {
+	n := 0
+	for _, st := range states {
+		for i, tr := range st.trials {
+			switch c.state[i] {
+			case trialExcluded:
+				continue
+			case trialDone:
+				if !sameTrial(c.rep.Trials[i], tr) {
+					return 0, fmt.Errorf("fault: journals disagree on trial %d: %+v vs %+v", i, c.rep.Trials[i], tr)
+				}
+				continue
+			case trialQuarantined:
+				return 0, fmt.Errorf("fault: trial %d is quarantined in one journal record and decided in another", i)
+			}
+			c.noteDone(i, tr, 0)
+			n++
 		}
-		c.rep.Trials[i] = tr
-		c.state[i] = trialDone
-		c.noteDone(tr)
-		c.rep.Replayed++
-	}
-	for i, a := range st.anomalies {
-		if c.state[i] == trialExcluded {
-			continue
+		for i, a := range st.anomalies {
+			switch c.state[i] {
+			case trialExcluded:
+				continue
+			case trialDone:
+				return 0, fmt.Errorf("fault: trial %d is quarantined in one journal record and decided in another", i)
+			case trialQuarantined:
+				if prev := c.anomalies[i]; prev.Seed != a.Seed || prev.Reason != a.Reason {
+					return 0, fmt.Errorf("fault: journals disagree on anomaly %d: %+v vs %+v", i, prev, a)
+				}
+				continue
+			}
+			c.noteQuarantined(a)
+			n++
 		}
-		c.state[i] = trialQuarantined
-		c.anomalies[i] = a
-		c.rep.Replayed++
 	}
+	return n, nil
 }
 
 // pendingTrials lists the trial indices still without a disposition.
@@ -241,45 +260,13 @@ func (c *campaign) closeJournal() error {
 	return jw.close()
 }
 
-// finalize computes the Tally over completed trials and the partial /
-// early-stop / anomaly bookkeeping. ctxErr is the campaign context's error,
-// nil when it was never cancelled.
+// finalize publishes the running Tally and the partial / early-stop /
+// anomaly bookkeeping. ctxErr is the campaign context's error, nil when it
+// was never cancelled.
 func (c *campaign) finalize(ctxErr error) {
 	rep := c.rep
-	pendingLeft := 0
-	for i, s := range c.state {
-		switch s {
-		case trialPending:
-			pendingLeft++
-		case trialDone:
-			tr := rep.Trials[i]
-			ta := &rep.Tally
-			ta.N++
-			ta.Count[tr.Outcome]++
-			if tr.Outcome == SWDetect {
-				switch tr.CheckKind {
-				case ir.CheckDup:
-					ta.SWDetectDup++
-				case ir.CheckCFC:
-					ta.SWDetectCFC++
-				case ir.CheckABFT:
-					ta.SWDetectABFT++
-				default:
-					ta.SWDetectValue++
-				}
-			}
-			if tr.SDC {
-				ta.SDC++
-				if tr.Acceptable {
-					ta.ASDC++
-				} else if tr.RelChange >= c.cfg.LargeChange {
-					ta.USDCLarge++
-				} else {
-					ta.USDCSmall++
-				}
-			}
-		}
-	}
+	rep.Tally = c.tally
+	pendingLeft := len(c.pendingTrials())
 	if len(c.anomalies) > 0 {
 		rep.Anomalies = make([]Anomaly, 0, len(c.anomalies))
 		for _, a := range c.anomalies {

@@ -13,6 +13,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -205,4 +206,86 @@ func TestResumeMissingJournalStartsFresh(t *testing.T) {
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("journal not created: %v", err)
 	}
+}
+
+// progressProbe keeps the OnProgress triple with the largest done count:
+// calls from concurrent workers may arrive out of order.
+type progressProbe struct {
+	mu                  sync.Mutex
+	done, covered, usdc int
+}
+
+func (p *progressProbe) on(done, covered, usdc int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if done > p.done {
+		p.done, p.covered, p.usdc = done, covered, usdc
+	}
+}
+
+// matches checks the last progress report against the Report's Tally:
+// progress and the Report count the same decided trials.
+func (p *progressProbe) matches(t *testing.T, rep *fault.Report) {
+	t.Helper()
+	ta := rep.Tally
+	covered := ta.Count[fault.Masked] + ta.Count[fault.HWDetect] + ta.Count[fault.SWDetect]
+	if p.done != ta.N || p.covered != covered || p.usdc != ta.Count[fault.USDC] {
+		t.Fatalf("last progress (%d, %d, %d), Report (%d, %d, %d)",
+			p.done, p.covered, p.usdc, ta.N, covered, ta.Count[fault.USDC])
+	}
+}
+
+// TestLastProgressMatchesReport: OnProgress and the Report read one running
+// Tally, so the last progress triple is the Report's, whether trials were
+// replayed from a journal or a TargetCI stop left some unrun.
+func TestLastProgressMatchesReport(t *testing.T) {
+	w := workloads.ByName("kmeans")
+	prot := protectedFor(t, w, core.SchemeDupVal)
+	tgt := w.Target(workloads.Test)
+
+	t.Run("resumed", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "campaign.journal")
+		cfg := fault.DefaultConfig()
+		cfg.Trials = 40
+		cfg.JournalPath = path
+		if _, err := fault.Run(context.Background(), tgt, prot, core.SchemeDupVal, cfg); err != nil {
+			t.Fatal(err)
+		}
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(path, info.Size()/2); err != nil {
+			t.Fatal(err)
+		}
+		var p progressProbe
+		cfg.Resume = true
+		cfg.Workers = 2
+		cfg.OnProgress = p.on
+		rep, err := fault.Run(context.Background(), tgt, prot, core.SchemeDupVal, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Replayed == 0 || rep.Replayed == cfg.Trials {
+			t.Fatalf("premise: replayed %d of %d trials", rep.Replayed, cfg.Trials)
+		}
+		p.matches(t, rep)
+	})
+
+	t.Run("early-stopped", func(t *testing.T) {
+		var p progressProbe
+		cfg := fault.DefaultConfig()
+		cfg.Trials = 400
+		cfg.Workers = 2
+		cfg.TargetCI = 0.3
+		cfg.OnProgress = p.on
+		rep, err := fault.Run(context.Background(), tgt, prot, core.SchemeDupVal, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.EarlyStopped {
+			t.Fatalf("premise: campaign did not stop early (N=%d)", rep.Tally.N)
+		}
+		p.matches(t, rep)
+	})
 }

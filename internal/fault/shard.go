@@ -7,10 +7,10 @@ package fault
 // per-shard journals of one campaign are disjoint views of the same
 // deterministic trial sequence. Merging is therefore a pure fold: validate
 // that the headers agree on every identity field except the shard range,
-// union the records, and rebuild the Report through the exact finalize path
-// a single-process campaign uses — the merged Report (Tally, per-trial
-// records, Anomalies ordering) is bit-identical to an uninterrupted
-// single-process run.
+// then fold the records into a campaign rebuilt from the header, through
+// the same fold, running Tally and finalize a resumed single-process
+// campaign uses — the merged Report (Tally, per-trial records, Anomalies
+// ordering) is bit-identical to an uninterrupted single-process run.
 //
 // Consolidation is the coordinator's fencing primitive: when a shard lease
 // expires and the shard is reassigned, the dead worker's journal(s) are
@@ -70,45 +70,6 @@ func replayShardFiles(paths []string, allowMissing bool) ([]*journalState, *jour
 	return states, hdr, nil
 }
 
-// foldShardStates unions the replayed states into per-trial dispositions.
-// Two journals deciding the same trial must agree — trials are
-// deterministic, so a disagreement means corruption or mixed campaigns —
-// except that anomaly stacks are allowed to differ (panic stacks are
-// path-specific; the first journal's record wins, deterministically in path
-// order).
-func foldShardStates(states []*journalState, trials []Trial, state []uint8, anomalies map[int]Anomaly) error {
-	for _, st := range states {
-		for i, tr := range st.trials {
-			switch state[i] {
-			case trialDone:
-				if !sameTrial(trials[i], tr) {
-					return fmt.Errorf("fault: shard journals disagree on trial %d: %+v vs %+v", i, trials[i], tr)
-				}
-			case trialQuarantined:
-				return fmt.Errorf("fault: trial %d is quarantined in one shard journal and decided in another", i)
-			default:
-				trials[i] = tr
-				state[i] = trialDone
-			}
-		}
-		for i, a := range st.anomalies {
-			switch state[i] {
-			case trialDone:
-				return fmt.Errorf("fault: trial %d is quarantined in one shard journal and decided in another", i)
-			case trialQuarantined:
-				prev := anomalies[i]
-				if prev.Seed != a.Seed || prev.Reason != a.Reason {
-					return fmt.Errorf("fault: shard journals disagree on anomaly %d: %+v vs %+v", i, prev, a)
-				}
-			default:
-				state[i] = trialQuarantined
-				anomalies[i] = a
-			}
-		}
-	}
-	return nil
-}
-
 // MergeShardJournals folds one campaign's per-shard journals into a single
 // Report, bit-identical (Tally, per-trial records, Anomalies ordering) to
 // the Report a single-process run of the whole campaign produces. Paths to
@@ -127,31 +88,14 @@ func MergeShardJournals(paths []string) (*Report, error) {
 	if hdr == nil {
 		return nil, fmt.Errorf("fault: no intact journal header among %d shard journals", len(paths))
 	}
-
-	rep := &Report{
-		Workload:       hdr.Workload,
-		Technique:      hdr.Technique,
-		FaultModel:     hdr.Model,
-		GoldenDyn:      hdr.GoldenDyn,
-		GoldenCycles:   hdr.GoldenCycles,
-		DisabledChecks: hdr.Disabled,
-		Trials:         make([]Trial, hdr.Trials),
-	}
-	c := &campaign{
-		cfg: Config{
-			Trials:      hdr.Trials,
-			Seed:        hdr.Seed,
-			LargeChange: math.Float64frombits(hdr.LargeChangeBits),
-		},
-		rep:       rep,
-		state:     make([]uint8, hdr.Trials),
-		anomalies: make(map[int]Anomaly),
-	}
-	if err := foldShardStates(states, rep.Trials, c.state, c.anomalies); err != nil {
+	whole := *hdr // the merge covers every shard's range
+	whole.ShardStart, whole.ShardEnd = 0, hdr.Trials
+	c := newCampaign(&whole, hdr.config())
+	if _, err := c.fold(states); err != nil {
 		return nil, err
 	}
 	c.finalize(nil)
-	return rep, nil
+	return c.rep, nil
 }
 
 // ConsolidateShardJournals folds the journals of one shard's previous
@@ -181,11 +125,8 @@ func ConsolidateShardJournals(dst string, srcs []string) (decided int, err error
 			return 0, fmt.Errorf("fault: consolidating journals of different shards: %s", d)
 		}
 	}
-
-	trials := make([]Trial, hdr.Trials)
-	state := make([]uint8, hdr.Trials)
-	anomalies := make(map[int]Anomaly)
-	if err := foldShardStates(states, trials, state, anomalies); err != nil {
+	c := newCampaign(hdr, hdr.config())
+	if decided, err = c.fold(states); err != nil {
 		return 0, err
 	}
 
@@ -198,25 +139,20 @@ func ConsolidateShardJournals(dst string, srcs []string) (decided int, err error
 		w.close()
 		return 0, err
 	}
-	for i, s := range state {
+	for i, s := range c.state {
+		rec := &journalRecord{}
 		switch s {
 		case trialDone:
-			if err := w.append(&journalRecord{T: encodeTrial(i, trials[i])}); err != nil {
-				w.close()
-				return 0, err
-			}
+			rec.T = encodeTrial(i, c.rep.Trials[i])
 		case trialQuarantined:
-			a := anomalies[i]
-			if err := w.append(&journalRecord{A: &journalAnomaly{
-				Index: i, Seed: a.Seed, Reason: a.Reason, Stack: a.Stack,
-			}}); err != nil {
-				w.close()
-				return 0, err
-			}
+			rec.A = encodeAnomaly(c.anomalies[i])
 		default:
 			continue
 		}
-		decided++
+		if err := w.append(rec); err != nil {
+			w.close()
+			return 0, err
+		}
 	}
 	if err := w.close(); err != nil {
 		return 0, err

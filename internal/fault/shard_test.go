@@ -7,6 +7,7 @@ package fault
 // shard_equiv_test.go.
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -240,5 +241,42 @@ func TestConsolidateShardJournalsNothingToDo(t *testing.T) {
 	}
 	if _, err := os.Stat(dst); !os.IsNotExist(err) {
 		t.Fatalf("stale consolidation target not removed: %v", err)
+	}
+}
+
+// TestResumeRejectsDecidedAndQuarantinedTrial: a resumed journal goes
+// through the same fold as a merge, so a trial the journal records both as
+// decided and as quarantined is corruption, not a trial to keep twice.
+func TestResumeRejectsDecidedAndQuarantinedTrial(t *testing.T) {
+	tgt, prot, _ := protectOn(t, constInput(5), constInput(5))
+	tgt.Measure = func(golden, test []uint64) float64 { return 0 }
+	tgt.Acceptable = func(float64) bool { return false }
+	path := filepath.Join(t.TempDir(), "campaign.journal")
+	cfg := DefaultConfig()
+	cfg.Trials = 4
+	cfg.JournalPath = path
+	rep, err := Run(context.Background(), tgt, prot, "DupVal", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Tally.N != cfg.Trials {
+		t.Fatalf("premise: %d of %d trials decided", rep.Tally.N, cfg.Trials)
+	}
+	line, err := encodeLine(&journalRecord{A: encodeAnomaly(Anomaly{Trial: 1, Seed: seedFor(cfg, 1), Reason: AnomalyPanic})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(line); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	cfg.Resume = true
+	if _, err := Run(context.Background(), tgt, prot, "DupVal", cfg); err == nil || !strings.Contains(err.Error(), "quarantined in one") {
+		t.Fatalf("resume kept a trial both decided and quarantined: %v", err)
 	}
 }

@@ -41,7 +41,7 @@ func Wilson(successes, n int, z float64) (lo, hi float64) {
 // CoverageInterval is the 95% Wilson interval for the paper's
 // fault-coverage proportion (Masked + SWDetect + HWDetect over trials).
 func (t *Tally) CoverageInterval() (lo, hi float64) {
-	return Wilson(t.Count[Masked]+t.Count[HWDetect]+t.Count[SWDetect], t.N, z95)
+	return Wilson(t.covered(), t.N, z95)
 }
 
 // USDCInterval is the 95% Wilson interval for the unacceptable-SDC rate.
@@ -50,9 +50,17 @@ func (t *Tally) USDCInterval() (lo, hi float64) {
 }
 
 // CITight reports whether the 95% Wilson interval for successes/n is no
-// wider than target — the Config.TargetCI early-stop criterion, which the
-// campaign service also applies to pooled cross-shard counts.
+// wider than target.
 func CITight(successes, n int, target float64) bool {
 	lo, hi := Wilson(successes, n, z95)
 	return hi-lo <= target
+}
+
+// EarlyStop is the Config.TargetCI stopping rule over decided-trial counts:
+// both the coverage interval (covered of done) and the USDC-rate interval
+// (usdc of done) are no wider than target. A non-positive target never
+// stops. A campaign applies it to its running Tally, the campaign service
+// to counts pooled across shards.
+func EarlyStop(done, covered, usdc int, target float64) bool {
+	return target > 0 && done > 0 && CITight(covered, done, target) && CITight(usdc, done, target)
 }

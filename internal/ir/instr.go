@@ -40,9 +40,6 @@ type Instr struct {
 // Type returns the type of the value this instruction defines.
 func (in *Instr) Type() Type { return in.Ty }
 
-// IsPhi reports whether the instruction is a phi node.
-func (in *Instr) IsPhi() bool { return in.Op == OpPhi }
-
 func (in *Instr) String() string { return fmt.Sprintf("%%%d", in.ID) }
 
 // LongString renders the instruction in full for dumps and tests.

@@ -237,13 +237,6 @@ func TestNestedLoops(t *testing.T) {
 	if outer.Depth != 1 || inner.Depth != 2 {
 		t.Errorf("depths = %d, %d", outer.Depth, inner.Depth)
 	}
-	depth := LoopDepth(f, loops)
-	if depth[inner.Header.Index] != 2 {
-		t.Errorf("LoopDepth(h2) = %d, want 2", depth[inner.Header.Index])
-	}
-	if depth[f.Entry().Index] != 0 {
-		t.Errorf("LoopDepth(entry) = %d, want 0", depth[f.Entry().Index])
-	}
 }
 
 func TestCloneIsDeepAndPreservesUIDs(t *testing.T) {
@@ -389,17 +382,6 @@ func TestProducersWalk(t *testing.T) {
 	}
 	if visited[0] != s2 {
 		t.Error("walk did not start at root")
-	}
-}
-
-func TestUses(t *testing.T) {
-	_, f := buildLoopFunc(t)
-	u := BuildUses(f)
-	header := f.Blocks[1]
-	iPhi := header.Phis()[0]
-	// i is used by: cond (lt), s2 (add), i2 (add).
-	if got := len(u[iPhi]); got != 3 {
-		t.Fatalf("uses of i = %d, want 3", got)
 	}
 }
 

@@ -87,18 +87,3 @@ func FindLoops(f *Func, dt *DomTree) []*Loop {
 	}
 	return loops
 }
-
-// LoopDepth returns per-block loop nesting depth (0 = not in any loop),
-// indexed by block Index. Used by the value profiler and check-placement
-// heuristics to weight hot code.
-func LoopDepth(f *Func, loops []*Loop) []int {
-	depth := make([]int, len(f.Blocks))
-	for _, l := range loops {
-		for _, b := range l.Body {
-			if l.Depth > depth[b.Index] {
-				depth[b.Index] = l.Depth
-			}
-		}
-	}
-	return depth
-}

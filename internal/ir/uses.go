@@ -1,23 +1,5 @@
 package ir
 
-// Uses maps each instruction to the instructions that consume its value.
-// It is a snapshot: recompute after transformations.
-type Uses map[*Instr][]*Instr
-
-// BuildUses computes the use lists of every instruction in f.
-func BuildUses(f *Func) Uses {
-	u := make(Uses)
-	f.Instrs(func(in *Instr) bool {
-		for _, a := range in.Args {
-			if d, ok := a.(*Instr); ok {
-				u[d] = append(u[d], in)
-			}
-		}
-		return true
-	})
-	return u
-}
-
 // Producers walks the use-def producer chain of v (the recursive operands
 // that compute it), calling visit on every instruction encountered,
 // including v itself when it is an instruction. The walk stops descending at

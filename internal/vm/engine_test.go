@@ -196,6 +196,7 @@ func TestEngineEquivalenceProtected(t *testing.T) {
 	}{
 		{"kmeans", core.SchemeDup},
 		{"jpegdec", core.SchemeDupVal},
+		{"svm", core.SchemeDupVal},
 		{"g721dec", core.SchemeFullDup},
 	} {
 		tc := tc

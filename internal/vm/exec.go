@@ -117,21 +117,24 @@ func (m *Machine) inject(fr *frame) {
 		plan.TargetUID = in.UID
 		break
 	}
-	switch ty {
-	case ir.F64:
-		o, n := math.Float64frombits(old), math.Float64frombits(newBits)
-		d := math.Abs(n - o)
-		den := math.Max(math.Abs(o), 1)
-		plan.RelChange = d / den
-		if math.IsNaN(plan.RelChange) || math.IsInf(plan.RelChange, 0) {
-			plan.RelChange = math.Inf(1)
+	plan.RelChange = RelChange(ty, old, newBits)
+}
+
+// RelChange is the relative change |now-old| / max(|old|, 1) of a value of
+// type ty corrupted from bits old to bits now: the large-versus-small USDC
+// attribution (Figure 2) every fault model records. Words of any type but
+// F64 read as int64; an F64 change that is NaN or infinite counts as +Inf.
+func RelChange(ty ir.Type, old, now uint64) float64 {
+	if ty == ir.F64 {
+		o, n := math.Float64frombits(old), math.Float64frombits(now)
+		rc := math.Abs(n-o) / math.Max(math.Abs(o), 1)
+		if math.IsNaN(rc) || math.IsInf(rc, 0) {
+			return math.Inf(1)
 		}
-	default:
-		o, n := int64(old), int64(newBits)
-		d := math.Abs(float64(n) - float64(o))
-		den := math.Max(math.Abs(float64(o)), 1)
-		plan.RelChange = d / den
+		return rc
 	}
+	o, n := int64(old), int64(now)
+	return math.Abs(float64(n)-float64(o)) / math.Max(math.Abs(float64(o)), 1)
 }
 
 // instrsBySlot finds instructions occupying a frame slot (zero or one).

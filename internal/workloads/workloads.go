@@ -306,15 +306,6 @@ func wordsToInts(ws []uint64) []int64 {
 	return out
 }
 
-// wordsToFloats reinterprets raw output words as floats.
-func wordsToFloats(ws []uint64) []float64 {
-	out := make([]float64, len(ws))
-	for i, w := range ws {
-		out[i] = math.Float64frombits(w)
-	}
-	return out
-}
-
 func bindInts(m *vm.Machine, name string, data []int64) error {
 	return m.BindInputInts(name, data)
 }
