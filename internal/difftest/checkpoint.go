@@ -11,8 +11,11 @@ package difftest
 //
 //   - at each point, the cursor's state is captured as a Snapshot and
 //     Restored into one machine, and cloned into another with RestoreFrom;
-//     both must finish (or re-trap) exactly like the uninterrupted
-//     reference, on every observable including all globals;
+//     both must keep the written-memory invariant (every word at or above
+//     the machine's memory bound is zero, Machine.CheckMemHi) — they are
+//     dirty from the previous point's run, so their bound may lie above the
+//     source's — and both must finish (or re-trap) exactly like the
+//     uninterrupted reference, on every observable including all globals;
 //   - the origin has no suspend point (SuspendAtDyn is positive): there the
 //     campaign Resets the trial machine, so the probe Resets both — by then
 //     dirty — machines and requires the reference run again;
@@ -103,6 +106,11 @@ func diffCheckpoint(mod *ir.Module, ints []int64, floats []float64, maxDyn int64
 		}
 		if err := cloned.RestoreFrom(cursor); err != nil {
 			return fmt.Sprintf("RestoreFrom at dyn %d: %v", d, err)
+		}
+		for _, m := range []*vm.Machine{restored, cloned} {
+			if err := m.CheckMemHi(); err != nil {
+				return fmt.Sprintf("restore at dyn %d: %v", d, err)
+			}
 		}
 		if diff := diffRun(fmt.Sprintf("restored@%d", d), mod, restored, restored.Run(opts), refMach, ref); diff != "" {
 			return diff

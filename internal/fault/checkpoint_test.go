@@ -10,6 +10,7 @@ package fault_test
 import (
 	"context"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -257,5 +258,71 @@ func TestRecoveryCheckpointEquivalence(t *testing.T) {
 		if *rep != *ref {
 			t.Errorf("%s: recovery report differs:\n got=%+v\nreset=%+v", r.name, *rep, *ref)
 		}
+	}
+}
+
+// TestGoldenLadderMatchesPrefixSnapshots checks fact 2 of the scheduler on
+// a campaign whose golden run fails checks (jpegdec under DupVal): the
+// ladder the counting golden run builds must hold, at every requested
+// index, exactly the state a trial's prefix — which disables those checks
+// instead of counting them — reaches there. A snapshot of the counting run
+// that keeps its counters must not match wherever a check has failed, or
+// the comparison could not tell the two runs apart. The ladder's indices
+// must also be the ones the rule gives for the golden run's length.
+func TestGoldenLadderMatchesPrefixSnapshots(t *testing.T) {
+	w := workloads.ByName("jpegdec")
+	prot := protectedFor(t, w, core.SchemeDupVal)
+	target := w.Target(workloads.Test)
+	cfg := fault.DefaultConfig()
+	golden, disabled, at, snaps, err := fault.GoldenLadder(target, prot, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(disabled) == 0 {
+		t.Fatal("the golden run fails no checks; the test compares nothing the counters could break")
+	}
+	if want := fault.LadderIndices(cfg, golden.Dyn); len(at) < 2 || !slices.Equal(at, want) {
+		t.Fatalf("ladder at %v, the rule gives %v for a %d-instruction golden run", at, want, golden.Dyn)
+	}
+	ref, err := fault.PrefixSnapshots(target, prot, cfg, disabled, 0, at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newMach := func() *vm.Machine {
+		m, err := vm.New(prot, vm.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := target.Bind(m); err != nil {
+			t.Fatal(err)
+		}
+		m.Reset()
+		return m
+	}
+	prefix, counting := newMach(), newMach()
+	failedBefore := 0
+	for k, s := range snaps {
+		if s.Dyn() != ref[k].Dyn() {
+			t.Fatalf("index %d: ladder snapshot parked at dyn %d, prefix snapshot at %d", at[k], s.Dyn(), ref[k].Dyn())
+		}
+		if err := prefix.Restore(ref[k]); err != nil {
+			t.Fatal(err)
+		}
+		if !prefix.MatchesSnapshot(s) {
+			t.Fatalf("index %d: ladder snapshot differs from the DisabledChecks prefix state", at[k])
+		}
+		res := counting.Run(vm.RunOptions{CountChecks: true, SuspendAtDyn: at[k]})
+		if res.Trap == nil || res.Trap.Kind != vm.TrapSuspended {
+			t.Fatalf("counting run: expected suspension at %d, got %v", at[k], res.Trap)
+		}
+		if res.CheckFails > 0 {
+			failedBefore++
+			if counting.MatchesSnapshot(s) {
+				t.Fatalf("index %d: a counting run with %d check failures matches the zeroed snapshot", at[k], res.CheckFails)
+			}
+		}
+	}
+	if failedBefore == 0 {
+		t.Fatal("no check fails before any ladder index; the counters never differ")
 	}
 }

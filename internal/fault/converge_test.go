@@ -65,7 +65,7 @@ func TestConvergenceShortCircuit(t *testing.T) {
 	maxDyn := goldenDyn * cfg.WatchdogFactor
 
 	snapAt := []int64{goldenDyn / 4, goldenDyn / 2, 3 * goldenDyn / 4}
-	snaps, err := takeSnapshots(target, mod, cfg, nil, maxDyn, snapAt)
+	snaps, err := PrefixSnapshots(target, mod, cfg, nil, maxDyn, snapAt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -200,7 +200,7 @@ func TestRearmingModelNeverFalselyMasked(t *testing.T) {
 	falselyGolden := 0
 	for off := int64(10); off < model.stride; off += 10 {
 		at := model.trigger + model.stride + off
-		snaps, err := takeSnapshots(target, mod, cfg, nil, maxDyn, []int64{at})
+		snaps, err := PrefixSnapshots(target, mod, cfg, nil, maxDyn, []int64{at})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestRearmingModelNeverFalselyMasked(t *testing.T) {
 	// identical with and without the snapshot ladder, because finishTrial
 	// drops the ladder for re-arming models.
 	snapAt := []int64{goldenDyn / 4, goldenDyn / 2, 3 * goldenDyn / 4}
-	snaps, err := takeSnapshots(target, mod, cfg, nil, maxDyn, snapAt)
+	snaps, err := PrefixSnapshots(target, mod, cfg, nil, maxDyn, snapAt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,9 @@ const (
 // campaign is the shared state of one in-flight fault-injection campaign.
 type campaign struct {
 	cfg       Config
-	cursor    bool // position trials off a golden cursor, not by Reset
+	cursor    bool           // position trials off a golden cursor, not by Reset
+	snapAt    []int64        // the golden run's snapshot ladder (goldenRun):
+	snaps     []*vm.Snapshot // snaps[k] requested at snapAt[k]; may be empty
 	model     Model
 	target    Target
 	mod       *ir.Module
@@ -459,18 +461,11 @@ func (c *campaign) run(ctx context.Context, pending []int, workers int) error {
 	if ctx.Err() != nil {
 		return nil // finalize marks the report partial
 	}
-	snapAt := checkpointSchedule(c.cfg, c.goldenDyn)
-	var snaps []*vm.Snapshot
-	if len(snapAt) > 0 {
-		var err error
-		if snaps, err = takeSnapshots(c.target, c.mod, c.cfg, c.disabled, c.maxDyn, snapAt); err != nil {
-			return err
-		}
-	}
-	work := c.schedule(pending, workers, snapAt, snaps)
+	work := c.schedule(pending, workers)
 	// The convergence ladder passed to every trial suffix; bins still
-	// restore from snaps, so disabling convergence never disables the
+	// restore from c.snaps, so disabling convergence never disables the
 	// cursor's checkpoints.
+	snaps := c.snaps
 	if c.cfg.Converge < 0 {
 		snaps = nil
 	}

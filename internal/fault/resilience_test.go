@@ -272,7 +272,7 @@ func TestCheckpointMoreSnapshotsThanTrials(t *testing.T) {
 // and never restore a snapshot — and checks it still matches the reset
 // path.
 func TestCheckpointAllTriggersBeforeFirstSnapshot(t *testing.T) {
-	const trials = 4
+	const trials, ckpt = 4, 2
 	for _, name := range []string{"kmeans", "tiff2bw"} {
 		t.Run(name, func(t *testing.T) {
 			w := workloads.ByName(name)
@@ -285,9 +285,14 @@ func TestCheckpointAllTriggersBeforeFirstSnapshot(t *testing.T) {
 				t.Fatal(err)
 			}
 			goldenDyn := rep.GoldenDyn
-			// With Checkpoints=2 the first snapshot sits at goldenDyn/3 (the
-			// scheduler spaces n snapshots at goldenDyn*(k+1)/(n+1)).
-			firstSnap := goldenDyn / 3
+			ladderCfg := fault.DefaultConfig()
+			ladderCfg.Checkpoints = ckpt
+			ladder := fault.LadderIndices(ladderCfg, goldenDyn)
+			if len(ladder) == 0 {
+				t.Fatalf("a %d-instruction golden run gets no ladder under Checkpoints=%d; the test restores nothing", goldenDyn, ckpt)
+			}
+			firstSnap := ladder[0]
+			t.Logf("golden %d instructions, ladder %v", goldenDyn, ladder)
 
 			// Reproduce the campaign's trigger draw (first Int63n after
 			// per-trial seeding) to find a seed that puts every trigger in
@@ -321,7 +326,7 @@ func TestCheckpointAllTriggersBeforeFirstSnapshot(t *testing.T) {
 				}
 				return rep
 			}
-			diffReports(t, "all-before-first-snapshot", run(2), run(-1))
+			diffReports(t, "all-before-first-snapshot", run(ckpt), run(-1))
 		})
 	}
 }

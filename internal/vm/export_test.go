@@ -38,3 +38,9 @@ func FusedHeads(m *Machine) map[*ir.Instr]string {
 	}
 	return heads
 }
+
+// MemHi returns the machine's written-memory bound.
+func MemHi(m *Machine) uint64 { return m.memHi }
+
+// SnapshotMemHi returns the written-memory bound a snapshot recorded.
+func SnapshotMemHi(s *Snapshot) uint64 { return s.m.memHi }

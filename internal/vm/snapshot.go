@@ -16,9 +16,11 @@ package vm
 // bit-identically (see internal/fault's checkpoint scheduler).
 //
 // What is captured is the machine state RestoreFrom copies and
-// MatchesSnapshot compares — the only two places that list it: the full
-// memory image (garbage words above sp are semantically visible — alloca
-// does not zero its frame), the stack pointer, the dynamic instruction
+// MatchesSnapshot compares — the only two places that list it: the written
+// memory image mem[:memHi] (every word above it is zero, so it stands for
+// the whole memory; garbage words above sp are semantically visible —
+// alloca does not zero its frame — and lie below memHi because a store put
+// them there), the stack pointer, the dynamic instruction
 // counter, the complete timing-model state (issue cursor, slot, completion
 // horizon, cache tags, branch predictor), check state (checkFails,
 // perCheckFails, laxPhis), and the suspended call chain with a register file
@@ -64,17 +66,36 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		return nil, fmt.Errorf("vm: machine is not suspended (Run must return a %v trap first)", TrapSuspended)
 	}
 	// Only what RestoreFrom writes is allocated: the clone never runs, so it
-	// needs no inputs, globals layout or Reset pass.
+	// needs no inputs, globals layout or Reset pass, and of memory only the
+	// written image.
 	c := &Machine{
-		eng:    m.eng,
-		mem:    make([]uint64, len(m.mem)),
-		timing: newTiming(m.cfg.Timing),
-		pools:  make([][]*frame, len(m.eng.funcs)),
+		eng:      m.eng,
+		mem:      make([]uint64, m.memHi),
+		memWords: m.memWords,
+		timing:   newTiming(m.cfg.Timing),
+		pools:    make([][]*frame, len(m.eng.funcs)),
 	}
 	if err := c.RestoreFrom(m); err != nil {
 		return nil, err
 	}
 	return &Snapshot{m: c}, nil
+}
+
+// SnapshotZeroChecks is Snapshot with the check counters (checkFails,
+// perCheckFails) recorded as zero. A run that counts check failures
+// (RunOptions.CountChecks) and one that disables every check failing in it
+// (RunOptions.DisabledChecks) execute identically — both continue past a
+// failing check — and differ only in those counters, so this snapshot of
+// the counting run is bit-identical to a snapshot the disabling run takes
+// at the same point. The fault campaign builds its snapshot ladder from its
+// counting golden run this way.
+func (m *Machine) SnapshotZeroChecks() (*Snapshot, error) {
+	s, err := m.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	s.m.checkFails, s.m.perCheckFails = 0, nil
+	return s, nil
 }
 
 // Restore replaces the machine's execution state with the snapshot's,
@@ -109,7 +130,7 @@ func (m *Machine) RestoreFrom(src *Machine) error {
 	if len(src.susp) == 0 {
 		return fmt.Errorf("vm: source machine is not suspended (Run must return a %v trap first)", TrapSuspended)
 	}
-	if len(src.mem) != len(m.mem) ||
+	if src.memWords != m.memWords ||
 		len(src.timing.cacheTags) != len(m.timing.cacheTags) ||
 		len(src.timing.predictor) != len(m.timing.predictor) {
 		return fmt.Errorf("vm: source machine geometry differs")
@@ -123,7 +144,13 @@ func (m *Machine) RestoreFrom(src *Machine) error {
 	m.resuming = nil
 	m.resumePos = -1
 
-	copy(m.mem, src.mem)
+	// Words in [src.memHi, m.memHi) are stale writes of m's own past; every
+	// word above both bounds is zero on both sides.
+	copy(m.mem[:src.memHi], src.mem[:src.memHi])
+	if m.memHi > src.memHi {
+		clear(m.mem[src.memHi:m.memHi])
+	}
+	m.memHi = src.memHi
 	m.sp = src.sp
 	m.dyn = src.dyn
 	m.laxPhis = src.laxPhis
@@ -168,7 +195,7 @@ func (m *Machine) MatchesSnapshot(s *Snapshot) bool {
 		return false
 	}
 	if m.dyn != o.dyn || m.sp != o.sp || m.laxPhis != o.laxPhis ||
-		m.checkFails != o.checkFails {
+		m.checkFails != o.checkFails || m.memWords != o.memWords {
 		return false
 	}
 	tm, to := m.timing, o.timing
@@ -193,7 +220,37 @@ func (m *Machine) MatchesSnapshot(s *Snapshot) bool {
 	return maps.Equal(m.perCheckFails, o.perCheckFails) &&
 		slices.Equal(tm.cacheTags, to.cacheTags) &&
 		slices.Equal(tm.predictor, to.predictor) &&
-		slices.Equal(m.mem, o.mem)
+		memEqual(m, o)
+}
+
+// memEqual compares two machines' memory images: the words below both
+// memHi bounds pairwise, and the words between the bounds against the zero
+// every word above a bound holds.
+func memEqual(a, b *Machine) bool {
+	if a.memHi > b.memHi {
+		a, b = b, a
+	}
+	if !slices.Equal(a.mem[:a.memHi], b.mem[:a.memHi]) {
+		return false
+	}
+	for _, w := range b.mem[a.memHi:b.memHi] {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// CheckMemHi verifies the invariant the memory bound stands for — every
+// word at or above it is zero — and reports the first word that breaks it.
+// Differential testing and the vm tests call it after runs and restores.
+func (m *Machine) CheckMemHi() error {
+	for a := m.memHi; a < uint64(len(m.mem)); a++ {
+		if m.mem[a] != 0 {
+			return fmt.Errorf("vm: mem[%d] = %#x at or above the written-memory bound %d", a, m.mem[a], m.memHi)
+		}
+	}
+	return nil
 }
 
 // resumeExec continues a suspended (or freshly restored) run: the captured

@@ -31,18 +31,23 @@ W2=$!
   -inject "$TRIALS" -shards 4 -wait >"$DIR/svc.out" 2>"$DIR/submit.log" &
 SUB=$!
 
-# SIGKILL w2 once the campaign is demonstrably mid-flight: some trials
-# streamed, job still running.
+# SIGKILL w2 once the kill is sure to cost a lease: the job is running, it
+# has streamed trials, and w2 holds a leased shard. Killing on streamed
+# trials alone could land while w2 sat between leases, and then nothing
+# would expire.
 done_ct=0
-for _ in $(seq 1 200); do
+for _ in $(seq 1 400); do
   progress=$(curl -s "http://$ADDR/progress" || true)
-  done_ct=$(printf '%s' "$progress" | grep -o '"done":[0-9]*' | head -1 | cut -d: -f2)
+  done_ct=$(printf '%s' "$progress" | grep -o '"done":[0-9]*' | cut -d: -f2 | sort -n | tail -1)
   state=$(printf '%s' "$progress" | grep -o '"state":"[a-z]*"' | head -1 | cut -d'"' -f4)
-  [ "${done_ct:-0}" -gt 0 ] && [ "${state:-}" = running ] && break
-  sleep 0.1
+  if [ "${done_ct:-0}" -gt 0 ] && [ "${state:-}" = running ] &&
+    printf '%s' "$progress" | grep -q '"state":"leased","attempt":[0-9]*,"worker":"w2"'; then
+    break
+  fi
+  sleep 0.05
 done
 kill -9 "$W2"
-echo "SIGKILLed w2 with ${done_ct:-0} trials streamed"
+echo "SIGKILLed w2 holding a lease, with ${done_ct:-0} trials streamed"
 
 wait "$SUB"
 
