@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -117,4 +118,114 @@ func TestConvergenceShortCircuit(t *testing.T) {
 		t.Fatal("no trial short-circuited through a snapshot crossing")
 	}
 	t.Logf("%d/60 trials masked, %d short-circuited", masked, shortCircuits)
+}
+
+// deadValueSrc computes seed once, reads it once, and then loops long
+// enough for the convergence ladder to cross the loop: after its one use,
+// seed is dead but stays in its register slot for the rest of main.
+const deadValueSrc = `
+global int in[1];
+global int out[4];
+void main() {
+	int seed = in[0] * 3 + 1;
+	int acc = seed & 255;
+	for (int i = 0; i < 400; i += 1) {
+		acc = acc + ((i * 7) & 255);
+	}
+	out[0] = acc;
+}
+`
+
+// TestConvergenceShortCircuitDeadValue flips a bit of a value that is dead
+// after its last use. The flipped bits stay in the slot to the end of the
+// run, so a compare of every written slot never matches golden again; the
+// live-state compare ignores the dead slot, so the trial must end at the
+// first snapshot after the injection, with the Trial and cycle count of
+// the full suffix.
+func TestConvergenceShortCircuitDeadValue(t *testing.T) {
+	const seedIn = 0x12345
+	mod, err := lang.Compile("deadvalue", deadValueSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := Target{
+		Name:       "deadvalue",
+		Output:     "out",
+		Bind:       func(m *vm.Machine) error { return m.BindInputInts("in", []int64{seedIn}) },
+		Measure:    func(golden, test []uint64) float64 { return 0 },
+		Acceptable: func(float64) bool { return false },
+	}
+	cfg := DefaultConfig()
+	gm, err := newMachine(target, mod, 0, cfg.Engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := gm.Run(vm.RunOptions{})
+	if res.Trap != nil {
+		t.Fatalf("golden run trapped: %v", res.Trap)
+	}
+	golden, err := gm.ReadGlobal(target.Output)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldenDyn, maxDyn := res.Dyn, res.Dyn*cfg.WatchdogFactor
+	snaps, err := PrefixSnapshots(target, mod, cfg, nil, maxDyn, []int64{goldenDyn / 4, goldenDyn / 2, 3 * goldenDyn / 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Find seed's place in the written-slot list at the trigger, inside
+	// the loop and before the first snapshot.
+	trigger := goldenDyn / 8
+	probe, err := newMachine(target, mod, maxDyn, cfg.Engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := probe.Run(vm.RunOptions{SuspendAtDyn: trigger}); r.Trap == nil || r.Trap.Kind != vm.TrapSuspended {
+		t.Fatalf("probe did not suspend at the trigger: %v", r.Trap)
+	}
+	slot := -1
+	for i := range probe.LiveRegCount() {
+		if bits, _ := probe.LiveReg(i); bits == seedIn*3+1 {
+			if slot >= 0 {
+				t.Fatal("seed's value is not unique among the written registers")
+			}
+			slot = i
+		}
+	}
+	if slot < 0 {
+		t.Fatal("seed's value is not among the written registers at the trigger")
+	}
+	plan := func() *Plan {
+		src := rand.NewSource(0)
+		p := drawPlan(MustModel("reg-flip"), cfg, goldenDyn, 0, src, rand.New(src))
+		p.TriggerDyn, p.VM.TriggerDyn = trigger, trigger
+		p.VM.PickSlot = func(int) int { return slot }
+		p.VM.PickBit = func() int { return 40 }
+		return p
+	}
+
+	c := &campaign{cfg: cfg, target: target, golden: golden, rep: &Report{GoldenCycles: res.Cycles}}
+	solo, err := newMachine(target, mod, maxDyn, cfg.Engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr1, cyc1, _ := c.finishTrial(solo, plan(), nil, nil)
+	conv, err := newMachine(target, mod, maxDyn, cfg.Engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2 := plan()
+	tr2, cyc2, _ := c.finishTrial(conv, p2, nil, snaps)
+
+	if !p2.injected() || tr1.Outcome != Masked {
+		t.Fatalf("the flip must fire and be masked: injected %v, outcome %v", p2.injected(), tr1.Outcome)
+	}
+	if tr1 != tr2 || cyc1 != cyc2 || cyc1 != res.Cycles {
+		t.Fatalf("full suffix %+v (%d cycles), converging %+v (%d cycles), golden %d cycles", tr1, cyc1, tr2, cyc2, res.Cycles)
+	}
+	if !conv.Suspended() || conv.Dyn() != snaps[0].Dyn() {
+		t.Fatalf("trial ran to dyn %d (suspended %v); it must end at the first snapshot after the injection, dyn %d",
+			conv.Dyn(), conv.Suspended(), snaps[0].Dyn())
+	}
 }

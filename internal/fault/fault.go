@@ -96,10 +96,11 @@ type Config struct {
 	// journal's result-affecting configuration.
 	Fuse int
 	// Converge controls convergence fast-forwarding for cursor-positioned
-	// trials: a trial whose machine state re-converges with a golden
-	// snapshot after its fault has fired short-circuits to Masked instead
-	// of executing the rest of its suffix (finishTrial). 0 (the default)
-	// enables it; < 0 disables it. Another pure throughput knob: the
+	// trials: a trial whose live machine state — everything but the
+	// register slots no later instruction can read — re-converges with a
+	// golden snapshot after its fault has fired short-circuits to Masked
+	// instead of executing the rest of its suffix (finishTrial). 0 (the
+	// default) enables it; < 0 disables it. Another pure throughput knob: the
 	// short-circuited Trial is bit-identical to the one the full suffix
 	// would produce.
 	Converge int
@@ -459,10 +460,13 @@ func runPlanned(mach *vm.Machine, plan *Plan, cfg Config, disabled map[int]bool,
 // A non-empty snaps ladder (the campaign's golden snapshots, ascending)
 // enables convergence fast-forwarding: the suffix parks at each snapshot
 // index above the trial's position, and a trial whose fault has already
-// fired (plan.injected()) and whose full machine state is bit-identical to
-// the golden reference state at that index has a deterministically golden
-// future — most masked trials re-converge shortly after the corrupted value
-// dies, so their remaining suffix never needs to execute. The short-circuit
+// fired (plan.injected()) and whose live machine state matches the golden
+// reference state at that index (vm.Machine.MatchesLiveState) has a
+// deterministically golden future. Live state is everything but the
+// register slots no later instruction can read, so a corrupted value that
+// is dead but still sits in its slot does not keep the trial running: most
+// masked trials re-converge at the first snapshot after the corrupted value
+// dies, and their remaining suffix never executes. The short-circuit
 // constructs exactly the Trial the full run would: trap-free, bit-equal
 // output, Masked, and the golden run's cycle count, since the matched state
 // includes the whole timing model. Two gates keep it sound: comparing before
@@ -470,6 +474,8 @@ func runPlanned(mach *vm.Machine, plan *Plan, cfg Config, disabled map[int]bool,
 // changes the future (the injected() gate), and a re-arming model's fault
 // can fire again after the comparison point, so present-equals-golden proves
 // nothing about its future — re-arming trials never fast-forward at all.
+// Both gates also keep the injector — the one reader of the written-slot
+// lists, which the live-state compare skips — from running again.
 func (c *campaign) finishTrial(mach *vm.Machine, plan *Plan, timeout <-chan struct{}, snaps []*vm.Snapshot) (tr Trial, cycles int64, timedOut bool) {
 	if plan.model.Rearms() {
 		snaps = nil // soundness rule: see above
@@ -483,7 +489,7 @@ func (c *campaign) finishTrial(mach *vm.Machine, plan *Plan, timeout <-chan stru
 			tr, timedOut = c.classifyTrial(mach, res, plan)
 			return tr, res.Cycles, timedOut
 		}
-		if plan.injected() && mach.MatchesSnapshot(s) {
+		if plan.injected() && mach.MatchesLiveState(s) {
 			return Trial{Outcome: Masked, RelChange: plan.relChange()}, c.rep.GoldenCycles, false
 		}
 	}

@@ -19,9 +19,9 @@ package fault
 //     vm's fault-access surface, then resume. Re-arming models (stuck-at,
 //     intermittent) park again at every scheduled re-arm point.
 //
-// Soundness rule for re-arming models: convergence fast-forwarding and
-// MatchesSnapshot short-circuits prove "the future is golden" from "the
-// present state is golden". That implication fails once a fault can fire
+// Soundness rule for re-arming models: convergence fast-forwarding's
+// MatchesLiveState short-circuits prove "the future is golden" from "the
+// present live state is golden". That implication fails once a fault can fire
 // again after the comparison point, so trials of models whose Rearms()
 // reports true never fast-forward — see finishTrial.
 

@@ -38,9 +38,9 @@ func (fr *frame) readyAt(o int32) int64 {
 }
 
 // getFrame returns a zeroed activation record for ef, reusing a pooled one
-// when available. Only slots on the live list can hold stale state (define
-// appends every written slot to live, and the fault injector mutates live
-// slots only), so clearing those restores the all-zero state a fresh
+// when available. Only slots on the written list can hold stale state
+// (define appends every written slot to it, and the fault injector mutates
+// written slots only), so clearing those restores the all-zero state a fresh
 // allocation would have — garbage control flow after a branch fault reads
 // undefined slots as 0 in both engines.
 func (m *Machine) getFrame(ef *engFunc) *frame {
@@ -49,22 +49,22 @@ func (m *Machine) getFrame(ef *engFunc) *frame {
 	if n := len(pool); n > 0 {
 		fr = pool[n-1]
 		m.pools[ef.idx] = pool[:n-1]
-		for _, s := range fr.live {
+		for _, s := range fr.written {
 			fr.regs[s] = reg{}
 			fr.defined[s] = false
 		}
-		fr.live = fr.live[:0]
+		fr.written = fr.written[:0]
 	} else {
 		n := ef.fn.NumValues()
 		total := n + len(ef.consts)
 		fr = &frame{
 			fn:      ef.fn,
 			regs:    make([]reg, total),
-			live:    make([]int32, 0, n),
+			written: make([]int32, 0, n),
 			defined: make([]bool, total),
 		}
 		// Extension slots: constants are defined nowhere, so they are never
-		// on the live list and survive pooled reuse untouched.
+		// on the written list and survive pooled reuse untouched.
 		for i, c := range ef.consts {
 			fr.regs[n+i].bits = c
 		}

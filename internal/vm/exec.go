@@ -18,9 +18,9 @@ type reg struct {
 type frame struct {
 	fn   *ir.Func
 	regs []reg
-	// live lists slots that have been written, in definition order; the
+	// written lists slots that have been written, in definition order; the
 	// fault injector picks uniformly from it (register-file analog).
-	live    []int32
+	written []int32
 	defined []bool
 	entrySP uint64
 }
@@ -30,7 +30,7 @@ func (m *Machine) newFrame(fn *ir.Func) *frame {
 	return &frame{
 		fn:      fn,
 		regs:    make([]reg, n),
-		live:    make([]int32, 0, n),
+		written: make([]int32, 0, n),
 		defined: make([]bool, n),
 		entrySP: m.sp,
 	}
@@ -40,7 +40,7 @@ func (fr *frame) define(slot int, bits uint64, ready int64) {
 	fr.regs[slot] = reg{bits: bits, ready: ready}
 	if !fr.defined[slot] {
 		fr.defined[slot] = true
-		fr.live = append(fr.live, int32(slot))
+		fr.written = append(fr.written, int32(slot))
 	}
 }
 
@@ -96,10 +96,10 @@ func (m *Machine) maybeBranchFault(fn *ir.Func, blk **ir.Block) *Trap {
 // inject flips one bit of a random live register in fr per the fault plan.
 func (m *Machine) inject(fr *frame) {
 	plan := m.opts.Fault
-	if len(fr.live) == 0 {
+	if len(fr.written) == 0 {
 		return // nothing architecturally live; fault lands in dead space
 	}
-	slot := int(fr.live[plan.PickSlot(len(fr.live))])
+	slot := int(fr.written[plan.PickSlot(len(fr.written))])
 	bit := plan.PickBit() & 63
 	old := fr.regs[slot].bits
 	newBits := old ^ (1 << uint(bit))

@@ -44,3 +44,50 @@ func MemHi(m *Machine) uint64 { return m.memHi }
 
 // SnapshotMemHi returns the written-memory bound a snapshot recorded.
 func SnapshotMemHi(s *Snapshot) uint64 { return s.m.memHi }
+
+// SnapshotLive returns the live slots a snapshot recorded for each level of
+// its suspended chain, innermost first; a nil level compares every written
+// slot.
+func SnapshotLive(s *Snapshot) [][]int32 { return s.live }
+
+// SetSnapshotLive replaces a snapshot's live slots, so a test can plant a
+// wrong analysis.
+func SetSnapshotLive(s *Snapshot, live [][]int32) { s.live = live }
+
+// WrittenSlots returns the written-slot list of each level of m's
+// suspended chain, innermost first.
+func WrittenSlots(m *Machine) [][]int32 {
+	out := make([][]int32, len(m.susp))
+	for i, l := range m.susp {
+		out[i] = l.fr.written
+	}
+	return out
+}
+
+// CorruptSlot complements every bit of a written slot in level i of m's
+// suspended chain and delays its ready time by delay cycles.
+func CorruptSlot(m *Machine, level int, slot int32, delay int64) {
+	r := &m.susp[level].fr.regs[slot]
+	r.bits = ^r.bits
+	r.ready += delay
+}
+
+// PseudoOpLiveSlots counts the pcs of m's lowered module that hold no
+// ordinary IR instruction (pseudo-ops and phi edges), and how many of them
+// liveSlots answered for instead of falling back to every written slot.
+func PseudoOpLiveSlots(m *Machine) (pcs, answered int) {
+	for _, ef := range m.eng.funcs {
+		for pc, in := range ef.ins {
+			if in != nil && in.Op != ir.OpPhi {
+				continue
+			}
+			pcs++
+			for _, inner := range []bool{true, false} {
+				if ef.liveSlots(pc, inner) != nil {
+					answered++
+				}
+			}
+		}
+	}
+	return pcs, answered
+}

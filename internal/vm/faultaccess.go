@@ -17,30 +17,31 @@ import "repro/internal/ir"
 // RestoreFrom, and no Run, Reset or Restore has consumed that state since).
 func (m *Machine) Suspended() bool { return len(m.susp) > 0 }
 
-// LiveRegCount is the number of architecturally live register slots in the
-// innermost suspended activation — the same population the in-engine
-// register injector samples from. 0 when the machine is not suspended.
+// LiveRegCount is the number of written register slots in the innermost
+// suspended activation — the same population the in-engine register
+// injector samples from, dead values included. 0 when the machine is not
+// suspended.
 func (m *Machine) LiveRegCount() int {
 	if len(m.susp) == 0 {
 		return 0
 	}
-	return len(m.susp[0].fr.live)
+	return len(m.susp[0].fr.written)
 }
 
-// LiveReg returns the bits and static type of live register i (in
+// LiveReg returns the bits and static type of written register i (in
 // definition order) of the innermost suspended activation.
 func (m *Machine) LiveReg(i int) (bits uint64, ty ir.Type) {
 	fr := m.susp[0].fr
-	slot := int(fr.live[i])
+	slot := int(fr.written[i])
 	return fr.regs[slot].bits, m.info[fr.fn].slotTypes[slot]
 }
 
-// SetLiveReg overwrites the bits of live register i of the innermost
+// SetLiveReg overwrites the bits of written register i of the innermost
 // suspended activation, leaving the slot's readiness (timing) untouched —
 // the same mutation the in-engine injector performs.
 func (m *Machine) SetLiveReg(i int, bits uint64) {
 	fr := m.susp[0].fr
-	fr.regs[int(fr.live[i])].bits = bits
+	fr.regs[int(fr.written[i])].bits = bits
 }
 
 // MemUsed is the extent of the architecturally visible memory image: word

@@ -162,6 +162,9 @@ type engFunc struct {
 	consts   []uint64 // extension-slot images, framed at NumValues upward
 	calls    []callSite
 	phiMoves []phiMove // flat parallel-copy pool; batches are [aux, aux+els) slices
+	// live answers which slots the rest of an activation can still read;
+	// snapshots derive their per-level live slots from it (liveSlots).
+	live *ir.Liveness
 }
 
 // engModule is a lowered module, shared by every Machine built from the
@@ -330,6 +333,38 @@ func (em *engModule) lowerFunc(ef *engFunc, base map[string]uint64) {
 	// lowering unconditionally; whether fused dispatch actually runs is a
 	// per-run decision (RunOptions.Fuse and the engine's fuseEvent gate).
 	fuseFunc(ef)
+	ef.live = ir.ComputeLiveness(fn)
+}
+
+// liveSlots returns the frame slots of a level parked at pc that the rest
+// of the run can still read: for the innermost level (inner) those live
+// before the instruction at pc, for an outer level — parked on its
+// in-flight call — those live after the call minus the call's result
+// slot, which the post-call tail defines before anything reads it. nil
+// when pc holds no such instruction; the caller then treats every written
+// slot as live.
+func (ef *engFunc) liveSlots(pc int, inner bool) []int32 {
+	in := ef.ins[pc]
+	if in == nil {
+		return nil
+	}
+	var set ir.SlotSet
+	switch {
+	case inner:
+		set = ef.live.LiveBefore(in)
+	case ef.code[pc].op == lopCall:
+		set = ef.live.LiveAfter(in)
+	}
+	if set == nil {
+		return nil
+	}
+	slots := []int32{}
+	for slot := range int32(ef.fn.NumValues()) {
+		if set.Has(int(slot)) && (inner || slot != ef.code[pc].dst) {
+			slots = append(slots, slot)
+		}
+	}
+	return slots
 }
 
 func (em *engModule) lowerInstr(ef *engFunc, in *ir.Instr, base map[string]uint64, konst func(uint64) int32) linst {

@@ -166,7 +166,7 @@ type Machine struct {
 	// memHi bounds the words a run has written: every mem word at or above
 	// it is zero. Only the store ops, SetMemWord, Reset and RestoreFrom
 	// write memory: the first two raise the bound (wrote), the last two set
-	// it. So Reset, RestoreFrom, Snapshot and MatchesSnapshot touch
+	// it. So Reset, RestoreFrom, Snapshot and the snapshot compares touch
 	// mem[:memHi] only — the globals and the stack a program actually used,
 	// not the whole stack reservation.
 	memHi uint64
