@@ -429,7 +429,8 @@ func drawPlan(model Model, cfg Config, goldenDyn int64, trial int, src rand.Sour
 // positive suspendAt additionally parks at the caller's own threshold (the
 // convergence ladder) and returns there; a park that satisfies both at once
 // returns first and defers the hook to the caller's next runPlanned call,
-// which is sound because an uninjected plan never fast-forwards. Engine-
+// which is sound because a plan that still owes a hook is not settled and
+// so never fast-forwards. Engine-
 // injected plans owe no parks, so their fast path is a single Run, exactly
 // the pre-registry campaign body.
 func runPlanned(mach *vm.Machine, plan *Plan, cfg Config, disabled map[int]bool, timeout <-chan struct{}, suspendAt int64) *vm.Result {
@@ -459,27 +460,27 @@ func runPlanned(mach *vm.Machine, plan *Plan, cfg Config, disabled map[int]bool,
 //
 // A non-empty snaps ladder (the campaign's golden snapshots, ascending)
 // enables convergence fast-forwarding: the suffix parks at each snapshot
-// index above the trial's position, and a trial whose fault has already
-// fired (plan.injected()) and whose live machine state matches the golden
-// reference state at that index (vm.Machine.MatchesLiveState) has a
-// deterministically golden future. Live state is everything but the
-// register slots no later instruction can read, so a corrupted value that
-// is dead but still sits in its slot does not keep the trial running: most
-// masked trials re-converge at the first snapshot after the corrupted value
-// dies, and their remaining suffix never executes. The short-circuit
+// index above the trial's position, and a trial whose plan has settled —
+// its fault has fired and it owes no further hook (plan.settled()) — and
+// whose live machine state matches the golden reference state at that index
+// (vm.Machine.MatchesLiveState) has a deterministically golden future. Live
+// state is everything but the register slots no later instruction can read,
+// so a corrupted value that is dead but still sits in its slot does not
+// keep the trial running: most masked trials re-converge at the first
+// snapshot after the corrupted value dies, and their remaining suffix never
+// executes. The short-circuit
 // constructs exactly the Trial the full run would: trap-free, bit-equal
 // output, Masked, and the golden run's cycle count, since the matched state
-// includes the whole timing model. Two gates keep it sound: comparing before
-// the fault fires would trivially match golden while the pending fault still
-// changes the future (the injected() gate), and a re-arming model's fault
-// can fire again after the comparison point, so present-equals-golden proves
-// nothing about its future — re-arming trials never fast-forward at all.
-// Both gates also keep the injector — the one reader of the written-slot
-// lists, which the live-state compare skips — from running again.
+// includes the whole timing model. The settled gate is the one soundness
+// rule: before the fault fires, a compare would trivially match golden while
+// the pending fault still changes the future, and while a re-arm is owed
+// the fault can strike again after the comparison point, so
+// present-equals-golden proves nothing about the future. A stuck-at plan
+// re-arms to the end of the run and never settles; an intermittent plan
+// settles once its window closes. The gate also keeps the injector — the
+// one reader of the written-slot lists, which the live-state compare skips
+// — from running again.
 func (c *campaign) finishTrial(mach *vm.Machine, plan *Plan, timeout <-chan struct{}, snaps []*vm.Snapshot) (tr Trial, cycles int64, timedOut bool) {
-	if plan.model.Rearms() {
-		snaps = nil // soundness rule: see above
-	}
 	for _, s := range snaps {
 		if s.Dyn() <= mach.Dyn() {
 			continue
@@ -489,7 +490,7 @@ func (c *campaign) finishTrial(mach *vm.Machine, plan *Plan, timeout <-chan stru
 			tr, timedOut = c.classifyTrial(mach, res, plan)
 			return tr, res.Cycles, timedOut
 		}
-		if plan.injected() && mach.MatchesLiveState(s) {
+		if plan.settled() && mach.MatchesLiveState(s) {
 			return Trial{Outcome: Masked, RelChange: plan.relChange()}, c.rep.GoldenCycles, false
 		}
 	}

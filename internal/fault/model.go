@@ -19,11 +19,13 @@ package fault
 //     vm's fault-access surface, then resume. Re-arming models (stuck-at,
 //     intermittent) park again at every scheduled re-arm point.
 //
-// Soundness rule for re-arming models: convergence fast-forwarding's
-// MatchesLiveState short-circuits prove "the future is golden" from "the
-// present live state is golden". That implication fails once a fault can fire
-// again after the comparison point, so trials of models whose Rearms()
-// reports true never fast-forward — see finishTrial.
+// Soundness rule: convergence fast-forwarding's MatchesLiveState
+// short-circuits prove "the future is golden" from "the present live state
+// is golden". That implication holds only once the plan can change nothing
+// more: its fault has fired and it owes no further hook (pendingAt < 0). A
+// stuck-at plan owes re-arms to the end of the run, so it never
+// fast-forwards; an intermittent plan may, once its window has closed — see
+// finishTrial.
 
 import (
 	"fmt"
@@ -56,14 +58,11 @@ type Model interface {
 	// driver retries one instruction later, mirroring the engine's own
 	// pending-fault retry.
 	Inject(m *vm.Machine, p *Plan) bool
-	// Rearms is the re-arm predicate: true when an injected fault keeps
-	// firing after its first strike (the stuck-at class). Re-arming trials
-	// are excluded from convergence fast-forwarding (soundness — see the
-	// package comment above).
-	Rearms() bool
 	// Rearm re-forces the corruption on a machine parked at a re-arm point
 	// and returns the next re-arm dyn, or -1 once the fault has retired.
-	// Called only when Rearms() is true.
+	// Called only for plans drawn with a positive stride: those are the
+	// plans whose fault keeps firing after its first strike (the stuck-at
+	// class).
 	Rearm(m *vm.Machine, p *Plan) int64
 	// EffectiveTrigger is the earliest dyn index whose machine state the
 	// injection can observe — the checkpoint binning / cursor position bound.
@@ -94,7 +93,7 @@ type Plan struct {
 	rng *rand.Rand
 	// pendingAt is the next dyn the trial driver must park the machine at
 	// for this plan — the injection point before the fault fires, then the
-	// next re-arm point for re-arming models; -1 when no park is owed.
+	// next re-arm point while the fault re-arms; -1 when no park is owed.
 	pendingAt int64
 
 	// Suspend-injected model scratch.
@@ -102,7 +101,7 @@ type Plan struct {
 	mask   uint64 // corrupted bit(s) within the word
 	val    uint64 // stuck-at: bit values re-forced under mask
 	until  int64  // intermittent: re-arming stops once dyn reaches this
-	stride int64  // re-arm cadence in dynamic instructions
+	stride int64  // re-arm cadence in dynamic instructions; 0 for a one-shot fault
 }
 
 // Model returns the model that drew this plan.
@@ -116,6 +115,11 @@ func (p *Plan) injected() bool {
 	}
 	return p.Injected
 }
+
+// settled reports whether the plan can change nothing more: its fault has
+// fired and no hook is owed. Only a settled trial may fast-forward on a
+// golden match (the soundness rule above).
+func (p *Plan) settled() bool { return p.injected() && p.pendingAt < 0 }
 
 // relChange is the corrupted value's relative change, whichever mechanism
 // recorded it.
@@ -137,10 +141,9 @@ func (p *Plan) hookNow(m *vm.Machine) {
 		if !p.Injected {
 			if p.model.Inject(m, p) {
 				p.Injected = true
-				if p.model.Rearms() {
+				p.pendingAt = -1
+				if p.stride > 0 {
 					p.pendingAt = m.Dyn() + p.stride
-				} else {
-					p.pendingAt = -1
 				}
 			} else {
 				// Nothing eligible at this instruction; retry at the next,
@@ -237,7 +240,6 @@ func init() {
 type transientBase struct{}
 
 func (transientBase) EngineInjected() bool                 { return false }
-func (transientBase) Rearms() bool                         { return false }
 func (transientBase) Rearm(*vm.Machine, *Plan) int64       { panic("fault: model does not re-arm") }
 func (transientBase) EffectiveTrigger(trigger int64) int64 { return trigger }
 func (transientBase) Inject(m *vm.Machine, p *Plan) bool {
@@ -378,7 +380,6 @@ type stuckAtModel struct{ transientBase }
 
 func (stuckAtModel) Name() string  { return ModelStuckAt }
 func (stuckAtModel) Title() string { return "Stuck-at bit" }
-func (stuckAtModel) Rearms() bool  { return true }
 
 func (stuckAtModel) Draw(goldenDyn int64, rng *rand.Rand) *Plan {
 	return &Plan{

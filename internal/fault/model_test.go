@@ -2,8 +2,9 @@ package fault
 
 // White-box fault-model registry tests: registry hygiene, the golden
 // rng-stability pin for reg-flip (the registry must draw byte-identical
-// plans to the pre-registry campaign path), the re-arm soundness gate on
-// convergence fast-forwarding, and the per-field journal mismatch reasons.
+// plans to the pre-registry campaign path), the settled-plan soundness gate
+// on convergence fast-forwarding, and the per-field journal mismatch
+// reasons.
 
 import (
 	"math"
@@ -116,11 +117,14 @@ void main() {
 
 // fakeStuck is a deterministic re-arming model: a pinned address/mask/
 // trigger stuck-at, so the test controls exactly when the fault strikes,
-// heals and re-fires. Not registered — used directly through drawPlan.
+// heals and re-fires. A positive lasts retires the fault that many
+// instructions after the trigger, like an intermittent window; zero keeps
+// it stuck to the end. Not registered — used directly through drawPlan.
 type fakeStuck struct {
 	name    string
 	trigger int64
 	stride  int64
+	lasts   int64
 	addr    uint64
 	mask    uint64
 }
@@ -128,12 +132,15 @@ type fakeStuck struct {
 func (f fakeStuck) Name() string                         { return f.name }
 func (f fakeStuck) Title() string                        { return "pinned stuck-at (test)" }
 func (f fakeStuck) EngineInjected() bool                 { return false }
-func (f fakeStuck) Rearms() bool                         { return true }
 func (f fakeStuck) EffectiveTrigger(trigger int64) int64 { return trigger }
 
 func (f fakeStuck) Draw(goldenDyn int64, rng *rand.Rand) *Plan {
 	rng.Int63n(goldenDyn) // keep the stream shape: trigger is the first draw
-	return &Plan{TriggerDyn: f.trigger, addr: f.addr, mask: f.mask, stride: f.stride, until: math.MaxInt64}
+	until := int64(math.MaxInt64)
+	if f.lasts > 0 {
+		until = f.trigger + f.lasts
+	}
+	return &Plan{TriggerDyn: f.trigger, addr: f.addr, mask: f.mask, stride: f.stride, until: until}
 }
 
 func (f fakeStuck) Inject(m *vm.Machine, p *Plan) bool {
@@ -153,13 +160,19 @@ func (f fakeStuck) Rearm(m *vm.Machine, p *Plan) int64 {
 	return m.Dyn() + p.stride
 }
 
-// TestRearmingModelNeverFalselyMasked proves the convergence gate is
-// load-bearing: for a re-arming fault there exist snapshot crossings where
-// the machine state is bit-identical to golden (an ungated MatchesSnapshot
-// ladder would declare the trial Masked and stop), yet the fault re-fires
-// later and corrupts the output. finishTrial must ignore the ladder for
-// such models and classify the trial by running it to completion.
-func TestRearmingModelNeverFalselyMasked(t *testing.T) {
+// stuckRig is a campaign over stuckSrc with its golden run done, for
+// driving fakeStuck plans through finishTrial directly.
+type stuckRig struct {
+	target            Target
+	mod               *ir.Module
+	cfg               Config
+	goldenDyn, maxDyn int64
+	c                 *campaign
+	ws                *workerState
+}
+
+func newStuckRig(t *testing.T) *stuckRig {
+	t.Helper()
 	mod, err := lang.Compile("stuck", stuckSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -185,33 +198,59 @@ func TestRearmingModelNeverFalselyMasked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	goldenDyn := res.Dyn
-	maxDyn := goldenDyn * cfg.WatchdogFactor
+	c := &campaign{cfg: cfg, target: target, golden: golden, rep: &Report{GoldenCycles: res.Cycles}}
+	return &stuckRig{target, mod, cfg, res.Dyn, res.Dyn * cfg.WatchdogFactor, c, c.newWorker(nil)}
+}
+
+// machine returns a fresh machine and trial 0's plan under model.
+func (r *stuckRig) machine(t *testing.T, model Model) (*vm.Machine, *Plan) {
+	t.Helper()
+	mach, err := newMachine(r.target, r.mod, r.maxDyn, r.cfg.Engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mach, drawPlan(model, r.cfg, r.goldenDyn, 0, r.ws.src, r.ws.rng)
+}
+
+// snaps takes golden snapshots at a quarter, half and three quarters of
+// the golden run.
+func (r *stuckRig) snaps(t *testing.T) []*vm.Snapshot {
+	t.Helper()
+	snaps, err := PrefixSnapshots(r.target, r.mod, r.cfg, nil, r.maxDyn, []int64{r.goldenDyn / 4, r.goldenDyn / 2, 3 * r.goldenDyn / 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snaps
+}
+
+// TestRearmingModelNeverFalselyMasked proves the convergence gate is
+// load-bearing: for a re-arming fault there exist snapshot crossings where
+// the machine state is bit-identical to golden (an ungated MatchesSnapshot
+// ladder would declare the trial Masked and stop), yet the fault re-fires
+// later and corrupts the output. A plan that still owes re-arms is not
+// settled, so finishTrial must pass every crossing and classify the trial
+// by running it to completion.
+func TestRearmingModelNeverFalselyMasked(t *testing.T) {
+	r := newStuckRig(t)
 
 	// out is the only global, laid out from address 1: out[0] lives at 1.
 	// Strike early in phase 1, re-arm every 50 instructions.
-	model := fakeStuck{name: "pinned-stuck", trigger: goldenDyn / 8, stride: 50, addr: 1, mask: 1 << 40}
+	model := fakeStuck{name: "pinned-stuck", trigger: r.goldenDyn / 8, stride: 50, addr: 1, mask: 1 << 40}
 
 	// First: exhibit a crossing where an ungated ladder would falsely mask.
 	// Probe dyns between consecutive re-arms; at any of them where the last
 	// event was phase 1's healing store, the state matches golden exactly.
-	c := &campaign{cfg: cfg, target: target, golden: golden, rep: &Report{GoldenCycles: res.Cycles}}
-	ws := c.newWorker(nil)
 	falselyGolden := 0
 	for off := int64(10); off < model.stride; off += 10 {
 		at := model.trigger + model.stride + off
-		snaps, err := PrefixSnapshots(target, mod, cfg, nil, maxDyn, []int64{at})
+		snaps, err := PrefixSnapshots(r.target, r.mod, r.cfg, nil, r.maxDyn, []int64{at})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mach, err := newMachine(target, mod, maxDyn, cfg.Engine)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan := drawPlan(model, cfg, goldenDyn, 0, ws.src, ws.rng)
-		r := runPlanned(mach, plan, cfg, nil, nil, at)
-		if r.Trap == nil || r.Trap.Kind != vm.TrapSuspended {
-			t.Fatalf("probe at %d: not suspended: %+v", at, r.Trap)
+		mach, plan := r.machine(t, model)
+		res := runPlanned(mach, plan, r.cfg, nil, nil, at)
+		if res.Trap == nil || res.Trap.Kind != vm.TrapSuspended {
+			t.Fatalf("probe at %d: not suspended: %+v", at, res.Trap)
 		}
 		if plan.injected() && mach.MatchesSnapshot(snaps[0]) {
 			falselyGolden++
@@ -222,26 +261,12 @@ func TestRearmingModelNeverFalselyMasked(t *testing.T) {
 	}
 
 	// Second: the real classification must not be Masked — and must be
-	// identical with and without the snapshot ladder, because finishTrial
-	// drops the ladder for re-arming models.
-	snapAt := []int64{goldenDyn / 4, goldenDyn / 2, 3 * goldenDyn / 4}
-	snaps, err := PrefixSnapshots(target, mod, cfg, nil, maxDyn, snapAt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m1, err := newMachine(target, mod, maxDyn, cfg.Engine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1 := drawPlan(model, cfg, goldenDyn, 0, ws.src, ws.rng)
-	tr1, cyc1, to1 := c.finishTrial(m1, p1, nil, snaps)
-
-	m2, err := newMachine(target, mod, maxDyn, cfg.Engine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2 := drawPlan(model, cfg, goldenDyn, 0, ws.src, ws.rng)
-	tr2, cyc2, to2 := c.finishTrial(m2, p2, nil, nil)
+	// identical with and without the snapshot ladder, because the plan
+	// never settles.
+	m1, p1 := r.machine(t, model)
+	tr1, cyc1, to1 := r.c.finishTrial(m1, p1, nil, r.snaps(t))
+	m2, p2 := r.machine(t, model)
+	tr2, cyc2, to2 := r.c.finishTrial(m2, p2, nil, nil)
 
 	if tr1 != tr2 || cyc1 != cyc2 || to1 != to2 {
 		t.Fatalf("ladder %+v (cycles %d, timeout %v) vs plain %+v (cycles %d, timeout %v)", tr1, cyc1, to1, tr2, cyc2, to2)
@@ -250,6 +275,34 @@ func TestRearmingModelNeverFalselyMasked(t *testing.T) {
 		t.Fatalf("re-arming trial classified Masked: %+v (falsely-golden crossings existed: %d)", tr1, falselyGolden)
 	}
 	t.Logf("outcome %v, %d/%d probed crossings matched golden", tr1.Outcome, falselyGolden, (model.stride-10)/10+1)
+}
+
+// TestRetiredRearmFastForwards is the other side of the gate: a re-arming
+// fault whose window closes in phase 1 owes nothing more once it retires,
+// and the next healing store makes the whole state golden. Its plan is
+// settled, so the trial must end at the first ladder crossing — short of
+// the golden run's end — with the Trial and cycles a full run gives.
+func TestRetiredRearmFastForwards(t *testing.T) {
+	r := newStuckRig(t)
+	model := fakeStuck{name: "pinned-window", trigger: r.goldenDyn / 8, stride: 50, lasts: 100, addr: 1, mask: 1 << 40}
+
+	m1, p1 := r.machine(t, model)
+	tr1, cyc1, to1 := r.c.finishTrial(m1, p1, nil, r.snaps(t))
+	m2, p2 := r.machine(t, model)
+	tr2, cyc2, to2 := r.c.finishTrial(m2, p2, nil, nil)
+
+	if tr1 != tr2 || cyc1 != cyc2 || to1 != to2 {
+		t.Fatalf("ladder %+v (cycles %d, timeout %v) vs plain %+v (cycles %d, timeout %v)", tr1, cyc1, to1, tr2, cyc2, to2)
+	}
+	if tr1.Outcome != Masked {
+		t.Fatalf("retired fault classified %v, want Masked", tr1.Outcome)
+	}
+	if !p1.settled() {
+		t.Fatal("the retired plan is not settled")
+	}
+	if m1.Dyn() >= r.goldenDyn {
+		t.Fatalf("the ladder run stopped at dyn %d, not before the golden end %d: it never fast-forwarded", m1.Dyn(), r.goldenDyn)
+	}
 }
 
 // TestJournalMismatchReasons pins the per-field diagnostics a rejected

@@ -98,43 +98,151 @@ func (m *Machine) execCall(ef *engFunc, args []uint64, depth int) (uint64, *Trap
 	return ret, trap
 }
 
-// execLoop interprets ef's lowered code against fr starting at pc: the
-// function's entry for a call, the suspend point for a resumed level.
+// events is one execLoop activation's event state, shared with the helpers
+// that write each dispatch rule once (event, branchFault, refresh, flush).
 //
-// Dispatch is two-level: every define-tail computation (op >= lopIntrinsic)
-// runs through one straight-line path — preamble, inline arithmetic switch,
-// shared issue/define/profile/trace tail — while control flow, memory and
-// checks take the second switch. The preamble is duplicated across the two
-// paths so the hot arithmetic path never branches back.
-func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap) {
-	code := ef.code
-	fn := ef.fn
-
-	// Loop-invariant state. None of these change during a run: the fault
-	// plan pointer is fixed (only its fields mutate), the tracer, profiler
-	// and stop channel are per-run options, and the latency table is baked
-	// at machine construction.
-	fault := m.opts.Fault
+// The three per-instruction events — fault trigger, watchdog, stop poll —
+// and the suspend point are folded into one compare of dyn against next (in
+// pre-increment dyn terms). The slow path re-checks the exact original
+// conditions, so a stale-low next costs one extra pass and nothing else; no
+// event can move earlier without going through the slow path, which
+// recomputes it. next = 0 forces recomputation.
+//
+// Fused dispatch (fuse.go) is gated on fuse: a fused span of k
+// event-checked constituents may only run when every constituent's
+// pre-increment dyn stays below the event threshold — dyn + k <= fuse — so
+// no suspend, injection, watchdog or poll can land inside it; otherwise the
+// span falls back to per-instruction dispatch and the event fires at
+// exactly the constituent it would unfused. fuse mirrors next and is armed
+// only at the slow-path recomputes and where refresh clears pendingBr, so it
+// is never stale-high: events only move later or vanish within a run. It
+// stays 0 — no fused entry — under FuseOff, under a tracer or profiler
+// (their per-instruction event streams take the unfused path), and while a
+// branch-target fault is pending (the fused branch handlers omit the
+// redirect hook).
+type events struct {
+	fault     *FaultPlan
+	suspendAt int64 // MaxInt64 when the run has no suspend point
+	next      int64 // earliest pending fire point
+	fuse      int64 // fused dispatch gate: next, or 0 while fusion is off
+	fused     int64 // fused handlers run since the last flush to m.fusedSteps
+	fuseOn    bool
 	// Pending-fault flags, cleared once the plan fires so completed-fault
 	// trials run at golden speed. A register fault can retry (inject is a
 	// no-op on a frame with no live registers), so the flag follows
 	// fault.Injected rather than the first attempt.
-	pendingReg := fault != nil && fault.Kind == FaultRegister && !fault.Injected
-	pendingBr := fault != nil && fault.Kind == FaultBranchTarget && !fault.Injected
+	pendingReg bool
+	pendingBr  bool
+}
+
+// refresh re-derives the pending-fault flags after code that may have fired
+// the plan ran out of line — a callee, a resumed inner level, a branch
+// redirect — and re-arms fused dispatch once no branch fault is pending.
+// next is never stale-high, so the worst case is one extra unfused pass.
+func (ev *events) refresh() {
+	if !ev.pendingReg && !ev.pendingBr {
+		return
+	}
+	ev.pendingReg = ev.pendingReg && !ev.fault.Injected
+	ev.pendingBr = ev.pendingBr && !ev.fault.Injected
+	if ev.fuseOn && !ev.pendingBr {
+		ev.fuse = ev.next
+	}
+}
+
+// flush writes execLoop's register-resident state — dyn, the issue cursor
+// and the fused-handler tally — back to the machine. Every escape point
+// calls it: nested calls, check failures, fault redirection, suspensions,
+// traps and returns.
+func (m *Machine) flush(ev *events, dyn, cur int64, slot int, maxDone int64) {
+	m.dyn = dyn
+	m.timing.cursor, m.timing.slotUsed, m.timing.maxDone = cur, slot, maxDone
+	m.fusedSteps += ev.fused
+	ev.fused = 0
+}
+
+// trapAt flushes the dispatch state and returns a kind trap at dyn in fn.
+func (m *Machine) trapAt(ev *events, kind TrapKind, fn *ir.Func, dyn, cur int64, slot int, maxDone int64) *Trap {
+	m.flush(ev, dyn, cur, slot, maxDone)
+	return &Trap{Kind: kind, Dyn: dyn, Fn: fn.Name}
+}
+
+// event is the per-instruction event preamble's slow path, taken by both
+// dispatch paths once dyn reaches ev.next. In the reference blockLoop's
+// order it suspends, fires a due register fault, advances dyn, and checks
+// the watchdog and the stop poll; then it flushes the fused tally and
+// recomputes the thresholds. It returns the advanced dyn, or the trap that
+// ends this activation.
+func (m *Machine) event(ev *events, ef *engFunc, fr *frame, pc int, dyn, cur int64, slot int, maxDone int64) (int64, *Trap) {
+	if dyn >= ev.suspendAt {
+		m.susp = append(m.susp, suspLevel{ef: ef, fr: fr, pc: pc})
+		return dyn, m.trapAt(ev, TrapSuspended, ef.fn, dyn, cur, slot, maxDone)
+	}
+	if ev.pendingReg && dyn >= ev.fault.TriggerDyn {
+		m.inject(fr)
+		ev.pendingReg = !ev.fault.Injected
+	}
+	dyn++
+	maxDyn := m.cfg.MaxDyn
+	if dyn > maxDyn {
+		return dyn, m.trapAt(ev, TrapWatchdog, ef.fn, dyn, cur, slot, maxDone)
+	}
+	if m.stop != nil && dyn&stopCheckMask == 0 {
+		select {
+		case <-m.stop:
+			return dyn, m.trapAt(ev, TrapCancelled, ef.fn, dyn, cur, slot, maxDone)
+		default:
+		}
+	}
+	m.fusedSteps += ev.fused
+	ev.fused = 0
+	next := maxDyn
+	if ev.suspendAt < next {
+		next = ev.suspendAt
+	}
+	if m.stop != nil && dyn|stopCheckMask < next {
+		next = dyn | stopCheckMask
+	}
+	if ev.pendingReg && ev.fault.TriggerDyn < next {
+		next = ev.fault.TriggerDyn
+	}
+	ev.next, ev.fuse = next, 0
+	if ev.fuseOn && !ev.pendingBr {
+		ev.fuse = next
+	}
+	return dyn, nil
+}
+
+// execLoop interprets ef's lowered code against fr starting at pc: the
+// function's entry for a call, the suspend point for a resumed level.
+//
+// Dispatch is two-level: every define-tail computation (op >= lopIntrinsic)
+// runs through one straight-line path — event check, inline arithmetic
+// switch, shared issue/define/profile/trace tail — while control flow,
+// memory and checks take the second switch. Both paths keep the hot
+// dyn < ev.next test inline and share one out-of-line slow path (event).
+// A fused pair (fuse.go) runs ahead of both when the event gate allows.
+func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap) {
+	code := ef.code
+	fn := ef.fn
+
+	// Loop-invariant state. None of these change during a run: the tracer
+	// and profiler are per-run options, and the latency table is baked at
+	// machine construction.
 	tracer := m.opts.Tracer
 	profiler := m.opts.Profiler
-	stop := m.stop
-	maxDyn := m.cfg.MaxDyn
 	tm := m.timing
 	lats := &m.lats
 	mem := m.mem
 	insTab := ef.ins
 
 	// The issue state — cycle, slot count, completion horizon — stays in
-	// locals too, threaded through issueAt, the one call every dynamic
-	// instruction makes; it is flushed alongside dyn at every escape point
-	// and reloaded after nested calls. issueAt is out of line here: the
-	// inliner caps what this big function inlines at cost 20.
+	// locals too, threaded through issueAt, the one step every dynamic
+	// instruction takes; it is flushed alongside dyn at every escape point
+	// and reloaded after nested calls. issueAt, branchAt, frame.define and
+	// timing.access inline here only while this function stays under the
+	// Go inliner's "big function" size (DESIGN.md, "Each machine rule is
+	// written once"); `go build -gcflags=-m=2` says when it is not.
 	cur, slot, maxDone := tm.cursor, tm.slotUsed, tm.maxDone
 	width := tm.width
 	bpen := tm.cfg.BranchPenalty
@@ -143,39 +251,19 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 
 	// The dynamic instruction counter stays in a local for the duration of
 	// the loop — it is the single hottest value in the machine — and is
-	// written back to m.dyn at every escape point: nested calls, check
-	// failures, fault redirection, and every return.
+	// written back to m.dyn at every escape point (flush).
 	dyn := m.dyn
 
-	// The three per-instruction events — fault trigger, watchdog, stop poll —
-	// are folded into one compare against the earliest pending fire point
-	// (in pre-increment dyn terms). The slow path re-checks the exact
-	// original conditions, so a stale-low nextEvent costs one extra pass and
-	// nothing else; no event can move earlier without going through the slow
-	// path, which recomputes it. nextEvent = 0 forces recomputation.
-	nextEvent := int64(0)
-
-	// Fused dispatch gate (fuse.go). A fused span of k event-checked
-	// constituents may only run when every constituent's pre-increment dyn
-	// stays below the event threshold — dyn + k <= fuseEvent — so no
-	// suspend, injection, watchdog or poll can land inside it; otherwise the
-	// span falls back to per-instruction dispatch and the event fires at
-	// exactly the constituent it would unfused. fuseEvent mirrors nextEvent
-	// and is armed only at the slow-path recomputes (and at the
-	// pendingBr-clearing transitions), so it is never stale-high: events
-	// only move later or vanish within a run. It stays 0 — no fused entry —
-	// under FuseOff, under a tracer or profiler (their per-instruction event
-	// streams take the unfused path), and while a branch-target fault is
-	// pending (the fused branch handlers omit the redirect hook).
-	fuseOn := m.opts.Fuse == FuseAuto && m.opts.Tracer == nil && m.opts.Profiler == nil
-	fuseEvent := int64(0)
-	fusedCnt := int64(0) // diagnostic tally, flushed to m.fusedSteps at escapes
-
-	// The suspend point joins the same threshold; MaxInt64 when unset, so
-	// the common non-suspending run pays one dead compare per slow pass.
-	suspendAt := m.opts.SuspendAtDyn
-	if suspendAt <= 0 {
-		suspendAt = math.MaxInt64
+	fault := m.opts.Fault
+	ev := events{
+		fault:      fault,
+		suspendAt:  math.MaxInt64,
+		fuseOn:     m.opts.Fuse == FuseAuto && tracer == nil && profiler == nil,
+		pendingReg: fault != nil && fault.Kind == FaultRegister && !fault.Injected,
+		pendingBr:  fault != nil && fault.Kind == FaultBranchTarget && !fault.Injected,
+	}
+	if m.opts.SuspendAtDyn > 0 {
+		ev.suspendAt = m.opts.SuspendAtDyn
 	}
 
 	// Re-entry after a suspension: every level above the innermost one is
@@ -194,10 +282,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 			return 0, trap
 		}
 		dyn, cur, slot, maxDone = m.dyn, tm.cursor, tm.slotUsed, tm.maxDone
-		if pendingReg || pendingBr {
-			pendingReg = pendingReg && !fault.Injected
-			pendingBr = pendingBr && !fault.Injected
-		}
+		ev.refresh()
 		var tbits uint64
 		if li.dst >= 0 {
 			fr.define(int(li.dst), ret, cur)
@@ -219,128 +304,69 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 		// replicates the unfused per-constituent semantics exactly — operand
 		// reads, issue/latency calls, define order, trap protocol — minus the
 		// event preamble (provably dead inside the span: every constituent's
-		// pre-increment dyn is below nextEvent) and the tracer/profiler hooks
-		// (both nil whenever fuseEvent is armed). Trap-capable constituents
-		// advance dyn individually so trap Dyn values stay exact; pure pairs
-		// advance it in one add.
-		if li.fop != fNone && dyn+int64(li.fspan) <= fuseEvent {
+		// pre-increment dyn is below ev.next) and the tracer/profiler hooks
+		// (both nil whenever ev.fuse is armed). Trap-capable constituents
+		// advance dyn individually so trap Dyn values stay exact.
+		if li.fop != fNone && dyn+int64(li.fspan) <= ev.fuse {
 			l2 := &code[pc+1]
+			ev.fused++
 			var done int64
 			switch li.fop {
-			case fAddAdd:
-				fusedCnt++
+			case fAddAdd, fAddSub, fAddLt, fMulAdd, fMulSub, fMulMul, fSubAdd, fSubMul:
+				// The integer pairs share one handler: each constituent
+				// computes by its own op (intPairOp). Integer arithmetic
+				// wraps, so the result is exact for every pairing.
 				dyn += 2
+				a0, a1 := fr.get(li.a0), fr.get(li.a1)
+				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[li.latk])
+				fr.define(int(li.dst), intPairOp(li.op, a0, a1), done)
+				b0, b1 := fr.get(l2.a0), fr.get(l2.a1)
+				opsReady = maxi(fr.readyAt(l2.a0), fr.readyAt(l2.a1))
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[l2.latk])
+				fr.define(int(l2.dst), intPairOp(l2.op, b0, b1), done)
+				pc += 2
+				continue
+
+			case fAddLoad:
+				dyn++
 				a0, a1 := fr.get(li.a0), fr.get(li.a1)
 				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
 				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[li.latk])
 				fr.define(int(li.dst), a0+a1, done)
-				b0, b1 := fr.get(l2.a0), fr.get(l2.a1)
-				opsReady = maxi(fr.readyAt(l2.a0), fr.readyAt(l2.a1))
-				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[l2.latk])
-				fr.define(int(l2.dst), b0+b1, done)
+				dyn++
+				addr := fr.get(l2.a0)
+				if addr == 0 || addr >= uint64(len(mem)) {
+					return 0, m.trapAt(&ev, TrapOOB, fn, dyn, cur, slot, maxDone)
+				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, fr.readyAt(l2.a0), tm.access(addr))
+				fr.define(int(l2.dst), mem[addr], done)
 				pc += 2
 				continue
 
-			case fAddSub:
-				fusedCnt++
-				dyn += 2
-				a0, a1 := fr.get(li.a0), fr.get(li.a1)
-				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
-				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[li.latk])
-				fr.define(int(li.dst), a0+a1, done)
+			case fLoadSub, fLoadMul:
+				// Load then integer arithmetic, by the same rule.
+				dyn++
+				addr := fr.get(li.a0)
+				if addr == 0 || addr >= uint64(len(mem)) {
+					return 0, m.trapAt(&ev, TrapOOB, fn, dyn, cur, slot, maxDone)
+				}
+				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, fr.readyAt(li.a0), tm.access(addr))
+				fr.define(int(li.dst), mem[addr], done)
+				dyn++
 				b0, b1 := fr.get(l2.a0), fr.get(l2.a1)
-				opsReady = maxi(fr.readyAt(l2.a0), fr.readyAt(l2.a1))
+				opsReady := maxi(fr.readyAt(l2.a0), fr.readyAt(l2.a1))
 				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[l2.latk])
-				fr.define(int(l2.dst), b0-b1, done)
+				fr.define(int(l2.dst), intPairOp(l2.op, b0, b1), done)
 				pc += 2
 				continue
 
-			case fAddLt:
-				fusedCnt++
-				dyn += 2
-				a0, a1 := fr.get(li.a0), fr.get(li.a1)
-				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
-				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[li.latk])
-				fr.define(int(li.dst), a0+a1, done)
-				b0, b1 := fr.get(l2.a0), fr.get(l2.a1)
-				opsReady = maxi(fr.readyAt(l2.a0), fr.readyAt(l2.a1))
-				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[l2.latk])
-				fr.define(int(l2.dst), cbits(int64(b0) < int64(b1)), done)
-				pc += 2
-				continue
-
-			case fMulAdd:
-				fusedCnt++
-				dyn += 2
-				a0, a1 := fr.get(li.a0), fr.get(li.a1)
-				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
-				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[li.latk])
-				fr.define(int(li.dst), a0*a1, done)
-				b0, b1 := fr.get(l2.a0), fr.get(l2.a1)
-				opsReady = maxi(fr.readyAt(l2.a0), fr.readyAt(l2.a1))
-				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[l2.latk])
-				fr.define(int(l2.dst), b0+b1, done)
-				pc += 2
-				continue
-
-			case fMulSub:
-				fusedCnt++
-				dyn += 2
-				a0, a1 := fr.get(li.a0), fr.get(li.a1)
-				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
-				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[li.latk])
-				fr.define(int(li.dst), a0*a1, done)
-				b0, b1 := fr.get(l2.a0), fr.get(l2.a1)
-				opsReady = maxi(fr.readyAt(l2.a0), fr.readyAt(l2.a1))
-				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[l2.latk])
-				fr.define(int(l2.dst), b0-b1, done)
-				pc += 2
-				continue
-
-			case fMulMul:
-				fusedCnt++
-				dyn += 2
-				a0, a1 := fr.get(li.a0), fr.get(li.a1)
-				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
-				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[li.latk])
-				fr.define(int(li.dst), a0*a1, done)
-				b0, b1 := fr.get(l2.a0), fr.get(l2.a1)
-				opsReady = maxi(fr.readyAt(l2.a0), fr.readyAt(l2.a1))
-				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[l2.latk])
-				fr.define(int(l2.dst), b0*b1, done)
-				pc += 2
-				continue
-
-			case fSubAdd:
-				fusedCnt++
-				dyn += 2
-				a0, a1 := fr.get(li.a0), fr.get(li.a1)
-				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
-				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[li.latk])
-				fr.define(int(li.dst), a0-a1, done)
-				b0, b1 := fr.get(l2.a0), fr.get(l2.a1)
-				opsReady = maxi(fr.readyAt(l2.a0), fr.readyAt(l2.a1))
-				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[l2.latk])
-				fr.define(int(l2.dst), b0+b1, done)
-				pc += 2
-				continue
-
-			case fSubMul:
-				fusedCnt++
-				dyn += 2
-				a0, a1 := fr.get(li.a0), fr.get(li.a1)
-				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
-				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[li.latk])
-				fr.define(int(li.dst), a0-a1, done)
-				b0, b1 := fr.get(l2.a0), fr.get(l2.a1)
-				opsReady = maxi(fr.readyAt(l2.a0), fr.readyAt(l2.a1))
-				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[l2.latk])
-				fr.define(int(l2.dst), b0*b1, done)
-				pc += 2
-				continue
-
+			// The float pairs keep one handler each, written exactly as the
+			// unfused switch writes the op: Go leaves open which NaN payload
+			// an add or mul of two NaNs returns, and the compiled answer
+			// follows operand placement, so a shared handler could return a
+			// different NaN than the unfused path.
 			case fAddAddF:
-				fusedCnt++
 				dyn += 2
 				a0, a1 := fr.get(li.a0), fr.get(li.a1)
 				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
@@ -354,7 +380,6 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				continue
 
 			case fMulAddF:
-				fusedCnt++
 				dyn += 2
 				a0, a1 := fr.get(li.a0), fr.get(li.a1)
 				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
@@ -368,7 +393,6 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				continue
 
 			case fMulMulF:
-				fusedCnt++
 				dyn += 2
 				a0, a1 := fr.get(li.a0), fr.get(li.a1)
 				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
@@ -381,68 +405,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				pc += 2
 				continue
 
-			case fAddLoad:
-				fusedCnt++
-				dyn++
-				a0, a1 := fr.get(li.a0), fr.get(li.a1)
-				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
-				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[li.latk])
-				fr.define(int(li.dst), a0+a1, done)
-				dyn++
-				addr := fr.get(l2.a0)
-				if addr == 0 || addr >= uint64(len(mem)) {
-					m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-					m.fusedSteps += fusedCnt
-					return 0, &Trap{Kind: TrapOOB, Dyn: dyn, Fn: fn.Name}
-				}
-				lat := tm.access(addr)
-				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, fr.readyAt(l2.a0), lat)
-				fr.define(int(l2.dst), mem[addr], done)
-				pc += 2
-				continue
-
-			case fLoadSub:
-				fusedCnt++
-				dyn++
-				addr := fr.get(li.a0)
-				if addr == 0 || addr >= uint64(len(mem)) {
-					m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-					m.fusedSteps += fusedCnt
-					return 0, &Trap{Kind: TrapOOB, Dyn: dyn, Fn: fn.Name}
-				}
-				lat := tm.access(addr)
-				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, fr.readyAt(li.a0), lat)
-				fr.define(int(li.dst), mem[addr], done)
-				dyn++
-				b0, b1 := fr.get(l2.a0), fr.get(l2.a1)
-				opsReady := maxi(fr.readyAt(l2.a0), fr.readyAt(l2.a1))
-				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[l2.latk])
-				fr.define(int(l2.dst), b0-b1, done)
-				pc += 2
-				continue
-
-			case fLoadMul:
-				fusedCnt++
-				dyn++
-				addr := fr.get(li.a0)
-				if addr == 0 || addr >= uint64(len(mem)) {
-					m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-					m.fusedSteps += fusedCnt
-					return 0, &Trap{Kind: TrapOOB, Dyn: dyn, Fn: fn.Name}
-				}
-				lat := tm.access(addr)
-				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, fr.readyAt(li.a0), lat)
-				fr.define(int(li.dst), mem[addr], done)
-				dyn++
-				b0, b1 := fr.get(l2.a0), fr.get(l2.a1)
-				opsReady := maxi(fr.readyAt(l2.a0), fr.readyAt(l2.a1))
-				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, opsReady, lats[l2.latk])
-				fr.define(int(l2.dst), b0*b1, done)
-				pc += 2
-				continue
-
 			case fCmpBrI:
-				fusedCnt++
 				dyn += 2
 				a0, a1 := fr.get(li.a0), fr.get(li.a1)
 				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
@@ -477,7 +440,6 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				continue
 
 			case fAddJmp:
-				fusedCnt++
 				dyn += 2
 				a0, a1 := fr.get(li.a0), fr.get(li.a1)
 				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
@@ -491,7 +453,6 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				// The phi copy is a pseudo-op: it advances dyn but never
 				// passes the event preamble (matching blockLoop), which is
 				// why this span's fspan is 1.
-				fusedCnt++
 				dyn += 2
 				cur, slot, maxDone, _ = issueAt(cur, slot, width, maxDone, 0, 0)
 				pe := &code[li.then]
@@ -502,16 +463,14 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				continue
 
 			case fCmpCheckJmp:
-				fusedCnt++
 				dyn++
 				a := fr.get(li.a0)
 				b := fr.get(li.a1)
 				opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
 				cur, slot, maxDone, _ = issueAt(cur, slot, width, maxDone, opsReady, lats[latCheck])
 				if a != b {
-					m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
+					m.flush(&ev, dyn, cur, slot, maxDone)
 					if t := m.checkFailed(insTab[pc]); t != nil {
-						m.fusedSteps += fusedCnt
 						return 0, t
 					}
 				}
@@ -524,48 +483,13 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 
 		if op >= lopIntrinsic {
 			// Fast path: pure computations sharing the define tail.
-			if dyn >= nextEvent {
-				if dyn >= suspendAt {
-					m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-					m.fusedSteps += fusedCnt
-					m.susp = append(m.susp, suspLevel{ef: ef, fr: fr, pc: pc})
-					return 0, &Trap{Kind: TrapSuspended, Dyn: dyn, Fn: fn.Name}
-				}
-				if pendingReg && dyn >= fault.TriggerDyn {
-					m.inject(fr)
-					pendingReg = !fault.Injected
-				}
+			if dyn < ev.next {
 				dyn++
-				if dyn > maxDyn {
-					m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-					return 0, &Trap{Kind: TrapWatchdog, Dyn: dyn, Fn: fn.Name}
-				}
-				if stop != nil && dyn&stopCheckMask == 0 {
-					select {
-					case <-stop:
-						m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-						return 0, &Trap{Kind: TrapCancelled, Dyn: dyn, Fn: fn.Name}
-					default:
-					}
-				}
-				nextEvent = maxDyn
-				if suspendAt < nextEvent {
-					nextEvent = suspendAt
-				}
-				if stop != nil && dyn|stopCheckMask < nextEvent {
-					nextEvent = dyn | stopCheckMask
-				}
-				if pendingReg && fault.TriggerDyn < nextEvent {
-					nextEvent = fault.TriggerDyn
-				}
-				fuseEvent = 0
-				if fuseOn && !pendingBr {
-					fuseEvent = nextEvent
-				}
-				m.fusedSteps += fusedCnt
-				fusedCnt = 0
 			} else {
-				dyn++
+				var t *Trap
+				if dyn, t = m.event(&ev, ef, fr, pc, dyn, cur, slot, maxDone); t != nil {
+					return 0, t
+				}
 			}
 
 			var a0, a1 uint64
@@ -609,8 +533,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				x, y := int64(a0), int64(a1)
 				switch {
 				case y == 0:
-					m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-					return 0, &Trap{Kind: TrapDivZero, Dyn: dyn, Fn: fn.Name}
+					return 0, m.trapAt(&ev, TrapDivZero, fn, dyn, cur, slot, maxDone)
 				case x == math.MinInt64 && y == -1:
 					bits = a0 // hardware-style overflow wrap
 				default:
@@ -620,8 +543,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				x, y := int64(a0), int64(a1)
 				switch {
 				case y == 0:
-					m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-					return 0, &Trap{Kind: TrapDivZero, Dyn: dyn, Fn: fn.Name}
+					return 0, m.trapAt(&ev, TrapDivZero, fn, dyn, cur, slot, maxDone)
 				case x == math.MinInt64 && y == -1:
 					bits = 0
 				default:
@@ -717,8 +639,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				var ok bool
 				bits, ok = ir.EvalIntrinsic(kind, a0, a1, 0)
 				if !ok {
-					m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-					return 0, &Trap{Kind: TrapBadCall, Dyn: dyn, Fn: fn.Name}
+					return 0, m.trapAt(&ev, TrapBadCall, fn, dyn, cur, slot, maxDone)
 				}
 				// lopZero: op/type combination outside the interpreter's
 				// defined set; the reference engine defines 0.
@@ -784,114 +705,48 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 			m.phiScratch = scratch[:0]
 			pc = int(li.then)
 			continue
-		case lopBadEdge:
-			m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-			return 0, &Trap{Kind: TrapBadCall, Dyn: dyn, Fn: fn.Name}
-		case lopFellOff:
-			// A verified function never falls off a block.
-			m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-			return 0, &Trap{Kind: TrapBadCall, Dyn: dyn, Fn: fn.Name}
+		case lopBadEdge, lopFellOff:
+			// An edge with no incoming phi value, or control falling off a
+			// block, which a verified function never does.
+			return 0, m.trapAt(&ev, TrapBadCall, fn, dyn, cur, slot, maxDone)
 		}
 
-		if dyn >= nextEvent {
-			if dyn >= suspendAt {
-				m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-				m.susp = append(m.susp, suspLevel{ef: ef, fr: fr, pc: pc})
-				return 0, &Trap{Kind: TrapSuspended, Dyn: dyn, Fn: fn.Name}
-			}
-			if pendingReg && dyn >= fault.TriggerDyn {
-				m.inject(fr)
-				pendingReg = !fault.Injected
-			}
+		if dyn < ev.next {
 			dyn++
-			if dyn > maxDyn {
-				m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-				return 0, &Trap{Kind: TrapWatchdog, Dyn: dyn, Fn: fn.Name}
-			}
-			if stop != nil && dyn&stopCheckMask == 0 {
-				select {
-				case <-stop:
-					m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-					return 0, &Trap{Kind: TrapCancelled, Dyn: dyn, Fn: fn.Name}
-				default:
-				}
-			}
-			nextEvent = maxDyn
-			if suspendAt < nextEvent {
-				nextEvent = suspendAt
-			}
-			if stop != nil && dyn|stopCheckMask < nextEvent {
-				nextEvent = dyn | stopCheckMask
-			}
-			if pendingReg && fault.TriggerDyn < nextEvent {
-				nextEvent = fault.TriggerDyn
-			}
-			fuseEvent = 0
-			if fuseOn && !pendingBr {
-				fuseEvent = nextEvent
-			}
-			m.fusedSteps += fusedCnt
-			fusedCnt = 0
 		} else {
-			dyn++
+			var t *Trap
+			if dyn, t = m.event(&ev, ef, fr, pc, dyn, cur, slot, maxDone); t != nil {
+				return 0, t
+			}
 		}
 
 		var tbits uint64
+		var failed bool
 		switch op {
-		case lopJmp:
-			cur, slot, maxDone, _ = issueAt(cur, slot, width, maxDone, 0, 0)
+		case lopJmp, lopBr:
+			npc := int(li.then)
+			if op == lopBr {
+				cond := fr.get(li.a0)
+				cur, slot, maxDone, _ = issueAt(cur, slot, width, maxDone, fr.readyAt(li.a0), 0)
+				cur, slot = branchAt(cur, slot, pred, predMask, int(li.aux), cond != 0, bpen)
+				if cond == 0 {
+					npc = int(li.els)
+				}
+			} else {
+				cur, slot, maxDone, _ = issueAt(cur, slot, width, maxDone, 0, 0)
+			}
 			if tracer != nil {
 				tracer.Trace(dyn, fn.Name, insTab[pc], 0)
 			}
-			if pendingBr {
-				from := insTab[pc].Blk
-				pc = int(li.then)
-				m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-				if t := m.engineBranchFault(ef, fr, from, &pc); t != nil {
+			if ev.pendingBr {
+				m.flush(&ev, dyn, cur, slot, maxDone)
+				var t *Trap
+				if npc, t = m.branchFault(&ev, ef, fr, insTab[pc].Blk, npc); t != nil {
 					return 0, t
 				}
 				dyn, cur, slot, maxDone = m.dyn, tm.cursor, tm.slotUsed, tm.maxDone
-				pendingBr = !fault.Injected
-				// The branch fault has fired; re-arm fused dispatch (the
-				// current nextEvent is valid — never stale-high — so the
-				// worst case is one extra unfused pass).
-				if fuseOn && !pendingBr {
-					fuseEvent = nextEvent
-				}
-			} else {
-				pc = int(li.then)
 			}
-			continue
-
-		case lopBr:
-			cond := fr.get(li.a0)
-			cur, slot, maxDone, _ = issueAt(cur, slot, width, maxDone, fr.readyAt(li.a0), 0)
-			cur, slot = branchAt(cur, slot, pred, predMask, int(li.aux), cond != 0, bpen)
-			if tracer != nil {
-				tracer.Trace(dyn, fn.Name, insTab[pc], 0)
-			}
-			npc := int(li.els)
-			if cond != 0 {
-				npc = int(li.then)
-			}
-			if pendingBr {
-				from := insTab[pc].Blk
-				pc = npc
-				m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-				if t := m.engineBranchFault(ef, fr, from, &pc); t != nil {
-					return 0, t
-				}
-				dyn, cur, slot, maxDone = m.dyn, tm.cursor, tm.slotUsed, tm.maxDone
-				pendingBr = !fault.Injected
-				// The branch fault has fired; re-arm fused dispatch (the
-				// current nextEvent is valid — never stale-high — so the
-				// worst case is one extra unfused pass).
-				if fuseOn && !pendingBr {
-					fuseEvent = nextEvent
-				}
-			} else {
-				pc = npc
-			}
+			pc = npc
 			continue
 
 		case lopRet:
@@ -903,8 +758,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 			if tracer != nil {
 				tracer.Trace(dyn, fn.Name, insTab[pc], 0)
 			}
-			m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-			m.fusedSteps += fusedCnt
+			m.flush(&ev, dyn, cur, slot, maxDone)
 			return ret, nil
 
 		case lopCall:
@@ -924,25 +778,17 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				}
 			}
 			cur, slot, maxDone, _ = issueAt(cur, slot, width, maxDone, opsReady, m.cfg.Timing.CallOverhead)
-			m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
+			m.flush(&ev, dyn, cur, slot, maxDone)
 			ret, trap := m.execCall(cs.callee, cargs, depth+1)
 			if trap != nil {
 				if trap.Kind == TrapSuspended {
 					// This level parks on the in-flight call.
-					m.fusedSteps += fusedCnt
 					m.susp = append(m.susp, suspLevel{ef: ef, fr: fr, pc: pc})
 				}
 				return 0, trap
 			}
 			dyn, cur, slot, maxDone = m.dyn, tm.cursor, tm.slotUsed, tm.maxDone
-			// The callee may have fired the pending fault.
-			if pendingReg || pendingBr {
-				pendingReg = pendingReg && !fault.Injected
-				pendingBr = pendingBr && !fault.Injected
-				if fuseOn && !pendingBr {
-					fuseEvent = nextEvent
-				}
-			}
+			ev.refresh() // the callee may have fired the pending fault
 			if li.dst >= 0 {
 				fr.define(int(li.dst), ret, cur)
 				tbits = ret
@@ -951,8 +797,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 		case lopStore:
 			addr := fr.get(li.a0)
 			if addr == 0 || addr >= uint64(len(mem)) {
-				m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-				return 0, &Trap{Kind: TrapOOB, Dyn: dyn, Fn: fn.Name}
+				return 0, m.trapAt(&ev, TrapOOB, fn, dyn, cur, slot, maxDone)
 			}
 			val := fr.get(li.a1)
 			opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
@@ -964,8 +809,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 		case lopLoad:
 			addr := fr.get(li.a0)
 			if addr == 0 || addr >= uint64(len(mem)) {
-				m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-				return 0, &Trap{Kind: TrapOOB, Dyn: dyn, Fn: fn.Name}
+				return 0, m.trapAt(&ev, TrapOOB, fn, dyn, cur, slot, maxDone)
 			}
 			lat := tm.access(addr)
 			var done int64
@@ -980,8 +824,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 		case lopAlloca:
 			size := fr.get(li.aux)
 			if m.sp+size > m.memWords {
-				m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-				return 0, &Trap{Kind: TrapStackOverflow, Dyn: dyn, Fn: fn.Name}
+				return 0, m.trapAt(&ev, TrapStackOverflow, fn, dyn, cur, slot, maxDone)
 			}
 			addr := m.sp
 			m.sp += size
@@ -990,41 +833,28 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 			fr.define(int(li.dst), addr, done)
 			tbits = addr
 
+		// Checks issue on their first operand's ready time (a CmpCheck on
+		// both) and share one failure tail below.
 		case lopCmpCheck:
 			a := fr.get(li.a0)
 			b := fr.get(li.a1)
 			opsReady := maxi(fr.readyAt(li.a0), fr.readyAt(li.a1))
 			cur, slot, maxDone, _ = issueAt(cur, slot, width, maxDone, opsReady, lats[latCheck])
-			if a != b {
-				m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-				if t := m.checkFailed(insTab[pc]); t != nil {
-					return 0, t
-				}
-			}
+			failed = a != b
 
 		case lopRangeCheckI:
 			v := int64(fr.get(li.a0))
 			lo := int64(fr.get(li.a1))
 			hi := int64(fr.get(li.aux))
 			cur, slot, maxDone, _ = issueAt(cur, slot, width, maxDone, fr.readyAt(li.a0), lats[latCheck])
-			if v < lo || v > hi {
-				m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-				if t := m.checkFailed(insTab[pc]); t != nil {
-					return 0, t
-				}
-			}
+			failed = v < lo || v > hi
 
 		case lopRangeCheckF:
 			v := b2f(fr.get(li.a0))
 			lo := b2f(fr.get(li.a1))
 			hi := b2f(fr.get(li.aux))
 			cur, slot, maxDone, _ = issueAt(cur, slot, width, maxDone, fr.readyAt(li.a0), lats[latCheck])
-			if !(v >= lo && v <= hi) {
-				m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-				if t := m.checkFailed(insTab[pc]); t != nil {
-					return 0, t
-				}
-			}
+			failed = !(v >= lo && v <= hi)
 
 		case lopValCheckI:
 			v := fr.get(li.a0)
@@ -1033,12 +863,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				ok = v == fr.get(li.aux)
 			}
 			cur, slot, maxDone, _ = issueAt(cur, slot, width, maxDone, fr.readyAt(li.a0), lats[latCheck])
-			if !ok {
-				m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-				if t := m.checkFailed(insTab[pc]); t != nil {
-					return 0, t
-				}
-			}
+			failed = !ok
 
 		case lopValCheckF:
 			// Numeric, not bitwise, to match the value profiler (see the
@@ -1049,11 +874,12 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				ok = v == b2f(fr.get(li.aux))
 			}
 			cur, slot, maxDone, _ = issueAt(cur, slot, width, maxDone, fr.readyAt(li.a0), lats[latCheck])
-			if !ok {
-				m.dyn, tm.cursor, tm.slotUsed, tm.maxDone = dyn, cur, slot, maxDone
-				if t := m.checkFailed(insTab[pc]); t != nil {
-					return 0, t
-				}
+			failed = !ok
+		}
+		if failed {
+			m.flush(&ev, dyn, cur, slot, maxDone)
+			if t := m.checkFailed(insTab[pc]); t != nil {
+				return 0, t
 			}
 		}
 		if tracer != nil {
@@ -1063,25 +889,26 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 	}
 }
 
-// engineBranchFault is the engine counterpart of maybeBranchFault: when a
-// pending branch-target fault is due, redirect the branch just taken to a
-// random block of the executing function and resolve the landing edge
-// dynamically (the lowered code only has edge batches for real CFG edges).
-func (m *Machine) engineBranchFault(ef *engFunc, fr *frame, from *ir.Block, pc *int) *Trap {
-	f := m.opts.Fault
-	if f == nil || f.Injected || f.Kind != FaultBranchTarget || m.dyn < f.TriggerDyn {
-		return nil
+// branchFault is the engine counterpart of maybeBranchFault, called after
+// every branch while a branch-target fault is pending, with the machine
+// flushed: once the fault is due it redirects the branch, which was about
+// to continue at npc, to a random block of the executing function and
+// resolves the landing edge dynamically (the lowered code only has edge
+// batches for real CFG edges). It returns the pc to continue at.
+func (m *Machine) branchFault(ev *events, ef *engFunc, fr *frame, from *ir.Block, npc int) (int, *Trap) {
+	f := ev.fault
+	if m.dyn >= f.TriggerDyn {
+		f.Injected = true
+		f.TargetUID = -1
+		target := ef.fn.Blocks[f.PickSlot(len(ef.fn.Blocks))]
+		m.laxPhis = true
+		var trap *Trap
+		if npc, trap = m.dynEdge(ef, fr, from, target); trap != nil {
+			return 0, trap
+		}
 	}
-	f.Injected = true
-	f.TargetUID = -1
-	target := ef.fn.Blocks[f.PickSlot(len(ef.fn.Blocks))]
-	m.laxPhis = true
-	npc, trap := m.dynEdge(ef, fr, from, target)
-	if trap != nil {
-		return trap
-	}
-	*pc = npc
-	return nil
+	ev.refresh()
+	return npc, nil
 }
 
 // dynEdge resolves the phi prefix of to for an edge arriving from from —
@@ -1108,6 +935,20 @@ func (m *Machine) dynEdge(ef *engFunc, fr *frame, from, to *ir.Block) (int, *Tra
 	}
 	m.phiScratch = scratch[:0]
 	return int(ef.bodyPC[to.Index]), nil
+}
+
+// intPairOp computes one constituent of an integer fused pair by its own
+// opcode; fuseOf pairs no other integer ops.
+func intPairOp(op lop, a, b uint64) uint64 {
+	switch op {
+	case lopMulI:
+		return a * b
+	case lopSubI:
+		return a - b
+	case lopLtI:
+		return cbits(int64(a) < int64(b))
+	}
+	return a + b // lopAddI, lopPtrAdd
 }
 
 func cbits(b bool) uint64 {

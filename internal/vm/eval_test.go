@@ -68,7 +68,9 @@ func pureForms() []pureForm {
 
 // edgeOperands returns the operand grid for an operand type: the integer
 // corners (MinInt64 / -1, shift counts at and beyond 64) and the float
-// corners (-0.0, NaN, infinities, FToI's saturation bounds, subnormals).
+// corners (-0.0, two NaN payloads, infinities, FToI's saturation bounds,
+// subnormals). Two NaNs make every binary float op meet a pair of distinct
+// NaNs, whose result payload Go leaves to the compiled code.
 func edgeOperands(ty ir.Type) []uint64 {
 	if ty == ir.F64 {
 		var out []uint64
@@ -77,7 +79,7 @@ func edgeOperands(ty ir.Type) []uint64 {
 			5e-324, math.MaxFloat64} {
 			out = append(out, math.Float64bits(f))
 		}
-		return out
+		return append(out, 0xFFF8000000000000) // a second NaN: sign set, payload 0
 	}
 	var out []uint64
 	for _, v := range []int64{0, 1, -1, 2, 7, 63, 64, 65, 127, 128, -64,

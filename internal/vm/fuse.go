@@ -8,9 +8,19 @@ package vm
 // place with their own opcodes and operand slots, and the annotation lives in
 // two otherwise-padding bytes of the 32-byte linst. The dispatch loop
 // (engine.go) consults the annotation at the top of each iteration and, when
-// the whole span provably fits below the unified event threshold, executes a
-// dedicated straight-line handler for the pair — skipping one dispatch, one
+// the whole span provably fits below the unified event threshold, runs both
+// constituents in one straight-line handler — skipping one dispatch, one
 // event compare, and the tracer/profiler nil tests per fused constituent.
+//
+// The eight integer arithmetic pairs share one handler, and the two
+// load+arith pairs another; both compute each arithmetic constituent by its
+// own opcode (intPairOp — integer arithmetic wraps, so any pairing is
+// exact). The float pairs keep one handler each, written exactly as the
+// unfused switch writes the op: when both operands are NaN, Go leaves open
+// which payload an add or mul returns, the compiled answer follows operand
+// placement, so a shared handler can return a different NaN than the
+// unfused path (TestFusedPairsMatchEval feeds them two payloads). AddLoad
+// and the control and check pairs have their own handlers.
 //
 // This side-band design is what keeps the engine's bit-identical-observability
 // invariant cheap:
@@ -20,14 +30,14 @@ package vm
 //     through the normal unfused path — the fused annotation on the previous
 //     pc is never consulted.
 //   - Threshold fallback is automatic. The fused handler only runs when
-//     dyn + fspan <= fuseEvent, where fspan counts the span's event-checked
-//     dynamic increments and fuseEvent mirrors the engine's nextEvent
-//     threshold. If a suspend point, fault trigger, watchdog bound or
+//     dyn + fspan <= events.fuse, where fspan counts the span's
+//     event-checked dynamic increments and events.fuse mirrors the engine's
+//     events.next threshold. If a suspend point, fault trigger, watchdog bound or
 //     cancellation poll lands anywhere inside the span, the condition fails
 //     and the constituents execute unfused, hitting the event at exactly the
 //     instruction the unfused engine would.
 //   - Traps need no new machinery. A trapping constituent flushes dyn and
-//     the issue cursor and returns the same Trap its unfused counterpart
+//     the issue cursor (Machine.trapAt) and returns the same Trap its unfused counterpart
 //     would, so Result, snapshots and fault attribution are unchanged.
 //
 // Pattern selection is measured: a pattern stays in the table only while it
@@ -216,9 +226,10 @@ func (m *Machine) FusedSites() int {
 }
 
 // FusedSteps reports how many fused-pair handlers this machine has executed
-// since its last Reset. The counter is diagnostic — it is kept in a dispatch
-// local and flushed on returns, suspensions and event-threshold passes, so a
-// run that ends in a mid-region trap may undercount by the instructions
-// since the last flush. It is not part of Result, Snapshot or the
-// equivalence surface: fused and unfused runs differ in it by design.
+// since its last Reset. The counter is diagnostic — it is kept in the
+// dispatch loop's event state and flushed at every escape point (returns,
+// traps, suspensions, nested calls) and every event-threshold pass, so it
+// is exact whenever the machine is stopped. It is not part of Result,
+// Snapshot or the equivalence surface: fused and unfused runs differ in it
+// by design.
 func (m *Machine) FusedSteps() int64 { return m.fusedSteps }

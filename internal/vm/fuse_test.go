@@ -281,3 +281,245 @@ func TestFusionFaultTriggerSweep(t *testing.T) {
 		}
 	}
 }
+
+// fusedPair is one fused pattern written as an adjacent pair over operands
+// loaded from in[]. emit builds the pair, stores its results to out and
+// returns the pair's head and, where ir.Eval defines every stored word, the
+// expected words and trap for given operand bits; a nil want leaves the
+// tree engine as the only reference (the load of AddLoad reads whatever
+// word its edge-operand address names).
+type fusedPair struct {
+	name string
+	fop  fuseOp
+	tys  []ir.Type
+	emit func(b *ir.Builder, in, out *ir.Global, a []ir.Value) (head *ir.Instr, want func(a []uint64) ([]uint64, TrapKind))
+}
+
+// evalInstr is what ir.Eval says a binary instruction computes.
+func evalInstr(in *ir.Instr, a, b uint64) uint64 {
+	bits, _ := ir.Eval(in.Op, in.Ty, in.Args[0].Type(), a, b)
+	return bits
+}
+
+// storeOut stores vals to out[0], out[1], ...; a store sits right behind
+// the pair, so the pair's second constituent never heads a pair of its own.
+func storeOut(b *ir.Builder, out *ir.Global, vals ...ir.Value) {
+	for i, v := range vals {
+		var p ir.Value = out
+		if i > 0 {
+			p = b.PtrAdd(out, ir.ConstInt(int64(i)))
+		}
+		b.Store(p, v)
+	}
+}
+
+func fusedPairs() []fusedPair {
+	i64x2, i64x3, f64x3 := []ir.Type{ir.I64, ir.I64}, []ir.Type{ir.I64, ir.I64, ir.I64}, []ir.Type{ir.F64, ir.F64, ir.F64}
+	arith := func(fop fuseOp, tys []ir.Type, op1, op2 ir.Op) fusedPair {
+		return fusedPair{fusePatternNames[fop], fop, tys, func(b *ir.Builder, _, out *ir.Global, a []ir.Value) (*ir.Instr, func([]uint64) ([]uint64, TrapKind)) {
+			r1 := b.Bin(op1, a[0], a[1])
+			r2 := b.Bin(op2, r1, a[2])
+			storeOut(b, out, r1, r2)
+			b.Ret(nil)
+			return r1, func(a []uint64) ([]uint64, TrapKind) {
+				e1 := evalInstr(r1, a[0], a[1])
+				return []uint64{e1, evalInstr(r2, e1, a[2])}, TrapNone
+			}
+		}}
+	}
+	loadArith := func(fop fuseOp, op ir.Op) fusedPair {
+		return fusedPair{fusePatternNames[fop], fop, i64x2, func(b *ir.Builder, in, out *ir.Global, a []ir.Value) (*ir.Instr, func([]uint64) ([]uint64, TrapKind)) {
+			l := b.Load(ir.I64, in) // in[0] again, through a constant address
+			r := b.Bin(op, l, a[1])
+			storeOut(b, out, l, r)
+			b.Ret(nil)
+			return l, func(a []uint64) ([]uint64, TrapKind) {
+				return []uint64{a[0], evalInstr(r, a[0], a[1])}, TrapNone
+			}
+		}}
+	}
+	cmpBr := func(op ir.Op) fusedPair {
+		return fusedPair{"CmpBrI/" + op.String(), fCmpBrI, i64x2, func(b *ir.Builder, _, out *ir.Global, a []ir.Value) (*ir.Instr, func([]uint64) ([]uint64, TrapKind)) {
+			c := b.Bin(op, a[0], a[1])
+			then, els := b.Block("then"), b.Block("else")
+			b.Br(c, then, els)
+			for i, blk := range []*ir.Block{then, els} {
+				b.SetBlock(blk)
+				storeOut(b, out, c, ir.ConstInt(int64(i+1)))
+				b.Ret(nil)
+			}
+			return c, func(a []uint64) ([]uint64, TrapKind) {
+				e := evalInstr(c, a[0], a[1])
+				if e != 0 {
+					return []uint64{e, 1}, TrapNone
+				}
+				return []uint64{e, 2}, TrapNone
+			}
+		}}
+	}
+	pairs := []fusedPair{
+		arith(fAddAdd, i64x3, ir.OpAdd, ir.OpAdd),
+		arith(fAddSub, i64x3, ir.OpAdd, ir.OpSub),
+		arith(fAddLt, i64x3, ir.OpAdd, ir.OpLt),
+		arith(fMulAdd, i64x3, ir.OpMul, ir.OpAdd),
+		arith(fMulSub, i64x3, ir.OpMul, ir.OpSub),
+		arith(fMulMul, i64x3, ir.OpMul, ir.OpMul),
+		arith(fSubAdd, i64x3, ir.OpSub, ir.OpAdd),
+		arith(fSubMul, i64x3, ir.OpSub, ir.OpMul),
+		arith(fAddAddF, f64x3, ir.OpAdd, ir.OpAdd),
+		arith(fMulAddF, f64x3, ir.OpMul, ir.OpAdd),
+		arith(fMulMulF, f64x3, ir.OpMul, ir.OpMul),
+		loadArith(fLoadSub, ir.OpSub),
+		loadArith(fLoadMul, ir.OpMul),
+		{"AddLoad", fAddLoad, []ir.Type{ir.I64}, func(b *ir.Builder, in, out *ir.Global, a []ir.Value) (*ir.Instr, func([]uint64) ([]uint64, TrapKind)) {
+			p := b.PtrAdd(in, a[0])
+			storeOut(b, out, p, b.Load(ir.I64, p))
+			b.Ret(nil)
+			return p, nil
+		}},
+		{"AddJmp", fAddJmp, i64x2, func(b *ir.Builder, _, out *ir.Global, a []ir.Value) (*ir.Instr, func([]uint64) ([]uint64, TrapKind)) {
+			r := b.Bin(ir.OpAdd, a[0], a[1])
+			next := b.Block("next")
+			b.Jmp(next)
+			b.SetBlock(next)
+			storeOut(b, out, r)
+			b.Ret(nil)
+			return r, func(a []uint64) ([]uint64, TrapKind) { return []uint64{evalInstr(r, a[0], a[1])}, TrapNone }
+		}},
+		{"JmpPhi", fJmpPhi, []ir.Type{ir.I64}, func(b *ir.Builder, _, out *ir.Global, a []ir.Value) (*ir.Instr, func([]uint64) ([]uint64, TrapKind)) {
+			from, next := b.Cur, b.Block("next")
+			j := b.Jmp(next)
+			b.SetBlock(next)
+			phi := b.Phi(ir.I64)
+			ir.AddIncoming(phi, a[0], from)
+			storeOut(b, out, phi)
+			b.Ret(nil)
+			return j, func(a []uint64) ([]uint64, TrapKind) { return []uint64{a[0]}, TrapNone }
+		}},
+		{"CmpCheckJmp", fCmpCheckJmp, i64x2, func(b *ir.Builder, _, out *ir.Global, a []ir.Value) (*ir.Instr, func([]uint64) ([]uint64, TrapKind)) {
+			chk := b.Emit(&ir.Instr{Op: ir.OpCmpCheck, Args: []ir.Value{a[0], a[1]}, Check: ir.CheckDup, CheckID: 1})
+			next := b.Block("next")
+			b.Jmp(next)
+			b.SetBlock(next)
+			storeOut(b, out, a[0])
+			b.Ret(nil)
+			return chk, func(a []uint64) ([]uint64, TrapKind) {
+				if a[0] != a[1] {
+					return nil, TrapCheck
+				}
+				return []uint64{a[0]}, TrapNone
+			}
+		}},
+	}
+	for _, op := range []ir.Op{ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe} {
+		pairs = append(pairs, cmpBr(op))
+	}
+	return pairs
+}
+
+// TestFusedPairsMatchEval runs every fused pattern as a two-instruction
+// module over edge operands and requires the fused handler, the unfused
+// dispatch and the tree interpreter to agree bit for bit — stored words,
+// trap, dyn and cycles — and the stored words to be what ir.Eval computes.
+// The float pairs meet two distinct NaN payloads here, which is what keeps
+// their dedicated handlers honest: a handler that computes an op with its
+// operands placed differently from the unfused switch can return the other
+// NaN.
+func TestFusedPairsMatchEval(t *testing.T) {
+	covered := map[fuseOp]bool{}
+	for _, p := range fusedPairs() {
+		m := ir.NewModule("pair")
+		in := m.AddGlobal("in", len(p.tys))
+		out := m.AddGlobal("out", 2)
+		b := ir.NewBuilder(m.NewFunc("main", ir.Void))
+		args := make([]ir.Value, len(p.tys))
+		for i, ty := range p.tys {
+			args[i] = b.Load(ty, b.PtrAdd(in, ir.ConstInt(int64(i))))
+		}
+		// A store between the operand loads and the pair keeps the last
+		// load from pairing with the pair's head.
+		b.Store(out, ir.ConstInt(0))
+		head, want := p.emit(b, in, out, args)
+		m.Renumber()
+		if err := m.Verify(); err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+
+		machs := make([]*Machine, 2)
+		for i, engine := range []EngineKind{EngineFast, EngineTree} {
+			cfg := DefaultConfig()
+			cfg.StackWords = 16
+			cfg.Engine = engine
+			mach, err := New(m, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			machs[i] = mach
+		}
+		fast, tree := machs[0], machs[1]
+		ef := fast.eng.funcs[0]
+		for pc, in := range ef.ins {
+			if in == head && ef.code[pc].fop != p.fop {
+				t.Fatalf("%s: the pair's head carries pattern %d, want %d", p.name, ef.code[pc].fop, p.fop)
+			}
+		}
+		covered[p.fop] = true
+
+		type outcome struct {
+			trap        TrapKind
+			dyn, cycles int64
+			out         [2]uint64
+		}
+		run := func(mach *Machine, a []uint64, mode FuseMode) outcome {
+			if err := mach.BindInput("in", a); err != nil {
+				t.Fatal(err)
+			}
+			mach.Reset()
+			res := mach.Run(RunOptions{Fuse: mode})
+			o := outcome{dyn: res.Dyn, cycles: res.Cycles}
+			if res.Trap != nil {
+				o.trap, o.dyn = res.Trap.Kind, res.Trap.Dyn
+			} else {
+				words, _ := mach.ReadGlobal("out")
+				copy(o.out[:], words)
+			}
+			return o
+		}
+		a := make([]uint64, len(p.tys))
+		var walk func(i int)
+		walk = func(i int) {
+			if i < len(a) {
+				for _, v := range edgeOperands(p.tys[i]) {
+					a[i] = v
+					walk(i + 1)
+				}
+				return
+			}
+			fused := run(fast, a, FuseAuto)
+			if fast.FusedSteps() == 0 {
+				t.Fatalf("%s(%#x): the fused run executed no fused handler", p.name, a)
+			}
+			if unfused, ref := run(fast, a, FuseOff), run(tree, a, FuseAuto); fused != unfused || fused != ref {
+				t.Fatalf("%s(%#x): fused %+v, unfused %+v, tree %+v", p.name, a, fused, unfused, ref)
+			}
+			if want == nil {
+				return
+			}
+			words, trap := want(a)
+			if fused.trap != trap {
+				t.Fatalf("%s(%#x): trap %v, ir.Eval says %v", p.name, a, fused.trap, trap)
+			}
+			for i, w := range words {
+				if fused.out[i] != w {
+					t.Fatalf("%s(%#x): out[%d] = %#x, ir.Eval says %#x", p.name, a, i, fused.out[i], w)
+				}
+			}
+		}
+		walk(0)
+	}
+	for fop := fNone + 1; int(fop) < len(fusePatternNames); fop++ {
+		if !covered[fop] {
+			t.Errorf("pattern %s has no pair here", fusePatternNames[fop])
+		}
+	}
+}

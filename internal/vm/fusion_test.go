@@ -106,3 +106,39 @@ func TestFusionEquivalenceProfiled(t *testing.T) {
 	unfusedP, _, _ := fusionRun(t, w, prof, vm.RunOptions{CountChecks: true, Fuse: vm.FuseOff})
 	diffRuns(t, "jpegdec/dupval", fusedP, unfusedP)
 }
+
+// TestFusedStepsAtSuspension pins FusedSteps' flush rule: a suspension
+// flushes the fused-handler tally whichever dispatch path it lands on, so
+// the count at a suspension point is every fused handler run before it.
+// Raising the suspension point only lengthens the prefix and lets more
+// spans clear the event gate, so the count cannot drop as it rises.
+func TestFusedStepsAtSuspension(t *testing.T) {
+	w := workloads.ByName("g721dec")
+	mod, err := w.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mach, err := vm.New(mod, vm.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Bind(mach, workloads.Test); err != nil {
+		t.Fatal(err)
+	}
+	prev := int64(0)
+	for d := int64(1000); d < 3000; d++ {
+		mach.Reset()
+		res := mach.Run(vm.RunOptions{SuspendAtDyn: d})
+		if res.Trap == nil || res.Trap.Kind != vm.TrapSuspended {
+			t.Fatalf("suspend at %d: run ended with %v", d, res.Trap)
+		}
+		steps := mach.FusedSteps()
+		if steps < prev {
+			t.Fatalf("suspend at %d: FusedSteps() = %d, below %d at the previous point", d, steps, prev)
+		}
+		prev = steps
+	}
+	if prev == 0 {
+		t.Fatal("no fused handler ran before any suspension point; the sweep is vacuous")
+	}
+}

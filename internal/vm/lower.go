@@ -331,7 +331,7 @@ func (em *engModule) lowerFunc(ef *engFunc, base map[string]uint64) {
 	// reads resolved branch targets and block membership and writes only the
 	// side-band fop/fspan bytes (fuse.go). Baked into the module-cached
 	// lowering unconditionally; whether fused dispatch actually runs is a
-	// per-run decision (RunOptions.Fuse and the engine's fuseEvent gate).
+	// per-run decision (RunOptions.Fuse and the engine's events.fuse gate).
 	fuseFunc(ef)
 	ef.live = ir.ComputeLiveness(fn)
 }
