@@ -7,7 +7,6 @@ package softft
 // benchmark metrics report the reproduced quantities alongside wall time.
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -399,43 +398,4 @@ func BenchmarkProfileRun(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(dyn), "ns/dyn")
-}
-
-// BenchmarkCampaign measures end-to-end fault-campaign throughput (trials
-// per second) across the engine × checkpoint grid — the workload the
-// precompiled engine and the checkpoint scheduler exist to accelerate.
-// Single-worker so the comparison measures engine and scheduler speed, not
-// host parallelism.
-func BenchmarkCampaign(b *testing.B) {
-	w := workloads.ByName("jpegdec")
-	mod, err := w.Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, bc := range []struct {
-		name   string
-		engine vm.EngineKind
-		ckpt   int
-	}{
-		{"fast-ckpt", vm.EngineFast, 0},
-		{"fast-scratch", vm.EngineFast, -1},
-		{"tree", vm.EngineTree, -1},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			var trials int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cfg := benchCfg(60, int64(i))
-				cfg.Engine = bc.engine
-				cfg.Workers = 1
-				cfg.Checkpoints = bc.ckpt
-				rep, err := fault.Run(context.Background(), w.Target(workloads.Test), mod.Clone(), "Original", cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				trials += rep.Tally.N
-			}
-			b.ReportMetric(float64(trials)/b.Elapsed().Seconds(), "trials/s")
-		})
-	}
 }

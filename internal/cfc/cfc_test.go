@@ -126,12 +126,7 @@ func TestCFCDetectsBranchTargetFaults(t *testing.T) {
 		var ta tally
 		for i := 0; i < trials; i++ {
 			rng := rand.New(rand.NewSource(int64(100 + i)))
-			plan := &vm.FaultPlan{
-				Kind:       vm.FaultBranchTarget,
-				TriggerDyn: rng.Int63n(goldenRes.Dyn),
-				PickSlot:   func(n int) int { return rng.Intn(n) },
-				PickBit:    func() int { return rng.Intn(64) },
-			}
+			plan := &vm.FaultPlan{TriggerDyn: rng.Int63n(goldenRes.Dyn), PickBlock: rng.Intn}
 			res, out := run(t, m, plan)
 			switch {
 			case res.Trap != nil && res.Trap.Kind == vm.TrapCheck:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -388,12 +389,7 @@ func TestDupOnlyDetectsStateCorruption(t *testing.T) {
 		mach.BindInputInts("data", data)
 		mach.BindInputInts("crc_table", table)
 		mach.Reset()
-		plan := &vm.FaultPlan{
-			TriggerDyn: rng.Int63n(goldDyn),
-			PickSlot:   func(n int) int { return rng.Intn(n) },
-			PickBit:    func() int { return rng.Intn(64) },
-		}
-		res := mach.Run(vm.RunOptions{Fault: plan})
+		res := mach.Run(vm.RunOptions{Hook: &regFlip{at: rng.Int63n(goldDyn), rng: rng}})
 		if res.Trap != nil && res.Trap.Kind == vm.TrapCheck {
 			detected++
 			continue
@@ -409,4 +405,29 @@ func TestDupOnlyDetectsStateCorruption(t *testing.T) {
 		t.Fatal("duplication checks never detected an injected fault")
 	}
 	t.Logf("detected=%d silently-corrupted=%d of %d", detected, corrupted, trials)
+}
+
+// regFlip is a register-flip fault hook: at the first fault-eligible
+// instruction at or past at, it flips a random bit of a random written
+// register of the executing frame.
+type regFlip struct {
+	at   int64
+	rng  *rand.Rand
+	done bool
+}
+
+func (f *regFlip) Next() int64 {
+	if f.done {
+		return math.MaxInt64
+	}
+	return f.at
+}
+
+func (f *regFlip) Fire(m *vm.Machine) {
+	if n := m.LiveRegCount(); n > 0 {
+		i := f.rng.Intn(n)
+		bits, _ := m.LiveReg(i)
+		m.SetLiveReg(i, bits^1<<uint(f.rng.Intn(64)))
+		f.done = true
+	}
 }

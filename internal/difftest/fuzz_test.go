@@ -353,17 +353,17 @@ func FuzzSchemeEnumeration(f *testing.F) {
 }
 
 // FuzzFaultModelDivergence hammers the fault-model registry with arbitrary
-// programs: every registered model's campaign — including the
-// suspend-injected memory/burst models and the re-arming stuck-at pair —
-// must produce bit-identical Reports across the scratch, checkpointed and
-// unfused scheduler paths. This is the model-diff oracle
-// invariant on adversarial inputs: park/inject/resume chains that perturb
-// any observable, re-arm schedules that interact with checkpoint binning,
-// and trigger draws landing on edge instructions all surface here as
+// programs: every registered model's campaign — including the memory/burst
+// models and the re-arming stuck-at pair — must produce bit-identical
+// Reports across the scratch, checkpointed, unfused and tree-interpreter
+// paths. This is the model-diff oracle invariant on adversarial inputs:
+// fault hooks that fire differently in either engine or across a
+// suspension, re-arm schedules that interact with checkpoint binning, and
+// trigger draws landing on edge instructions all surface here as
 // cross-path diffs.
 func FuzzFaultModelDivergence(f *testing.F) {
-	// A minimal body: triggers collapse onto the first instructions, so
-	// trigger-0 injection on a fresh machine must match a parked lane.
+	// A minimal body: triggers collapse onto the first instructions, so a
+	// hook due at dyn 0 fires at main's first instruction on every path.
 	f.Add("global int out[2];\nvoid main() { out[0] = 1; out[1] = 2; }")
 	// Memory-heavy loop: the mem-flip/stuck-at address space is live and
 	// repeatedly overwritten, exercising re-arm re-forcing.

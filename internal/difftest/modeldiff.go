@@ -3,15 +3,14 @@ package difftest
 // Fault-model equivalence invariant. Every registered fault model promises
 // that its campaigns are execution-path independent: the scheduler knobs —
 // from-scratch (Reset per trial) vs checkpointed (golden-cursor clones
-// plus the convergence ladder), fused vs per-instruction dispatch — are
-// throughput-only, so the same seeds must
-// yield bit-identical Reports on every path. For the suspend-injected
-// models this is the load-bearing property: their injection and re-arm
-// hooks ride the unified suspend threshold, and a park/resume chain that
-// perturbed any observable would surface here as a cross-path diff. The
-// probe runs every registered model on each generated program; reg-flip
-// rides along as the control (its paths are also pinned by the checkpoint
-// and resume invariants).
+// plus the convergence ladder), fused vs per-instruction dispatch, fast
+// engine vs tree interpreter — are throughput-only, so the same seeds must
+// yield bit-identical Reports on every path. Every model but branch-target
+// fires from the engines' per-instruction event point (the run's fault
+// hook), the same point a cursor clone or a ladder crossing suspends at, so
+// a hook that fired differently in either engine, or a suspension that
+// perturbed any observable, would surface here as a cross-path diff. The
+// probe runs every registered model on each generated program.
 
 import (
 	"context"
@@ -68,8 +67,9 @@ func diffFaultModels(name string, mod *ir.Module, ints []int64, floats []float64
 		cfg.Workers = 1
 		cfg.WatchdogFactor = 20
 
-		run := func(label string, checkpoints, fuse int, probe *fault.LadderProbe) (*fault.Report, string) {
+		run := func(label string, engine vm.EngineKind, checkpoints, fuse int, probe *fault.LadderProbe) (*fault.Report, string) {
 			c := cfg
+			c.Engine = engine
 			c.Checkpoints = checkpoints
 			c.Fuse = fuse
 			ctx := context.Background()
@@ -85,7 +85,7 @@ func diffFaultModels(name string, mod *ir.Module, ints []int64, floats []float64
 			}
 			return rep, ""
 		}
-		ref, d := run("scratch", -1, 0, nil)
+		ref, d := run("scratch", vm.EngineFast, -1, 0, nil)
 		if d != "" {
 			return d
 		}
@@ -96,14 +96,16 @@ func diffFaultModels(name string, mod *ir.Module, ints []int64, floats []float64
 		ladder := &fault.LadderProbe{Interval: max(ref.GoldenDyn/16, 1)}
 		paths := []struct {
 			label             string
+			engine            vm.EngineKind
 			checkpoints, fuse int
 			probe             *fault.LadderProbe
 		}{
-			{"checkpointed", 0, 0, ladder},
-			{"unfused", -1, -1, nil},
+			{"checkpointed", vm.EngineFast, 0, 0, ladder},
+			{"unfused", vm.EngineFast, -1, -1, nil},
+			{"tree", vm.EngineTree, 0, 0, nil},
 		}
 		for _, p := range paths {
-			rep, d := run(p.label, p.checkpoints, p.fuse, p.probe)
+			rep, d := run(p.label, p.engine, p.checkpoints, p.fuse, p.probe)
 			if d != "" {
 				return d
 			}

@@ -14,9 +14,8 @@ package fault
 //
 // Correctness rests on three facts:
 //
-//  1. The suspend point uses the same eligibility condition as register
-//     fault injection (first non-phi instruction whose pre-increment dyn
-//     reaches the requested index), so no fault-eligible instruction lies
+//  1. The suspend point is the point a fault hook fires at (first non-phi
+//     instruction whose pre-increment dyn reaches the requested index), so no fault-eligible instruction lies
 //     between a requested snapshot index and the actual suspension — a
 //     snapshot requested at S serves every trial whose effective trigger is
 //     >= S.

@@ -197,29 +197,6 @@ func TestCampaignCheckpointEquivalenceBranch(t *testing.T) {
 	}
 }
 
-// TestCampaignEngineEquivalenceBranch extends the fast-vs-tree campaign
-// equivalence check to branch-target faults (the engine suite exercises
-// the campaign only under FaultRegister).
-func TestCampaignEngineEquivalenceBranch(t *testing.T) {
-	w := workloads.ByName("kmeans")
-	mod, err := w.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(engine vm.EngineKind) *fault.Report {
-		cfg := fault.DefaultConfig()
-		cfg.Trials = 60
-		cfg.Engine = engine
-		cfg.Model = fault.ModelBranchTarget
-		rep, err := fault.Run(context.Background(), w.Target(workloads.Test), mod.Clone(), "Original", cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	diffReports(t, "branch", run(vm.EngineFast), run(vm.EngineTree))
-}
-
 // TestRecoveryCheckpointEquivalence checks the recovery campaign across
 // every way the scheduler can position and finish its trials: each row must
 // give a RecoveryReport identical to the Reset-per-trial reference. The

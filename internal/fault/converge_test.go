@@ -197,12 +197,7 @@ func TestConvergenceShortCircuitDeadValue(t *testing.T) {
 		t.Fatal("seed's value is not among the written registers at the trigger")
 	}
 	plan := func() *Plan {
-		src := rand.NewSource(0)
-		p := drawPlan(MustModel("reg-flip"), cfg, goldenDyn, 0, src, rand.New(src))
-		p.TriggerDyn, p.VM.TriggerDyn = trigger, trigger
-		p.VM.PickSlot = func(int) int { return slot }
-		p.VM.PickBit = func() int { return 40 }
-		return p
+		return &Plan{TriggerDyn: trigger, pendingAt: trigger, model: pinnedFlip{slot: slot, bit: 40}}
 	}
 
 	c := &campaign{cfg: cfg, target: target, golden: golden, rep: &Report{GoldenCycles: res.Cycles}}
@@ -218,8 +213,8 @@ func TestConvergenceShortCircuitDeadValue(t *testing.T) {
 	p2 := plan()
 	tr2, cyc2, _ := c.finishTrial(conv, p2, nil, snaps)
 
-	if !p2.injected() || tr1.Outcome != Masked {
-		t.Fatalf("the flip must fire and be masked: injected %v, outcome %v", p2.injected(), tr1.Outcome)
+	if !p2.Injected || tr1.Outcome != Masked {
+		t.Fatalf("the flip must fire and be masked: injected %v, outcome %v", p2.Injected, tr1.Outcome)
 	}
 	if tr1 != tr2 || cyc1 != cyc2 || cyc1 != res.Cycles {
 		t.Fatalf("full suffix %+v (%d cycles), converging %+v (%d cycles), golden %d cycles", tr1, cyc1, tr2, cyc2, res.Cycles)
@@ -228,4 +223,23 @@ func TestConvergenceShortCircuitDeadValue(t *testing.T) {
 		t.Fatalf("trial ran to dyn %d (suspended %v); it must end at the first snapshot after the injection, dyn %d",
 			conv.Dyn(), conv.Suspended(), snaps[0].Dyn())
 	}
+}
+
+// pinnedFlip is reg-flip with its space draws pinned: it flips bit bit of
+// written register slot. Not registered; tests build its plans directly.
+type pinnedFlip struct {
+	transientBase
+	slot, bit int
+}
+
+func (pinnedFlip) Name() string                 { return "pinned-flip" }
+func (pinnedFlip) Title() string                { return "pinned register flip (test)" }
+func (pinnedFlip) Draw(int64, *rand.Rand) *Plan { panic("fault: pinnedFlip plans are built directly") }
+
+func (f pinnedFlip) Inject(m *vm.Machine, p *Plan) bool {
+	old, ty := m.LiveReg(f.slot)
+	now := old ^ 1<<uint(f.bit)
+	m.SetLiveReg(f.slot, now)
+	p.RelChange = vm.RelChange(ty, old, now)
+	return true
 }

@@ -3,8 +3,8 @@ package fault_test
 // Golden-cursor suite: trial positioning alone — each trial cloned from a
 // worker's golden cursor at its trigger, with the convergence ladder off —
 // must be bit-identical to Reset-per-trial campaigns (Checkpoints < 0)
-// across every workload and protection mode and for both engine-injected
-// fault models. TestCampaignCheckpointEquivalence pins the same comparison
+// across every workload and protection mode, for reg-flip and
+// branch-target faults. TestCampaignCheckpointEquivalence pins the same comparison
 // with the ladder on; the supervision stack on the cursor path (panics,
 // stuck trials, cancellation mid-advance, early stop, journal replay) is
 // pinned by the cursor rows of the resilience and checkpoint tests. The

@@ -60,8 +60,7 @@ func PrefixSnapshots(t Target, mod *ir.Module, cfg Config, disabled map[int]bool
 }
 
 // RunTrial resets mach and runs trial i of a campaign under cfg on it from
-// dyn 0: the plan drawn and the parks it owes, as a reset campaign runs
-// them.
+// dyn 0, under the plan it draws, as a reset campaign runs it.
 func RunTrial(mach *vm.Machine, cfg Config, goldenDyn int64, i int) (*vm.Result, error) {
 	model, err := LookupModel(cfg.Model)
 	if err != nil {
@@ -70,5 +69,5 @@ func RunTrial(mach *vm.Machine, cfg Config, goldenDyn int64, i int) (*vm.Result,
 	src := rand.NewSource(0)
 	plan := drawPlan(model, cfg, goldenDyn, i, src, rand.New(src))
 	mach.Reset()
-	return runPlanned(mach, plan, cfg, nil, nil, 0), nil
+	return mach.Run(plan.runOptions(cfg, nil, nil)), nil
 }

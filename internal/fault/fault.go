@@ -40,8 +40,7 @@ type Config struct {
 	// live registers; "branch-target" corrupts branch destinations;
 	// "mem-flip", "burst", "stuck-at" and "intermittent" corrupt the
 	// memory image / multi-bit spans / persistently re-forced cells.
-	// Suspend-injected models (everything beyond the first two) require
-	// the fast engine.
+	// Every model runs on either engine.
 	Model string
 	// Trials is the number of injections (paper: 1000 per benchmark).
 	Trials int
@@ -67,7 +66,9 @@ type Config struct {
 	// Workers bounds campaign parallelism (0 = GOMAXPROCS).
 	Workers int
 	// Engine selects the vm execution engine for every run in the campaign
-	// (zero value: the precompiled fast engine).
+	// (zero value: the precompiled fast engine). Every fault model fires
+	// the same way on both, so Reports do not depend on it; the tree
+	// interpreter runs each trial from scratch (no golden-prefix reuse).
 	Engine vm.EngineKind
 	// Checkpoints controls golden-prefix reuse. By default each worker keeps
 	// a golden cursor — a fault-free machine that walks the golden run in
@@ -308,9 +309,6 @@ func runCampaign(ctx context.Context, t Target, mod *ir.Module, technique string
 	if err != nil {
 		return nil, err
 	}
-	if !model.EngineInjected() && cfg.Engine != vm.EngineFast {
-		return nil, fmt.Errorf("fault: fault model %q requires the fast engine (suspend-injected models park the machine via SuspendAtDyn, which only the fast engine implements)", model.Name())
-	}
 
 	// Golden run: outputs, dynamic length, persistently failing checks and,
 	// for a cursor campaign, the snapshot ladder.
@@ -415,48 +413,14 @@ func drawPlan(model Model, cfg Config, goldenDyn int64, trial int, src rand.Sour
 	src.Seed(seedFor(cfg, trial))
 	p := model.Draw(goldenDyn, rng)
 	p.model = model
-	if p.VM != nil {
-		p.pendingAt = -1 // the engine owns the injection
-	} else {
-		p.pendingAt = p.TriggerDyn
-	}
 	return p
-}
-
-// runPlanned drives one machine run under a trial plan, parking the machine
-// wherever the plan owes a hook — the suspend-injected models' injection
-// point, then each re-arm point — and running the hooks while parked. A
-// positive suspendAt additionally parks at the caller's own threshold (the
-// convergence ladder) and returns there; a park that satisfies both at once
-// returns first and defers the hook to the caller's next runPlanned call,
-// which is sound because a plan that still owes a hook is not settled and
-// so never fast-forwards. Engine-
-// injected plans owe no parks, so their fast path is a single Run, exactly
-// the pre-registry campaign body.
-func runPlanned(mach *vm.Machine, plan *Plan, cfg Config, disabled map[int]bool, timeout <-chan struct{}, suspendAt int64) *vm.Result {
-	for {
-		plan.hookNow(mach)
-		stop := plan.pendingAt
-		if suspendAt > 0 && suspendAt > mach.Dyn() && (stop < 0 || suspendAt < stop) {
-			stop = suspendAt
-		}
-		if stop < 0 {
-			stop = 0 // no park owed: run to completion
-		}
-		res := mach.Run(vm.RunOptions{Fault: plan.VM, DisabledChecks: disabled, Stop: timeout, SuspendAtDyn: stop, Fuse: fuseMode(cfg)})
-		if res.Trap != nil && res.Trap.Kind == vm.TrapSuspended {
-			if suspendAt > 0 && mach.Dyn() >= suspendAt {
-				return res // the caller's crossing; its hooks run next call
-			}
-			continue // the plan's own park: loop runs the hook and resumes
-		}
-		return res
-	}
 }
 
 // finishTrial runs an already-positioned machine — reset, or cloned from
 // the golden cursor — under the trial's fault plan, classifies the outcome,
 // and returns the trial's final cycle count (restart recovery prices it).
+// The plan fires from inside each Run (it is the run's fault hook), so the
+// suffix is one Run per ladder crossing plus one to the end.
 //
 // A non-empty snaps ladder (the campaign's golden snapshots, ascending)
 // enables convergence fast-forwarding: the suffix parks at each snapshot
@@ -479,22 +443,27 @@ func runPlanned(mach *vm.Machine, plan *Plan, cfg Config, disabled map[int]bool,
 // re-arms to the end of the run and never settles; an intermittent plan
 // settles once its window closes. The gate also keeps the injector — the
 // one reader of the written-slot lists, which the live-state compare skips
-// — from running again.
+// — from running again. A crossing that falls on a due hook suspends
+// first and fires the hook when the next Run resumes there, so the plan
+// is not settled at that compare.
 func (c *campaign) finishTrial(mach *vm.Machine, plan *Plan, timeout <-chan struct{}, snaps []*vm.Snapshot) (tr Trial, cycles int64, timedOut bool) {
+	opts := plan.runOptions(c.cfg, c.disabled, timeout)
 	for _, s := range snaps {
 		if s.Dyn() <= mach.Dyn() {
 			continue
 		}
-		res := runPlanned(mach, plan, c.cfg, c.disabled, timeout, s.Dyn())
+		opts.SuspendAtDyn = s.Dyn()
+		res := mach.Run(opts)
 		if res.Trap == nil || res.Trap.Kind != vm.TrapSuspended {
 			tr, timedOut = c.classifyTrial(mach, res, plan)
 			return tr, res.Cycles, timedOut
 		}
 		if plan.settled() && mach.MatchesLiveState(s) {
-			return Trial{Outcome: Masked, RelChange: plan.relChange()}, c.rep.GoldenCycles, false
+			return Trial{Outcome: Masked, RelChange: plan.RelChange}, c.rep.GoldenCycles, false
 		}
 	}
-	res := runPlanned(mach, plan, c.cfg, c.disabled, timeout, 0)
+	opts.SuspendAtDyn = 0
+	res := mach.Run(opts)
 	tr, timedOut = c.classifyTrial(mach, res, plan)
 	return tr, res.Cycles, timedOut
 }
@@ -512,7 +481,7 @@ func fuseMode(cfg Config) vm.FuseMode {
 // every suffix path so classification cannot drift.
 func (c *campaign) classifyTrial(mach *vm.Machine, res *vm.Result, plan *Plan) (tr Trial, timedOut bool) {
 	t, golden := c.target, c.golden
-	tr = Trial{RelChange: plan.relChange()}
+	tr = Trial{RelChange: plan.RelChange}
 	if res.Trap != nil {
 		tr.TrapKind = res.Trap.Kind
 		switch {

@@ -7,17 +7,14 @@ package fault
 // the experiments sweep, both CLIs) enumerates the registry, so a newly
 // registered model becomes a first-class campaign with no further wiring.
 //
-// Two injection mechanisms coexist:
-//
-//   - engine-injected models (reg-flip, branch-target) draw a vm.FaultPlan
-//     and let the engine fire it mid-run — the original path, bit-identical
-//     under the registry to what the pre-registry campaign produced;
-//   - suspend-injected models (mem-flip, burst, stuck-at, intermittent)
-//     park the machine at the injection point via RunOptions.SuspendAtDyn —
-//     the same unified event threshold the engine uses for its own fault
-//     triggers — and corrupt architectural state externally through the
-//     vm's fault-access surface, then resume. Re-arming models (stuck-at,
-//     intermittent) park again at every scheduled re-arm point.
+// One injection mechanism serves every model but branch-target: the
+// trial's Plan is the run's vm.FaultHook, so both engines fire it from
+// their per-instruction event point — the point a run suspends at — and
+// the model's Inject and Rearm corrupt architectural state there through
+// the vm's fault-access surface. A re-arming model (stuck-at,
+// intermittent) reschedules the hook and fires again, all within one Run.
+// branch-target alone fires after a taken branch, so it keeps the engines'
+// branch redirect (vm.FaultPlan). Every model runs on both engines.
 //
 // Soundness rule: convergence fast-forwarding's MatchesLiveState
 // short-circuits prove "the future is golden" from "the present live state
@@ -46,20 +43,21 @@ type Model interface {
 	Title() string
 	// Draw draws one trial's plan from a freshly seeded per-trial rng.
 	// Space draws (slot, address, bit, width) must be deferred to injection
-	// time, when the machine state they condition on exists.
+	// time, when the machine state they condition on exists. A plan the
+	// hook fires is due at its trigger (hookPlan).
 	Draw(goldenDyn int64, rng *rand.Rand) *Plan
-	// EngineInjected reports whether plans carry a vm.FaultPlan the engine
-	// executes itself. Suspend-injected models (false) require the fast
-	// engine: only it implements SuspendAtDyn.
+	// EngineInjected is true for reg-flip and branch-target and false for
+	// the rest. Nothing in this module acts on it: only the benchmark's
+	// correctness gate reads it, to run those two models' reference
+	// campaigns on the tree engine.
 	EngineInjected() bool
-	// Inject corrupts a machine parked at the plan's injection point
-	// (suspend-injected models only). It returns false when nothing
-	// eligible is available yet — e.g. no live register — and the trial
-	// driver retries one instruction later, mirroring the engine's own
-	// pending-fault retry.
+	// Inject corrupts the machine at the plan's injection point (every
+	// model but branch-target), from inside the hook. It returns false when
+	// nothing eligible is available yet — e.g. no live register — and the
+	// hook retries one instruction later.
 	Inject(m *vm.Machine, p *Plan) bool
-	// Rearm re-forces the corruption on a machine parked at a re-arm point
-	// and returns the next re-arm dyn, or -1 once the fault has retired.
+	// Rearm re-forces the corruption at a re-arm point and returns the
+	// next re-arm dyn, or -1 once the fault has retired.
 	// Called only for plans drawn with a positive stride: those are the
 	// plans whose fault keeps firing after its first strike (the stuck-at
 	// class).
@@ -69,34 +67,32 @@ type Model interface {
 	EffectiveTrigger(trigger int64) int64
 }
 
-// Plan is one trial's drawn fault: the trigger plus either an engine
-// fault plan (VM non-nil) or the state a suspend-injected model needs to
-// fire and, for re-arming models, keep firing.
+// Plan is one trial's drawn fault: the trigger plus the state its model
+// needs to fire and, for re-arming models, keep firing. A Plan is the
+// trial run's vm.FaultHook.
 type Plan struct {
 	// TriggerDyn is the injection point in dynamic instructions — always
 	// the first rng draw after per-trial seeding.
 	TriggerDyn int64
-	// VM is the engine-executed fault plan; nil for suspend-injected
-	// models. Injection results (Injected, RelChange) live on it.
-	VM *vm.FaultPlan
-	// Injected and RelChange mirror vm.FaultPlan's fields for
-	// suspend-injected models; read them through injected()/relChange(),
-	// which dispatch on the mechanism.
+	// Injected reports whether the fault has fired; RelChange is the
+	// corrupted value's relative change (0 for branch-target).
 	Injected  bool
 	RelChange float64
 
 	model Model
 	// rng feeds the model's lazy space draws at injection time; the worker
 	// re-seeds it per trial, so draws replay identically on every execution
-	// path (reset or cursor-positioned) — each parks the machine in
-	// the same state before the same draw.
+	// path (reset or cursor-positioned) — each fires the hook on the same
+	// machine state before the same draw.
 	rng *rand.Rand
-	// pendingAt is the next dyn the trial driver must park the machine at
-	// for this plan — the injection point before the fault fires, then the
-	// next re-arm point while the fault re-arms; -1 when no park is owed.
+	// pendingAt is the next dyn the hook is due at — the injection point
+	// before the fault fires, then the next re-arm point while the fault
+	// re-arms; -1 when nothing is owed.
 	pendingAt int64
+	// branch is branch-target's redirect; nil for every other model.
+	branch *vm.FaultPlan
 
-	// Suspend-injected model scratch.
+	// Model scratch.
 	addr   uint64 // corrupted memory word (mem-flip, burst, stuck-at)
 	mask   uint64 // corrupted bit(s) within the word
 	val    uint64 // stuck-at: bit values re-forced under mask
@@ -107,53 +103,42 @@ type Plan struct {
 // Model returns the model that drew this plan.
 func (p *Plan) Model() Model { return p.model }
 
-// injected reports whether the fault has fired, whichever mechanism
-// carries it.
-func (p *Plan) injected() bool {
-	if p.VM != nil {
-		return p.VM.Injected
-	}
-	return p.Injected
-}
-
 // settled reports whether the plan can change nothing more: its fault has
 // fired and no hook is owed. Only a settled trial may fast-forward on a
 // golden match (the soundness rule above).
-func (p *Plan) settled() bool { return p.injected() && p.pendingAt < 0 }
+func (p *Plan) settled() bool { return p.Injected && p.pendingAt < 0 }
 
-// relChange is the corrupted value's relative change, whichever mechanism
-// recorded it.
-func (p *Plan) relChange() float64 {
-	if p.VM != nil {
-		return p.VM.RelChange
+// Next implements vm.FaultHook.
+func (p *Plan) Next() int64 {
+	if p.pendingAt < 0 {
+		return math.MaxInt64
 	}
-	return p.RelChange
+	return p.pendingAt
 }
 
-// hookNow runs every plan hook due at the machine's current position:
-// injection when the machine is parked at (or first eligible past) the
-// trigger, re-arms at their scheduled points. The driver calls it after
-// every park; the guard also admits a fresh machine at dyn 0, whose state
-// is identical to a park at the origin (nothing has executed), so a
-// trigger-0 trial needs no unreachable SuspendAtDyn=0 run.
-func (p *Plan) hookNow(m *vm.Machine) {
-	for p.pendingAt >= 0 && p.pendingAt <= m.Dyn() && (m.Suspended() || m.Dyn() == 0) {
-		if !p.Injected {
-			if p.model.Inject(m, p) {
-				p.Injected = true
-				p.pendingAt = -1
-				if p.stride > 0 {
-					p.pendingAt = m.Dyn() + p.stride
-				}
-			} else {
-				// Nothing eligible at this instruction; retry at the next,
-				// mirroring the engine's pending-register-fault retry.
-				p.pendingAt = m.Dyn() + 1
-			}
-			continue
-		}
+// Fire implements vm.FaultHook: the engine calls it at the first
+// fault-eligible instruction at or past pendingAt. Before the fault fires
+// it injects, or retries at the next instruction when nothing is eligible;
+// after, it re-arms.
+func (p *Plan) Fire(m *vm.Machine) {
+	if p.Injected {
 		p.pendingAt = p.model.Rearm(m, p)
+		return
 	}
+	if !p.model.Inject(m, p) {
+		p.pendingAt = m.Dyn() + 1
+		return
+	}
+	p.Injected = true
+	p.pendingAt = -1
+	if p.stride > 0 {
+		p.pendingAt = m.Dyn() + p.stride
+	}
+}
+
+// runOptions are the options of a trial run under the plan.
+func (p *Plan) runOptions(cfg Config, disabled map[int]bool, timeout <-chan struct{}) vm.RunOptions {
+	return vm.RunOptions{Hook: p, Fault: p.branch, DisabledChecks: disabled, Stop: timeout, Fuse: fuseMode(cfg)}
 }
 
 // ---------------------------------------------------------------------------
@@ -235,22 +220,26 @@ func init() {
 	RegisterModel(intermittentModel{})
 }
 
-// transientBase supplies the defaults shared by transient suspend-injected
-// models; engine-injected and re-arming models override what differs.
+// transientBase supplies the defaults shared by transient models; the rest
+// override what differs.
 type transientBase struct{}
 
 func (transientBase) EngineInjected() bool                 { return false }
 func (transientBase) Rearm(*vm.Machine, *Plan) int64       { panic("fault: model does not re-arm") }
 func (transientBase) EffectiveTrigger(trigger int64) int64 { return trigger }
-func (transientBase) Inject(m *vm.Machine, p *Plan) bool {
-	panic("fault: engine-injected model has no hook")
+
+// hookPlan draws a plan's trigger and makes its hook due there: the Draw
+// of every model but branch-target.
+func hookPlan(goldenDyn int64, rng *rand.Rand) *Plan {
+	t := rng.Int63n(goldenDyn)
+	return &Plan{TriggerDyn: t, pendingAt: t, rng: rng}
 }
 
 // ---------------------------------------------------------------------------
-// reg-flip: the paper's model. One bit of one live register, flipped once,
-// injected by the engine itself. The Draw below is byte-identical — same
-// trigger draw, same lazy PickSlot/PickBit closures over the same rng — to
-// the pre-registry drawPlan, which the golden rng-stability test pins.
+// reg-flip: the paper's model. One bit of one written register of the
+// executing frame, flipped once. The draws — trigger, then slot, then bit —
+// are the ones the pre-registry drawPlan made, which the golden
+// rng-stability test pins.
 
 type regFlipModel struct{ transientBase }
 
@@ -258,20 +247,26 @@ func (regFlipModel) Name() string         { return ModelRegFlip }
 func (regFlipModel) Title() string        { return "Register bit flip" }
 func (regFlipModel) EngineInjected() bool { return true }
 
-func (regFlipModel) Draw(goldenDyn int64, rng *rand.Rand) *Plan {
-	vp := &vm.FaultPlan{
-		Kind:       vm.FaultRegister,
-		TriggerDyn: rng.Int63n(goldenDyn),
-		PickSlot:   func(n int) int { return rng.Intn(n) },
-		PickBit:    func() int { return rng.Intn(64) },
+func (regFlipModel) Draw(goldenDyn int64, rng *rand.Rand) *Plan { return hookPlan(goldenDyn, rng) }
+
+func (regFlipModel) Inject(m *vm.Machine, p *Plan) bool {
+	n := m.LiveRegCount()
+	if n == 0 {
+		return false // nothing written yet; the fault lands in dead space
 	}
-	return &Plan{TriggerDyn: vp.TriggerDyn, VM: vp}
+	i := p.rng.Intn(n)
+	old, ty := m.LiveReg(i)
+	now := old ^ 1<<uint(p.rng.Intn(64))
+	m.SetLiveReg(i, now)
+	p.RelChange = vm.RelChange(ty, old, now)
+	return true
 }
 
 // branch-target: the control-flow corruption class the paper defers to
 // signature-based checking. A branch whose post-increment dyn
 // reaches the trigger is redirected, so the earliest observable state is
-// one instruction before the trigger.
+// one instruction before the trigger. The redirect's block draw marks the
+// plan injected.
 
 type branchTargetModel struct{ transientBase }
 
@@ -279,15 +274,18 @@ func (branchTargetModel) Name() string                         { return ModelBra
 func (branchTargetModel) Title() string                        { return "Branch-target corruption" }
 func (branchTargetModel) EngineInjected() bool                 { return true }
 func (branchTargetModel) EffectiveTrigger(trigger int64) int64 { return trigger - 1 }
+func (branchTargetModel) Inject(*vm.Machine, *Plan) bool       { panic("fault: branch-target has no hook") }
 
 func (branchTargetModel) Draw(goldenDyn int64, rng *rand.Rand) *Plan {
-	vp := &vm.FaultPlan{
-		Kind:       vm.FaultBranchTarget,
-		TriggerDyn: rng.Int63n(goldenDyn),
-		PickSlot:   func(n int) int { return rng.Intn(n) },
-		PickBit:    func() int { return rng.Intn(64) },
+	p := &Plan{TriggerDyn: rng.Int63n(goldenDyn), pendingAt: -1}
+	p.branch = &vm.FaultPlan{
+		TriggerDyn: p.TriggerDyn,
+		PickBlock: func(n int) int {
+			p.Injected = true
+			return rng.Intn(n)
+		},
 	}
-	return &Plan{TriggerDyn: vp.TriggerDyn, VM: vp}
+	return p
 }
 
 // ---------------------------------------------------------------------------
@@ -301,9 +299,7 @@ type memFlipModel struct{ transientBase }
 func (memFlipModel) Name() string  { return ModelMemFlip }
 func (memFlipModel) Title() string { return "Memory bit flip" }
 
-func (memFlipModel) Draw(goldenDyn int64, rng *rand.Rand) *Plan {
-	return &Plan{TriggerDyn: rng.Int63n(goldenDyn), rng: rng}
-}
+func (memFlipModel) Draw(goldenDyn int64, rng *rand.Rand) *Plan { return hookPlan(goldenDyn, rng) }
 
 func (memFlipModel) Inject(m *vm.Machine, p *Plan) bool {
 	used := m.MemUsed()
@@ -332,9 +328,7 @@ type burstModel struct{ transientBase }
 func (burstModel) Name() string  { return ModelBurst }
 func (burstModel) Title() string { return "Multi-bit burst" }
 
-func (burstModel) Draw(goldenDyn int64, rng *rand.Rand) *Plan {
-	return &Plan{TriggerDyn: rng.Int63n(goldenDyn), rng: rng}
-}
+func (burstModel) Draw(goldenDyn int64, rng *rand.Rand) *Plan { return hookPlan(goldenDyn, rng) }
 
 func (burstModel) Inject(m *vm.Machine, p *Plan) bool {
 	width := 2 + p.rng.Intn(7)      // 2..8 adjacent bits
@@ -370,11 +364,9 @@ func (burstModel) Inject(m *vm.Machine, p *Plan) bool {
 
 // ---------------------------------------------------------------------------
 // stuck-at: a memory cell whose bit is stuck at the flipped value. The
-// first strike flips one bit of one word of the memory image; the trial
-// driver then parks the machine every rearmStride instructions — re-arms
-// ride the same unified event threshold (SuspendAtDyn) as every other
-// engine event — and the model re-forces the bit, so program writes that
-// would heal the word are re-corrupted until the trial retires.
+// first strike flips one bit of one word of the memory image; the hook then
+// fires every rearmStride instructions and re-forces the bit, so program
+// writes that would heal the word are re-corrupted until the trial retires.
 
 type stuckAtModel struct{ transientBase }
 
@@ -382,12 +374,10 @@ func (stuckAtModel) Name() string  { return ModelStuckAt }
 func (stuckAtModel) Title() string { return "Stuck-at bit" }
 
 func (stuckAtModel) Draw(goldenDyn int64, rng *rand.Rand) *Plan {
-	return &Plan{
-		TriggerDyn: rng.Int63n(goldenDyn),
-		rng:        rng,
-		stride:     rearmStride(goldenDyn),
-		until:      math.MaxInt64, // stuck until the program retires
-	}
+	p := hookPlan(goldenDyn, rng)
+	p.stride = rearmStride(goldenDyn)
+	p.until = math.MaxInt64 // stuck until the program retires
+	return p
 }
 
 func (stuckAtModel) Inject(m *vm.Machine, p *Plan) bool { return stuckAtInject(m, p) }
@@ -420,8 +410,9 @@ func stuckAtInject(m *vm.Machine, p *Plan) bool {
 }
 
 // rearmStride is the re-arm cadence: coarse enough that a re-arming trial
-// costs a bounded number of parks (the watchdog caps runs at a multiple of
-// goldenDyn), fine enough that short-lived overwrites still get re-struck.
+// costs a bounded number of hook firings (the watchdog caps runs at a
+// multiple of goldenDyn), fine enough that short-lived overwrites still get
+// re-struck.
 func rearmStride(goldenDyn int64) int64 {
 	if s := goldenDyn / 64; s > 1 {
 		return s

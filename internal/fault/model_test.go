@@ -58,12 +58,12 @@ func TestModelRegistry(t *testing.T) {
 	}()
 }
 
-// TestRegFlipDrawStability pins the registry's reg-flip Draw to the
+// TestRegFlipDrawStability pins the registry's reg-flip draws to the
 // pre-registry campaign draw: same per-trial seeding, same first-position
-// trigger, same lazy slot/bit closures over the same rng stream. Any drift
-// here silently invalidates every published reg-flip campaign, so the
-// reference stream is replicated inline rather than shared with the
-// implementation.
+// trigger, then — at injection time, over the same rng stream — the
+// written-register index and then the bit. Any drift here silently
+// invalidates every published reg-flip campaign, so the reference stream is
+// replicated inline rather than shared with the implementation.
 func TestRegFlipDrawStability(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 2014
@@ -71,24 +71,49 @@ func TestRegFlipDrawStability(t *testing.T) {
 	src := rand.NewSource(1).(rand.Source64)
 	rng := rand.New(src)
 	ref := rand.New(rand.NewSource(1))
+
+	// A machine parked mid-loop, whose written registers Inject draws from.
+	mod, err := lang.Compile("stuck", stuckSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mach, err := vm.New(mod, vm.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mach.Reset()
+	if res := mach.Run(vm.RunOptions{SuspendAtDyn: 200}); res.Trap == nil || res.Trap.Kind != vm.TrapSuspended {
+		t.Fatalf("no suspension: %v", res.Trap)
+	}
+	n := mach.LiveRegCount()
+	regs := make([]uint64, n)
+	for i := range regs {
+		regs[i], _ = mach.LiveReg(i)
+	}
+	if n < 2 {
+		t.Fatalf("only %d written registers at the park", n)
+	}
+
 	for trial := 0; trial < 50; trial++ {
 		p := drawPlan(MustModel(ModelRegFlip), cfg, goldenDyn, trial, src, rng)
 		ref.Seed(cfg.Seed + int64(trial)*7919)
-		if want := ref.Int63n(goldenDyn); p.TriggerDyn != want {
-			t.Fatalf("trial %d: trigger %d, want %d", trial, p.TriggerDyn, want)
+		if want := ref.Int63n(goldenDyn); p.TriggerDyn != want || p.Next() != want {
+			t.Fatalf("trial %d: trigger %d (hook due %d), want %d", trial, p.TriggerDyn, p.Next(), want)
 		}
-		if p.VM == nil || p.VM.Kind != vm.FaultRegister {
-			t.Fatalf("trial %d: plan %+v is not an engine register flip", trial, p.VM)
+		if !p.model.Inject(mach, p) {
+			t.Fatalf("trial %d: nothing injected", trial)
 		}
-		// The space draws are closures over the same stream, consumed lazily
-		// in slot-then-bit order at injection time.
-		for _, n := range []int{5, 1, 17} {
-			if got, want := p.VM.PickSlot(n), ref.Intn(n); got != want {
-				t.Fatalf("trial %d: PickSlot(%d) = %d, want %d", trial, n, got, want)
+		wantSlot, wantBit := ref.Intn(n), ref.Intn(64)
+		for i := range regs {
+			got, _ := mach.LiveReg(i)
+			want := regs[i]
+			if i == wantSlot {
+				want ^= 1 << uint(wantBit)
 			}
-			if got, want := p.VM.PickBit(), ref.Intn(64); got != want {
-				t.Fatalf("trial %d: PickBit = %d, want %d", trial, got, want)
+			if got != want {
+				t.Fatalf("trial %d: register %d = %#x, want %#x (flip of register %d, bit %d)", trial, i, got, want, wantSlot, wantBit)
 			}
+			mach.SetLiveReg(i, regs[i])
 		}
 	}
 }
@@ -140,7 +165,7 @@ func (f fakeStuck) Draw(goldenDyn int64, rng *rand.Rand) *Plan {
 	if f.lasts > 0 {
 		until = f.trigger + f.lasts
 	}
-	return &Plan{TriggerDyn: f.trigger, addr: f.addr, mask: f.mask, stride: f.stride, until: until}
+	return &Plan{TriggerDyn: f.trigger, pendingAt: f.trigger, addr: f.addr, mask: f.mask, stride: f.stride, until: until}
 }
 
 func (f fakeStuck) Inject(m *vm.Machine, p *Plan) bool {
@@ -248,11 +273,13 @@ func TestRearmingModelNeverFalselyMasked(t *testing.T) {
 			t.Fatal(err)
 		}
 		mach, plan := r.machine(t, model)
-		res := runPlanned(mach, plan, r.cfg, nil, nil, at)
+		opts := plan.runOptions(r.cfg, nil, nil)
+		opts.SuspendAtDyn = at
+		res := mach.Run(opts)
 		if res.Trap == nil || res.Trap.Kind != vm.TrapSuspended {
 			t.Fatalf("probe at %d: not suspended: %+v", at, res.Trap)
 		}
-		if plan.injected() && mach.MatchesSnapshot(snaps[0]) {
+		if plan.Injected && mach.MatchesSnapshot(snaps[0]) {
 			falselyGolden++
 		}
 	}

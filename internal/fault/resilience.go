@@ -338,8 +338,8 @@ func (ws *workerState) ensureMachine() error {
 // — no later trial needs it — and the cursor re-arms lazily if asked again.
 //
 // Bit-identity: the cursor executes golden prefix only, with the campaign's
-// DisabledChecks, and suspends at the same eligibility point a register
-// fault fires at (see checkpoint.go, fact 1); a pending fault has no effect
+// DisabledChecks, and suspends at the same eligibility point a fault hook
+// fires at (see checkpoint.go, fact 1); a pending fault has no effect
 // before its trigger, and RestoreFrom copies exactly the state Snapshot and
 // Restore round-trip. The clone therefore holds the state a from-scratch
 // trial reaches at its trigger.

@@ -39,10 +39,10 @@ func (fr *frame) readyAt(o int32) int64 {
 
 // getFrame returns a zeroed activation record for ef, reusing a pooled one
 // when available. Only slots on the written list can hold stale state
-// (define appends every written slot to it, and the fault injector mutates
-// written slots only), so clearing those restores the all-zero state a fresh
-// allocation would have — garbage control flow after a branch fault reads
-// undefined slots as 0 in both engines.
+// (define appends every written slot to it, and the fault-access surface
+// mutates written slots only), so clearing those restores the all-zero
+// state a fresh allocation would have — garbage control flow after a branch
+// fault reads undefined slots as 0 in both engines.
 func (m *Machine) getFrame(ef *engFunc) *frame {
 	pool := m.pools[ef.idx]
 	var fr *frame
@@ -101,8 +101,8 @@ func (m *Machine) execCall(ef *engFunc, args []uint64, depth int) (uint64, *Trap
 // events is one execLoop activation's event state, shared with the helpers
 // that write each dispatch rule once (event, branchFault, refresh, flush).
 //
-// The three per-instruction events — fault trigger, watchdog, stop poll —
-// and the suspend point are folded into one compare of dyn against next (in
+// The three per-instruction events — fault hook, watchdog, stop poll — and
+// the suspend point are folded into one compare of dyn against next (in
 // pre-increment dyn terms). The slow path re-checks the exact original
 // conditions, so a stale-low next costs one extra pass and nothing else; no
 // event can move earlier without going through the slow path, which
@@ -121,30 +121,27 @@ func (m *Machine) execCall(ef *engFunc, args []uint64, depth int) (uint64, *Trap
 // branch-target fault is pending (the fused branch handlers omit the
 // redirect hook).
 type events struct {
-	fault     *FaultPlan
+	branch    *FaultPlan
 	suspendAt int64 // MaxInt64 when the run has no suspend point
 	next      int64 // earliest pending fire point
 	fuse      int64 // fused dispatch gate: next, or 0 while fusion is off
 	fused     int64 // fused handlers run since the last flush to m.fusedSteps
 	fuseOn    bool
-	// Pending-fault flags, cleared once the plan fires so completed-fault
-	// trials run at golden speed. A register fault can retry (inject is a
-	// no-op on a frame with no live registers), so the flag follows
-	// fault.Injected rather than the first attempt.
-	pendingReg bool
-	pendingBr  bool
+	// pendingBr is cleared once the branch fault fires, so completed-fault
+	// trials run at golden speed.
+	pendingBr bool
 }
 
-// refresh re-derives the pending-fault flags after code that may have fired
-// the plan ran out of line — a callee, a resumed inner level, a branch
-// redirect — and re-arms fused dispatch once no branch fault is pending.
-// next is never stale-high, so the worst case is one extra unfused pass.
+// refresh re-derives pendingBr after code that may have fired the branch
+// fault ran out of line — a callee, a resumed inner level, a redirect — and
+// re-arms fused dispatch once no branch fault is pending. next is never
+// stale-high (a hook fired out of line only moved m.hookAt later), so the
+// worst case is one extra unfused pass.
 func (ev *events) refresh() {
-	if !ev.pendingReg && !ev.pendingBr {
+	if !ev.pendingBr {
 		return
 	}
-	ev.pendingReg = ev.pendingReg && !ev.fault.Injected
-	ev.pendingBr = ev.pendingBr && !ev.fault.Injected
+	ev.pendingBr = !ev.branch.Injected
 	if ev.fuseOn && !ev.pendingBr {
 		ev.fuse = ev.next
 	}
@@ -169,8 +166,8 @@ func (m *Machine) trapAt(ev *events, kind TrapKind, fn *ir.Func, dyn, cur int64,
 
 // event is the per-instruction event preamble's slow path, taken by both
 // dispatch paths once dyn reaches ev.next. In the reference blockLoop's
-// order it suspends, fires a due register fault, advances dyn, and checks
-// the watchdog and the stop poll; then it flushes the fused tally and
+// order it suspends, fires a due fault hook, advances dyn, and checks the
+// watchdog and the stop poll; then it flushes the fused tally and
 // recomputes the thresholds. It returns the advanced dyn, or the trap that
 // ends this activation.
 func (m *Machine) event(ev *events, ef *engFunc, fr *frame, pc int, dyn, cur int64, slot int, maxDone int64) (int64, *Trap) {
@@ -178,9 +175,9 @@ func (m *Machine) event(ev *events, ef *engFunc, fr *frame, pc int, dyn, cur int
 		m.susp = append(m.susp, suspLevel{ef: ef, fr: fr, pc: pc})
 		return dyn, m.trapAt(ev, TrapSuspended, ef.fn, dyn, cur, slot, maxDone)
 	}
-	if ev.pendingReg && dyn >= ev.fault.TriggerDyn {
-		m.inject(fr)
-		ev.pendingReg = !ev.fault.Injected
+	if dyn >= m.hookAt {
+		m.dyn = dyn
+		m.fireHook(fr)
 	}
 	dyn++
 	maxDyn := m.cfg.MaxDyn
@@ -203,8 +200,8 @@ func (m *Machine) event(ev *events, ef *engFunc, fr *frame, pc int, dyn, cur int
 	if m.stop != nil && dyn|stopCheckMask < next {
 		next = dyn | stopCheckMask
 	}
-	if ev.pendingReg && ev.fault.TriggerDyn < next {
-		next = ev.fault.TriggerDyn
+	if m.hookAt < next {
+		next = m.hookAt
 	}
 	ev.next, ev.fuse = next, 0
 	if ev.fuseOn && !ev.pendingBr {
@@ -254,13 +251,12 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 	// written back to m.dyn at every escape point (flush).
 	dyn := m.dyn
 
-	fault := m.opts.Fault
+	branch := m.opts.Fault
 	ev := events{
-		fault:      fault,
-		suspendAt:  math.MaxInt64,
-		fuseOn:     m.opts.Fuse == FuseAuto && tracer == nil && profiler == nil,
-		pendingReg: fault != nil && fault.Kind == FaultRegister && !fault.Injected,
-		pendingBr:  fault != nil && fault.Kind == FaultBranchTarget && !fault.Injected,
+		branch:    branch,
+		suspendAt: math.MaxInt64,
+		fuseOn:    m.opts.Fuse == FuseAuto && tracer == nil && profiler == nil,
+		pendingBr: branch != nil && !branch.Injected,
 	}
 	if m.opts.SuspendAtDyn > 0 {
 		ev.suspendAt = m.opts.SuspendAtDyn
@@ -788,7 +784,7 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				return 0, trap
 			}
 			dyn, cur, slot, maxDone = m.dyn, tm.cursor, tm.slotUsed, tm.maxDone
-			ev.refresh() // the callee may have fired the pending fault
+			ev.refresh() // the callee may have fired the branch fault
 			if li.dst >= 0 {
 				fr.define(int(li.dst), ret, cur)
 				tbits = ret
@@ -896,11 +892,10 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 // resolves the landing edge dynamically (the lowered code only has edge
 // batches for real CFG edges). It returns the pc to continue at.
 func (m *Machine) branchFault(ev *events, ef *engFunc, fr *frame, from *ir.Block, npc int) (int, *Trap) {
-	f := ev.fault
+	f := ev.branch
 	if m.dyn >= f.TriggerDyn {
 		f.Injected = true
-		f.TargetUID = -1
-		target := ef.fn.Blocks[f.PickSlot(len(ef.fn.Blocks))]
+		target := ef.fn.Blocks[f.PickBlock(len(ef.fn.Blocks))]
 		m.laxPhis = true
 		var trap *Trap
 		if npc, trap = m.dynEdge(ef, fr, from, target); trap != nil {

@@ -53,7 +53,7 @@ func (t *hashTracer) Trace(dyn int64, fn string, in *ir.Instr, bits uint64) {
 type engineRun struct {
 	res    *vm.Result
 	out    []uint64
-	plan   *vm.FaultPlan
+	fault  vm.FaultRecord
 	traceN uint64
 	traceH uint64
 }
@@ -79,7 +79,7 @@ func runEngine(t *testing.T, w *workloads.Workload, mod *ir.Module, engine vm.En
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &engineRun{res: res, out: out, plan: opts.Fault, traceN: tr.n, traceH: tr.h}
+	return &engineRun{res: res, out: out, fault: vm.RecordOf(opts), traceN: tr.n, traceH: tr.h}
 }
 
 // diffRuns fails the test if any observable differs between the fast- and
@@ -125,12 +125,8 @@ func diffRuns(t *testing.T, label string, fast, tree *engineRun) {
 		t.Fatalf("%s: trace streams differ: fast=(%d,%#x) tree=(%d,%#x)",
 			label, fast.traceN, fast.traceH, tree.traceN, tree.traceH)
 	}
-	if fast.plan != nil {
-		fp, rp := fast.plan, tree.plan
-		if fp.Injected != rp.Injected || fp.TargetUID != rp.TargetUID || fp.TargetTy != rp.TargetTy ||
-			fp.OldBits != rp.OldBits || fp.NewBits != rp.NewBits || fp.Bit != rp.Bit || fp.RelChange != rp.RelChange {
-			t.Fatalf("%s: fault attribution differs:\nfast=%+v\ntree=%+v", label, *fp, *rp)
-		}
+	if fast.fault != tree.fault {
+		t.Fatalf("%s: fault attribution differs:\nfast=%+v\ntree=%+v", label, fast.fault, tree.fault)
 	}
 }
 
@@ -212,26 +208,22 @@ func TestEngineEquivalenceProtected(t *testing.T) {
 	}
 }
 
-// faultSweep injects one fault per seed on both engines and requires
-// identical outcomes, including the plan's attribution metadata.
-func faultSweep(t *testing.T, w *workloads.Workload, mod *ir.Module, kind vm.FaultKind, seeds int) {
+// faultSweep injects one fault per seed on both engines — a register flip
+// through the fault hook, or a branch redirect — and requires identical
+// outcomes, including what the fault hit.
+func faultSweep(t *testing.T, w *workloads.Workload, mod *ir.Module, branch bool, seeds int) {
 	t.Helper()
 	golden := runEngine(t, w, mod, vm.EngineFast, workloads.Test, vm.RunOptions{})
 	if golden.res.Trap != nil {
 		t.Fatalf("golden run trapped: %v", golden.res.Trap)
 	}
-	plan := func(seed int64) *vm.FaultPlan {
+	opts := func(seed int64) vm.RunOptions {
 		rng := rand.New(rand.NewSource(seed))
-		return &vm.FaultPlan{
-			Kind:       kind,
-			TriggerDyn: rng.Int63n(golden.res.Dyn),
-			PickSlot:   func(n int) int { return rng.Intn(n) },
-			PickBit:    func() int { return rng.Intn(64) },
-		}
+		return vm.InjectAt(branch, rng.Int63n(golden.res.Dyn), rng)
 	}
 	for seed := int64(0); seed < int64(seeds); seed++ {
-		fast := runEngine(t, w, mod, vm.EngineFast, workloads.Test, vm.RunOptions{Fault: plan(seed)})
-		tree := runEngine(t, w, mod, vm.EngineTree, workloads.Test, vm.RunOptions{Fault: plan(seed)})
+		fast := runEngine(t, w, mod, vm.EngineFast, workloads.Test, opts(seed))
+		tree := runEngine(t, w, mod, vm.EngineTree, workloads.Test, opts(seed))
 		diffRuns(t, w.Name, fast, tree)
 	}
 }
@@ -239,7 +231,7 @@ func faultSweep(t *testing.T, w *workloads.Workload, mod *ir.Module, kind vm.Fau
 func TestEngineEquivalenceRegisterFaults(t *testing.T) {
 	w := workloads.ByName("kmeans")
 	prot := protectedModule(t, w, core.SchemeDup)
-	faultSweep(t, w, prot, vm.FaultRegister, 40)
+	faultSweep(t, w, prot, false, 40)
 }
 
 func TestEngineEquivalenceBranchFaults(t *testing.T) {
@@ -248,7 +240,7 @@ func TestEngineEquivalenceBranchFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faultSweep(t, w, mod, vm.FaultBranchTarget, 25)
+	faultSweep(t, w, mod, true, 25)
 }
 
 // TestEngineCancellation checks both engines honor a closed Stop channel —

@@ -18,8 +18,8 @@ type reg struct {
 type frame struct {
 	fn   *ir.Func
 	regs []reg
-	// written lists slots that have been written, in definition order; the
-	// fault injector picks uniformly from it (register-file analog).
+	// written lists slots that have been written, in definition order;
+	// register faults pick uniformly from it (register-file analog).
 	written []int32
 	defined []bool
 	entrySP uint64
@@ -80,44 +80,14 @@ func (m *Machine) trace(fn *ir.Func, in *ir.Instr, bits uint64) {
 // maybeBranchFault redirects the branch just taken to a random block when a
 // pending branch-target fault is due. It sets laxPhis so garbage control
 // flow propagates instead of tripping interpreter integrity checks.
-func (m *Machine) maybeBranchFault(fn *ir.Func, blk **ir.Block) *Trap {
+func (m *Machine) maybeBranchFault(fn *ir.Func, blk **ir.Block) {
 	f := m.opts.Fault
-	if f == nil || f.Injected || f.Kind != FaultBranchTarget || m.dyn < f.TriggerDyn {
-		return nil
+	if f == nil || f.Injected || m.dyn < f.TriggerDyn {
+		return
 	}
 	f.Injected = true
-	f.TargetUID = -1
-	target := fn.Blocks[f.PickSlot(len(fn.Blocks))]
-	*blk = target
+	*blk = fn.Blocks[f.PickBlock(len(fn.Blocks))]
 	m.laxPhis = true
-	return nil
-}
-
-// inject flips one bit of a random live register in fr per the fault plan.
-func (m *Machine) inject(fr *frame) {
-	plan := m.opts.Fault
-	if len(fr.written) == 0 {
-		return // nothing architecturally live; fault lands in dead space
-	}
-	slot := int(fr.written[plan.PickSlot(len(fr.written))])
-	bit := plan.PickBit() & 63
-	old := fr.regs[slot].bits
-	newBits := old ^ (1 << uint(bit))
-	fr.regs[slot].bits = newBits
-
-	plan.Injected = true
-	plan.Bit = bit
-	plan.OldBits = old
-	plan.NewBits = newBits
-	ty := m.info[fr.fn].slotTypes[slot]
-	plan.TargetTy = ty
-	plan.TargetUID = -1
-	// Recover the defining instruction's UID for attribution.
-	for _, in := range instrsBySlot(fr.fn, slot) {
-		plan.TargetUID = in.UID
-		break
-	}
-	plan.RelChange = RelChange(ty, old, newBits)
 }
 
 // RelChange is the relative change |now-old| / max(|old|, 1) of a value of
@@ -135,19 +105,6 @@ func RelChange(ty ir.Type, old, now uint64) float64 {
 	}
 	o, n := int64(old), int64(now)
 	return math.Abs(float64(n)-float64(o)) / math.Max(math.Abs(float64(o)), 1)
-}
-
-// instrsBySlot finds instructions occupying a frame slot (zero or one).
-func instrsBySlot(fn *ir.Func, slot int) []*ir.Instr {
-	var out []*ir.Instr
-	fn.Instrs(func(in *ir.Instr) bool {
-		if in.ID == slot {
-			out = append(out, in)
-			return false
-		}
-		return true
-	})
-	return out
 }
 
 // call interprets fn with the given argument bits.
@@ -193,8 +150,8 @@ blockLoop:
 		for idx := len(phis); idx < len(blk.Instrs); idx++ {
 			in := blk.Instrs[idx]
 
-			if f := m.opts.Fault; f != nil && !f.Injected && f.Kind == FaultRegister && m.dyn >= f.TriggerDyn {
-				m.inject(fr)
+			if m.dyn >= m.hookAt {
+				m.fireHook(fr)
 			}
 			m.dyn++
 			if m.dyn > m.cfg.MaxDyn {
@@ -218,9 +175,7 @@ blockLoop:
 				m.timing.issue(0, 0)
 				m.trace(fn, in, 0)
 				prev, blk = blk, in.Then
-				if t := m.maybeBranchFault(fn, &blk); t != nil {
-					return 0, t
-				}
+				m.maybeBranchFault(fn, &blk)
 				continue blockLoop
 
 			case ir.OpBr:
@@ -234,9 +189,7 @@ blockLoop:
 				} else {
 					blk = in.Else
 				}
-				if t := m.maybeBranchFault(fn, &blk); t != nil {
-					return 0, t
-				}
+				m.maybeBranchFault(fn, &blk)
 				continue blockLoop
 
 			case ir.OpRet:

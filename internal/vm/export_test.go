@@ -2,9 +2,71 @@ package vm
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 
 	"repro/internal/ir"
 )
+
+// RegFlip is the tests' register-flip fault hook, the paper's model: at the
+// first fault-eligible instruction at or past At it flips bit Bit() of the
+// written register Slot(n) picks, drawing the slot first, and records what
+// it hit. A frame with no written register defers the flip, undrawn, to the
+// next instruction.
+type RegFlip struct {
+	At   int64
+	Slot func(n int) int
+	Bit  func() int
+	FaultRecord
+}
+
+func (f *RegFlip) Next() int64 {
+	if f.Injected {
+		return math.MaxInt64
+	}
+	return f.At
+}
+
+func (f *RegFlip) Fire(m *Machine) {
+	n := m.LiveRegCount()
+	if n == 0 {
+		return
+	}
+	i := f.Slot(n)
+	old, ty := m.LiveReg(i)
+	f.Old, f.New = old, old^1<<uint(f.Bit())
+	m.SetLiveReg(i, f.New)
+	f.Injected = true
+	f.RelChange = RelChange(ty, f.Old, f.New)
+}
+
+// InjectAt returns run options that carry one fault due at trigger, drawn
+// from r: a RegFlip hook, or with branch set a FaultPlan redirect.
+func InjectAt(branch bool, trigger int64, r *rand.Rand) RunOptions {
+	if branch {
+		return RunOptions{Fault: &FaultPlan{TriggerDyn: trigger, PickBlock: r.Intn}}
+	}
+	return RunOptions{Hook: &RegFlip{At: trigger, Slot: r.Intn, Bit: func() int { return r.Intn(64) }}}
+}
+
+// FaultRecord is what the fault of a run's options left behind, comparable
+// across runs: whether it fired and, for a RegFlip, what it hit.
+type FaultRecord struct {
+	Injected  bool
+	Old, New  uint64
+	RelChange float64
+}
+
+// RecordOf reads the FaultRecord of opts after its run.
+func RecordOf(opts RunOptions) FaultRecord {
+	if f, ok := opts.Hook.(*RegFlip); ok {
+		return f.FaultRecord
+	}
+	if opts.Fault != nil {
+		return FaultRecord{Injected: opts.Fault.Injected}
+	}
+	return FaultRecord{}
+}
 
 // fusePatternNames names every fused-pair pattern, indexed by fuseOp.
 var fusePatternNames = [...]string{

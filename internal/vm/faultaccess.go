@@ -1,46 +1,67 @@
 package vm
 
-// External fault-injection surface. The fault package's suspend-injected
-// models (memory flips, multi-bit bursts, stuck-at and intermittent faults)
-// park a machine at their injection point via RunOptions.SuspendAtDyn and
-// corrupt its state through these accessors, then resume. They mutate
-// architectural state only — register bits and memory words — never timing
-// or bookkeeping, mirroring exactly what the in-engine register injector
-// touches: the suspend/resume chain is bit-identical to an uninterrupted
-// run, so the only observable difference such a trial carries is the
-// corruption itself.
+// Fault-injection surface. Every fault model that corrupts architectural
+// state at an instruction — register and memory flips, bursts, stuck-at and
+// intermittent cells — is a FaultHook: both engines fire it from their
+// per-instruction event point (fireHook), and it reads and corrupts the
+// machine through the accessors below. They mutate architectural state
+// only — register bits and memory words — never timing or bookkeeping, so
+// the only observable difference a faulty run carries is the corruption
+// itself. The accessors work the same on a machine parked at that point
+// with SuspendAtDyn: a hook fired in-engine and the same mutation applied
+// to the parked machine before it resumes give bit-identical runs.
 
 import "repro/internal/ir"
+
+// fireHook runs the run's fault hook on fr, the executing frame, with
+// m.dyn at the hook's instruction, and re-reads its next due dyn.
+func (m *Machine) fireHook(fr *frame) {
+	m.firing = fr
+	m.opts.Hook.Fire(m)
+	m.firing = nil
+	m.hookAt = m.opts.Hook.Next()
+}
 
 // Suspended reports whether the machine holds a suspended in-flight run
 // (its last Run returned TrapSuspended, or it was set with Restore or
 // RestoreFrom, and no Run, Reset or Restore has consumed that state since).
 func (m *Machine) Suspended() bool { return len(m.susp) > 0 }
 
+// faultFrame is the innermost activation: the frame a hook is firing on, or
+// the suspended chain's innermost level; nil on a machine doing neither.
+func (m *Machine) faultFrame() *frame {
+	if m.firing != nil {
+		return m.firing
+	}
+	if len(m.susp) > 0 {
+		return m.susp[0].fr
+	}
+	return nil
+}
+
 // LiveRegCount is the number of written register slots in the innermost
-// suspended activation — the same population the in-engine register
-// injector samples from, dead values included. 0 when the machine is not
+// activation (faultFrame), dead values included: the register population
+// a fault samples from. 0 when the machine is neither firing a hook nor
 // suspended.
 func (m *Machine) LiveRegCount() int {
-	if len(m.susp) == 0 {
-		return 0
+	if fr := m.faultFrame(); fr != nil {
+		return len(fr.written)
 	}
-	return len(m.susp[0].fr.written)
+	return 0
 }
 
 // LiveReg returns the bits and static type of written register i (in
-// definition order) of the innermost suspended activation.
+// definition order) of the innermost activation.
 func (m *Machine) LiveReg(i int) (bits uint64, ty ir.Type) {
-	fr := m.susp[0].fr
+	fr := m.faultFrame()
 	slot := int(fr.written[i])
 	return fr.regs[slot].bits, m.info[fr.fn].slotTypes[slot]
 }
 
 // SetLiveReg overwrites the bits of written register i of the innermost
-// suspended activation, leaving the slot's readiness (timing) untouched —
-// the same mutation the in-engine injector performs.
+// activation, leaving the slot's readiness (timing) untouched.
 func (m *Machine) SetLiveReg(i int, bits uint64) {
-	fr := m.susp[0].fr
+	fr := m.faultFrame()
 	fr.regs[int(fr.written[i])].bits = bits
 }
 

@@ -32,7 +32,7 @@ package vm
 //   - Threshold fallback is automatic. The fused handler only runs when
 //     dyn + fspan <= events.fuse, where fspan counts the span's
 //     event-checked dynamic increments and events.fuse mirrors the engine's
-//     events.next threshold. If a suspend point, fault trigger, watchdog bound or
+//     events.next threshold. If a suspend point, fault hook, watchdog bound or
 //     cancellation poll lands anywhere inside the span, the condition fails
 //     and the constituents execute unfused, hitting the event at exactly the
 //     instruction the unfused engine would.

@@ -235,16 +235,13 @@ func TestFusionFaultTriggerSweep(t *testing.T) {
 	}
 
 	type outcome struct {
-		trapKind  TrapKind
-		dyn       int64
-		cycles    int64
-		out       int64
-		injected  bool
-		targetUID int
-		oldBits   uint64
-		newBits   uint64
+		trapKind TrapKind
+		dyn      int64
+		cycles   int64
+		out      int64
+		fault    FaultRecord
 	}
-	run := func(kind FaultKind, trigger int64, mode FuseMode) outcome {
+	run := func(branch bool, trigger int64, mode FuseMode) outcome {
 		mach, err := New(m, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
@@ -253,19 +250,14 @@ func TestFusionFaultTriggerSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		mach.Reset()
-		rng := rand.New(rand.NewSource(trigger*64 + int64(kind)))
-		plan := &FaultPlan{
-			Kind:       kind,
-			TriggerDyn: trigger,
-			PickSlot:   func(n int) int { return rng.Intn(n) },
-			PickBit:    func() int { return rng.Intn(64) },
+		seed := trigger * 64
+		if branch {
+			seed++
 		}
-		res := mach.Run(RunOptions{Fault: plan, Fuse: mode})
-		o := outcome{
-			dyn: res.Dyn, cycles: res.Cycles,
-			injected: plan.Injected, targetUID: plan.TargetUID,
-			oldBits: plan.OldBits, newBits: plan.NewBits,
-		}
+		opts := InjectAt(branch, trigger, rand.New(rand.NewSource(seed)))
+		opts.Fuse = mode
+		res := mach.Run(opts)
+		o := outcome{dyn: res.Dyn, cycles: res.Cycles, fault: RecordOf(opts)}
 		if res.Trap != nil {
 			o.trapKind = res.Trap.Kind
 		} else if out, err := mach.ReadGlobalInts("out"); err == nil {
@@ -273,10 +265,10 @@ func TestFusionFaultTriggerSweep(t *testing.T) {
 		}
 		return o
 	}
-	for _, kind := range []FaultKind{FaultRegister, FaultBranchTarget} {
+	for _, branch := range []bool{false, true} {
 		for d := int64(1); d < baseRes.Dyn; d++ {
-			if f, u := run(kind, d, FuseAuto), run(kind, d, FuseOff); f != u {
-				t.Fatalf("kind %d trigger %d: fused %+v, unfused %+v", kind, d, f, u)
+			if f, u := run(branch, d, FuseAuto), run(branch, d, FuseOff); f != u {
+				t.Fatalf("branch %v trigger %d: fused %+v, unfused %+v", branch, d, f, u)
 			}
 		}
 	}

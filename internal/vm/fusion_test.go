@@ -34,7 +34,7 @@ func fusionRun(t *testing.T, w *workloads.Workload, mod *ir.Module, opts vm.RunO
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &engineRun{res: res, out: out, plan: opts.Fault}, mach.FusedSites(), mach.FusedSteps()
+	return &engineRun{res: res, out: out, fault: vm.RecordOf(opts)}, mach.FusedSites(), mach.FusedSteps()
 }
 
 // TestFusionEquivalence is the acceptance grid: all workloads × all

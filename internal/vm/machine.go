@@ -49,44 +49,43 @@ type Profiler interface {
 	Record(in *ir.Instr, bits uint64)
 }
 
-// FaultKind selects what the injected fault corrupts.
-type FaultKind uint8
+// FaultHook is the one injection mechanism of every fault model that
+// corrupts architectural state at an instruction: both engines call it from
+// their per-instruction event point, the place a run suspends at, so a hook
+// sees the machine exactly as a run parked there with SuspendAtDyn would,
+// and mutates it through the fault-access surface (faultaccess.go).
+type FaultHook interface {
+	// Next returns the dyn at which the hook is next due, or math.MaxInt64
+	// once it owes nothing. It may only move later, and only in Fire: the
+	// engines fold it into their event threshold, where a stale-low value
+	// costs one extra slow-path pass and nothing else.
+	Next() int64
+	// Fire runs at the first fault-eligible (non-phi) instruction whose
+	// pre-increment dyn reaches Next(), before that instruction executes;
+	// m.Dyn() is that dyn. A hook that leaves Next() at or below it fires
+	// again at the next eligible instruction.
+	Fire(m *Machine)
+}
 
-// Fault kinds.
-const (
-	// FaultRegister flips one bit of a live register (the paper's model).
-	FaultRegister FaultKind = iota
-	// FaultBranchTarget redirects the next taken branch to a random block
-	// of the executing function — the class of faults the paper defers to
-	// signature-based control-flow checking (§IV-C).
-	FaultBranchTarget
-)
-
-// FaultPlan describes a single transient fault: at dynamic instruction
-// TriggerDyn, flip bit PickBit() of a live register chosen by PickSlot
-// (FaultRegister), or redirect the next branch to a PickSlot-chosen block
-// (FaultBranchTarget). The plan records what was hit so the campaign can
-// attribute outcome classes to value-change magnitudes (Figure 2).
+// FaultPlan is a branch-target fault: the first taken branch whose
+// post-increment dyn reaches TriggerDyn is redirected to the block of the
+// executing function that PickBlock chooses — the class of faults the paper
+// defers to signature-based control-flow checking (§IV-C). It fires after a
+// branch rather than before an instruction, so it is the one fault the
+// engines carry outside FaultHook.
 type FaultPlan struct {
-	Kind       FaultKind
 	TriggerDyn int64
-	PickSlot   func(nLive int) int // index into the live-register list
-	PickBit    func() int          // 0..63
-
-	// Results, filled in by the machine.
-	Injected  bool
-	TargetUID int     // UID of the defining instruction, or -1 for a param
-	TargetTy  ir.Type // static type of the corrupted register
-	OldBits   uint64
-	NewBits   uint64
-	Bit       int
-	RelChange float64 // |new-old| / max(|old|, 1) in the register's type
+	PickBlock  func(nBlocks int) int
+	Injected   bool // set by the machine once the branch is redirected
 }
 
 // RunOptions controls a single run.
 type RunOptions struct {
 	Profiler Profiler
-	Fault    *FaultPlan
+	// Hook, when set, fires at its due instructions (FaultHook).
+	Hook FaultHook
+	// Fault, when set, redirects one branch (FaultPlan).
+	Fault *FaultPlan
 	// Tracer, when set, receives one event per executed instruction.
 	Tracer Tracer
 	// CountChecks makes check failures increment counters instead of
@@ -194,6 +193,11 @@ type Machine struct {
 	checkFails    int64
 	perCheckFails map[int]int64
 	fusedSteps    int64 // diagnostic: fused-pair handlers executed (fuse.go)
+	// hookAt caches opts.Hook.Next() (math.MaxInt64 without a hook); only
+	// fireHook moves it. firing is the frame a hook is firing on, nil
+	// outside Fire.
+	hookAt int64
+	firing *frame
 
 	// Suspension state (fast engine only). susp holds the in-flight call
 	// chain, innermost-first, after a Run returns TrapSuspended or after
@@ -389,6 +393,10 @@ func (m *Machine) ReadGlobalFloats(name string) ([]float64, error) {
 func (m *Machine) Run(opts RunOptions) *Result {
 	m.opts = opts
 	m.stop = opts.Stop
+	m.hookAt = math.MaxInt64
+	if opts.Hook != nil {
+		m.hookAt = opts.Hook.Next()
+	}
 	if opts.CountChecks && m.perCheckFails == nil {
 		m.perCheckFails = make(map[int]int64)
 	}

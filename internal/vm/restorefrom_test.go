@@ -125,14 +125,14 @@ func TestRestoreFromFaultTrialEquivalence(t *testing.T) {
 	if raceEnabled {
 		seeds = 8
 	}
-	for _, kind := range []vm.FaultKind{vm.FaultRegister, vm.FaultBranchTarget} {
+	for _, branch := range []bool{false, true} {
 		for _, useSnap := range []bool{false, true} {
 			type trial struct{ seed, trigger, eff int64 }
 			var trials []trial
 			for seed := int64(0); seed < seeds; seed++ {
 				trigger := rand.New(rand.NewSource(seed)).Int63n(goldenDyn)
 				eff := trigger
-				if kind == vm.FaultBranchTarget {
+				if branch {
 					eff--
 				}
 				if useSnap && eff < snapDyn {
@@ -152,17 +152,12 @@ func TestRestoreFromFaultTrialEquivalence(t *testing.T) {
 				cursor.Reset()
 			}
 			for _, tr := range trials {
-				plan := func() *vm.FaultPlan {
+				opts := func() vm.RunOptions {
 					r := rand.New(rand.NewSource(tr.seed))
 					r.Int63n(goldenDyn) // consume the trigger draw
-					return &vm.FaultPlan{
-						Kind:       kind,
-						TriggerDyn: tr.trigger,
-						PickSlot:   func(n int) int { return r.Intn(n) },
-						PickBit:    func() int { return r.Intn(64) },
-					}
+					return vm.InjectAt(branch, tr.trigger, r)
 				}
-				solo := runEngine(t, w, mod, vm.EngineFast, workloads.Test, vm.RunOptions{Fault: plan()})
+				solo := runEngine(t, w, mod, vm.EngineFast, workloads.Test, opts())
 
 				d := max(tr.eff, at)
 				if !useSnap && d <= 0 {
@@ -178,13 +173,13 @@ func TestRestoreFromFaultTrialEquivalence(t *testing.T) {
 						t.Fatalf("seed %d (eff %d): %v", tr.seed, tr.eff, err)
 					}
 				}
-				p := plan()
-				res := mach.Run(vm.RunOptions{Fault: p})
+				o := opts()
+				res := mach.Run(o)
 				out, err := mach.ReadGlobal(w.Output)
 				if err != nil {
 					t.Fatal(err)
 				}
-				diffRuns(t, w.Name+"/cursor-trial", &engineRun{res: res, out: out, plan: p}, suffixOnly(solo))
+				diffRuns(t, w.Name+"/cursor-trial", &engineRun{res: res, out: out, fault: vm.RecordOf(o)}, suffixOnly(solo))
 			}
 		}
 	}

@@ -8,9 +8,9 @@ package vm
 // each injection trial as restore-nearest-golden-snapshot + run-forward
 // instead of re-executing the golden prefix from dyn 0.
 //
-// The suspend point is the same program point at which a register fault
-// would be injected: the first non-phi instruction whose pre-increment
-// dynamic index reaches SuspendAtDyn. Because no fault-eligible instruction
+// The suspend point is the same program point at which a fault hook fires
+// (FaultHook): the first non-phi instruction whose pre-increment dynamic
+// index reaches SuspendAtDyn. Because no fault-eligible instruction
 // lies between the requested index and the actual suspension, a snapshot
 // requested at S serves every trial whose effective trigger index is >= S
 // bit-identically (see internal/fault's checkpoint scheduler).

@@ -171,22 +171,14 @@ func TestSnapshotFaultTrialEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, kind := range []vm.FaultKind{vm.FaultRegister, vm.FaultBranchTarget} {
+	for _, branch := range []bool{false, true} {
 		for seed := int64(0); seed < 30; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			trigger := rng.Int63n(goldenDyn)
-			plan := func(r *rand.Rand) *vm.FaultPlan {
-				return &vm.FaultPlan{
-					Kind:       kind,
-					TriggerDyn: trigger,
-					PickSlot:   func(n int) int { return r.Intn(n) },
-					PickBit:    func() int { return r.Intn(64) },
-				}
-			}
-			scratch := runEngine(t, w, mod, vm.EngineFast, workloads.Test, vm.RunOptions{Fault: plan(rng)})
+			scratch := runEngine(t, w, mod, vm.EngineFast, workloads.Test, vm.InjectAt(branch, trigger, rng))
 
 			eff := trigger
-			if kind == vm.FaultBranchTarget {
+			if branch {
 				eff--
 			}
 			snap := (*vm.Snapshot)(nil)
@@ -205,13 +197,13 @@ func TestSnapshotFaultTrialEquivalence(t *testing.T) {
 			}
 			rng2 := rand.New(rand.NewSource(seed))
 			rng2.Int63n(goldenDyn) // consume the trigger draw
-			p2 := plan(rng2)
-			res := mach.Run(vm.RunOptions{Fault: p2})
+			o2 := vm.InjectAt(branch, trigger, rng2)
+			res := mach.Run(o2)
 			out, rerr := mach.ReadGlobal(w.Output)
 			if rerr != nil {
 				t.Fatal(rerr)
 			}
-			ck := &engineRun{res: res, out: out, plan: p2, traceN: scratch.traceN, traceH: scratch.traceH}
+			ck := &engineRun{res: res, out: out, fault: vm.RecordOf(o2), traceN: scratch.traceN, traceH: scratch.traceH}
 			diffRuns(t, w.Name+"/ckpt", scratch, ck)
 		}
 	}

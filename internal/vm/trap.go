@@ -3,8 +3,7 @@
 // hardware symptoms the paper's HWDetect category relies on (out-of-bounds
 // accesses, division faults, runaway loops), a dependence-aware dual-issue
 // timing model standing in for the paper's gem5 out-of-order ARM config
-// (Table II), and hooks for value profiling and register-file bit-flip fault
-// injection.
+// (Table II), and hooks for value profiling and fault injection.
 package vm
 
 import (

@@ -493,14 +493,10 @@ func TestFaultInjectionIsDeterministic(t *testing.T) {
 		mach.BindInputInts("in", data)
 		mach.Reset()
 		rng := rand.New(rand.NewSource(99))
-		plan := &FaultPlan{
-			TriggerDyn: 120,
-			PickSlot:   func(n int) int { return rng.Intn(n) },
-			PickBit:    func() int { return rng.Intn(64) },
-		}
-		res := mach.Run(RunOptions{Fault: plan})
+		flip := &RegFlip{At: 120, Slot: rng.Intn, Bit: func() int { return rng.Intn(64) }}
+		res := mach.Run(RunOptions{Hook: flip})
 		out, _ := mach.ReadGlobalInts("out")
-		if !plan.Injected {
+		if !flip.Injected {
 			t.Fatal("fault not injected")
 		}
 		return res, out[0]
@@ -522,23 +518,16 @@ func TestFaultInjectionRecordsMetadata(t *testing.T) {
 	mach.BindInputInts("in", data)
 	mach.Reset()
 	rng := rand.New(rand.NewSource(5))
-	plan := &FaultPlan{
-		TriggerDyn: 60,
-		PickSlot:   func(n int) int { return rng.Intn(n) },
-		PickBit:    func() int { return 3 },
-	}
-	mach.Run(RunOptions{Fault: plan})
-	if !plan.Injected {
+	flip := &RegFlip{At: 60, Slot: rng.Intn, Bit: func() int { return 3 }}
+	mach.Run(RunOptions{Hook: flip})
+	if !flip.Injected {
 		t.Fatal("not injected")
 	}
-	if plan.Bit != 3 {
-		t.Errorf("bit = %d", plan.Bit)
+	if flip.Old^flip.New != 1<<3 {
+		t.Errorf("flip mask = %x", flip.Old^flip.New)
 	}
-	if plan.OldBits^plan.NewBits != 1<<3 {
-		t.Errorf("flip mask = %x", plan.OldBits^plan.NewBits)
-	}
-	if plan.RelChange < 0 {
-		t.Errorf("rel change = %v", plan.RelChange)
+	if flip.RelChange < 0 {
+		t.Errorf("rel change = %v", flip.RelChange)
 	}
 }
 
