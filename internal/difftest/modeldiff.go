@@ -25,6 +25,9 @@ import (
 // over more than one checkpoint bin, few enough to keep the oracle fast.
 const modelTrials = 6
 
+// ladderCap is the checkpointed row's snapshot cap (Config.Checkpoints).
+const ladderCap = 8
+
 // diffFaultModels runs one small campaign per registered model (or per
 // model in only, when non-nil) on each of the scheduler paths and diffs
 // the Reports pairwise against the from-scratch reference. Returns ""
@@ -91,8 +94,12 @@ func diffFaultModels(name string, mod *ir.Module, ints []int64, floats []float64
 		}
 		// Generated programs run far shorter than the ladder's default
 		// spacing, so the checkpointed row spaces it a sixteenth of the
-		// golden run apart: every program gets a ladder, thinned on the way,
-		// and its trials cross snapshot restores and convergence compares.
+		// golden run apart: every program gets a ladder and its trials cross
+		// snapshot restores and convergence compares. Over a golden run of 16
+		// or more instructions that spacing requests at least 15 snapshots,
+		// so the row's cap of 8 thins the ladder on the way, as the default
+		// cap thins long golden runs' ladders: a ladder within the cap
+		// confirms the thinning.
 		ladder := &fault.LadderProbe{Interval: max(ref.GoldenDyn/16, 1)}
 		paths := []struct {
 			label             string
@@ -100,7 +107,7 @@ func diffFaultModels(name string, mod *ir.Module, ints []int64, floats []float64
 			checkpoints, fuse int
 			probe             *fault.LadderProbe
 		}{
-			{"checkpointed", vm.EngineFast, 0, 0, ladder},
+			{"checkpointed", vm.EngineFast, ladderCap, 0, ladder},
 			{"unfused", vm.EngineFast, -1, -1, nil},
 			{"tree", vm.EngineTree, 0, 0, nil},
 		}
@@ -109,9 +116,9 @@ func diffFaultModels(name string, mod *ir.Module, ints []int64, floats []float64
 			if d != "" {
 				return d
 			}
-			if p.probe != nil && p.probe.Snapshots < 2 && ref.GoldenDyn >= 4 {
-				return fmt.Sprintf("%s: %s campaign over %d golden instructions built a %d-snapshot ladder at spacing %d",
-					model.Name(), p.label, ref.GoldenDyn, p.probe.Snapshots, p.probe.Interval)
+			if p.probe != nil && ref.GoldenDyn >= 4 && (p.probe.Snapshots < 2 || p.probe.Snapshots > ladderCap) {
+				return fmt.Sprintf("%s: %s campaign over %d golden instructions built a %d-snapshot ladder at spacing %d under cap %d",
+					model.Name(), p.label, ref.GoldenDyn, p.probe.Snapshots, p.probe.Interval, ladderCap)
 			}
 			if rep.Tally != ref.Tally {
 				return fmt.Sprintf("%s: tally: %s %+v != scratch %+v", model.Name(), p.label, rep.Tally, ref.Tally)

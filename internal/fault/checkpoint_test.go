@@ -9,6 +9,7 @@ package fault_test
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -90,8 +91,10 @@ func diffReports(t *testing.T, label string, ckpt, scratch *fault.Report) {
 	}
 }
 
-// checkpointVsScratch runs the same campaign twice — checkpointing forced
-// on and forced off — and requires bit-identical reports.
+// checkpointVsScratch runs the same campaign from scratch (Checkpoints -1)
+// and checkpointed under two ladders — the default cap campaigns use and a
+// cap of 6, which thins sooner and leaves wider bins — and requires each
+// checkpointed report to be bit-identical to the from-scratch one.
 func checkpointVsScratch(t *testing.T, w *workloads.Workload, mod *ir.Module, technique string, cfg fault.Config) {
 	t.Helper()
 	run := func(ckpt int) *fault.Report {
@@ -103,7 +106,10 @@ func checkpointVsScratch(t *testing.T, w *workloads.Workload, mod *ir.Module, te
 		}
 		return rep
 	}
-	diffReports(t, w.Name+"/"+technique, run(6), run(-1))
+	scratch := run(-1)
+	for _, ckpt := range []int{0, 6} {
+		diffReports(t, fmt.Sprintf("%s/%s/checkpoints=%d", w.Name, technique, ckpt), run(ckpt), scratch)
+	}
 }
 
 // TestCampaignCheckpointEquivalence is the acceptance matrix: all workloads

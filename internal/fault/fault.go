@@ -78,7 +78,7 @@ type Config struct {
 	// one per interval, thinning them to an evenly spaced ladder: the cursor
 	// restarts from the snapshot nearest below a bin of triggers, and the
 	// snapshots double as the convergence ladder (Converge). 0 (the default)
-	// caps the ladder at 8 snapshots; > 0 sets the cap, not an exact count
+	// caps the ladder at 64 snapshots; > 0 sets the cap, not an exact count
 	// (a golden run shorter than two 20K-instruction intervals, or a cap
 	// below 2, gets no ladder); < 0 turns off all golden-prefix reuse —
 	// every trial Resets and runs from dyn 0. Golden-prefix reuse requires

@@ -7,9 +7,13 @@ import "testing"
 // ascends, sits on multiples of the current interval and stays within its
 // cap, that thinning keeps half the cap, and at the end that a golden run of at most 2·minSnapInterval
 // instructions gets no ladder while any longer one gets one whenever the
-// cap leaves room for two snapshots after a thinning.
+// cap leaves room for two snapshots after a thinning, and that a run the
+// cap covers at the first spacing keeps every multiple of minSnapInterval.
+// It also pins the default cap: a default ladder over a 50M-instruction
+// golden run holds 32-64 snapshots, and one over 64·minSnapInterval
+// instructions is never thinned.
 func TestSnapLadderRule(t *testing.T) {
-	for _, ckpt := range []int{0, 1, 2, 3, 4, 5, 8, 32} {
+	for _, ckpt := range []int{0, 1, 2, 3, 4, 5, 8, 32, 64} {
 		cfg := DefaultConfig()
 		cfg.Checkpoints = ckpt
 		limit := maxSnapshots
@@ -18,7 +22,8 @@ func TestSnapLadderRule(t *testing.T) {
 		}
 		for _, goldenDyn := range []int64{
 			1, minSnapInterval, 2 * minSnapInterval, 2*minSnapInterval + 1,
-			3*minSnapInterval + 7, 100_000, 1_234_567, 50_000_000,
+			3*minSnapInterval + 7, 100_000, 1_234_567, 64 * minSnapInterval,
+			64*minSnapInterval + 1, 50_000_000,
 		} {
 			l := newSnapLadder(cfg)
 			for at := l.next(0); at < goldenDyn; at = l.next(at) {
@@ -35,6 +40,19 @@ func TestSnapLadderRule(t *testing.T) {
 			}
 			if l.interval > minSnapInterval && len(l.at) < (limit+1)/2 {
 				t.Fatalf("cap %d, golden %d: thinned ladder holds only %d snapshots", limit, goldenDyn, len(l.at))
+			}
+			if rungs := (goldenDyn - 1) / minSnapInterval; rungs <= int64(limit) &&
+				(l.interval != minSnapInterval || int64(len(l.at)) != rungs) {
+				t.Fatalf("cap %d, golden %d: ladder %v (interval %d) dropped some of the %d multiples of %d",
+					limit, goldenDyn, l.at, l.interval, rungs, minSnapInterval)
+			}
+			if ckpt == 0 {
+				if goldenDyn == 50_000_000 && (len(l.at) < 32 || len(l.at) > 64) {
+					t.Fatalf("default ladder over golden %d holds %d snapshots, want 32-64", goldenDyn, len(l.at))
+				}
+				if goldenDyn <= 64*minSnapInterval && l.interval != minSnapInterval {
+					t.Fatalf("default ladder over golden %d thinned to interval %d", goldenDyn, l.interval)
+				}
 			}
 			at, snaps := l.ladder()
 			if len(at) != len(snaps) {
