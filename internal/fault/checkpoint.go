@@ -61,12 +61,14 @@ const (
 // Once the ladder holds more than limit snapshots it drops every other one
 // and doubles the interval, so it stays evenly spaced over the prefix run so
 // far. at[k] is the index snaps[k] was requested at: trials are binned
-// against it (schedule).
+// against it (schedule). masks, when set, records the golden run's memory
+// accesses over the same rungs and is thinned with them.
 type snapLadder struct {
 	interval int64
 	limit    int
 	at       []int64
 	snaps    []*vm.Snapshot
+	masks    *vm.AccessMasks
 }
 
 // newSnapLadder starts a ladder capped at maxSnapshots, or at
@@ -84,31 +86,42 @@ func newSnapLadder(cfg Config) *snapLadder {
 func (l *snapLadder) next(dyn int64) int64 { return (dyn/l.interval + 1) * l.interval }
 
 // add records snapshot s, requested at index at, and thins the ladder while
-// it holds more than limit snapshots.
+// it holds more than limit snapshots. The masks drop the same rungs; the
+// new rung, which no access has followed yet, needs no bits of its own, so
+// a ladder of limit <= vm.MaskRungs never needs a bit past the last.
 func (l *snapLadder) add(at int64, s *vm.Snapshot) {
 	l.at, l.snaps = append(l.at, at), append(l.snaps, s)
 	for len(l.at) > l.limit {
 		l.interval *= 2
 		n := 0
+		var keep uint64
 		for k, a := range l.at {
 			if a%l.interval == 0 {
 				l.at[n], l.snaps[n] = a, l.snaps[k]
+				keep |= 1 << k
 				n++
 			}
 		}
 		clear(l.snaps[n:]) // release the dropped snapshots
 		l.at, l.snaps = l.at[:n], l.snaps[:n]
+		if l.masks != nil {
+			l.masks.Thin(keep)
+		}
+	}
+	if l.masks != nil {
+		l.masks.SetRungs(len(l.at))
 	}
 }
 
-// ladder returns the requested indices and snapshots, ascending, or nils
-// when fewer than two were taken: the golden run is too short to amortize
-// the snapshots.
-func (l *snapLadder) ladder() ([]int64, []*vm.Snapshot) {
-	if len(l.at) < 2 {
-		return nil, nil
+// ladder returns the requested indices, the snapshots and the access masks
+// (nil when none were recorded), ascending, or nils when there is no ladder
+// or fewer than two snapshots were taken: the golden run is too short to
+// amortize them.
+func (l *snapLadder) ladder() ([]int64, []*vm.Snapshot, *vm.AccessMasks) {
+	if l == nil || len(l.at) < 2 {
+		return nil, nil, nil
 	}
-	return l.at, l.snaps
+	return l.at, l.snaps, l.masks
 }
 
 // LadderProbe is a seam into a cursor campaign's snapshot ladder for the
@@ -133,36 +146,46 @@ func WithLadderProbe(ctx context.Context, p *LadderProbe) context.Context {
 
 // goldenRun executes the campaign's golden run on mach, counting check
 // failures. With withLadder set it also builds the snapshot ladder on the
-// way: it parks at each ladder index (snapLadder.next) and snapshots the
-// machine with its check counters zeroed. Every check that fails in the
-// prefix fails in the golden run, so the trials disable it, and a counting
-// run and a disabling run differ only in those counters: the snapshot is
-// the state a trial's prefix holds at that index (fact 2). Parking does not
-// perturb the run; its final Result equals an uninterrupted one. A
-// LadderProbe in ctx sets the ladder's spacing and receives its length.
-func goldenRun(ctx context.Context, mach *vm.Machine, cfg Config, withLadder bool) (*vm.Result, []int64, []*vm.Snapshot, error) {
+// way, and returns it: it parks at each ladder index (snapLadder.next) and
+// snapshots the machine with its check counters zeroed. Every check that
+// fails in the prefix fails in the golden run, so the trials disable it,
+// and a counting run and a disabling run differ only in those counters:
+// the snapshot is the state a trial's prefix holds at that index (fact 2).
+// Parking does not perturb the run; its final Result equals an
+// uninterrupted one. A nonempty output makes the ladder record the run's
+// memory accesses over its rungs (vm.AccessMasks, with output the global
+// read after the run), unless its cap exceeds vm.MaskRungs: then trials
+// compare memory exactly. A LadderProbe in ctx sets the ladder's spacing
+// and receives its length.
+func goldenRun(ctx context.Context, mach *vm.Machine, cfg Config, withLadder bool, output string) (*vm.Result, *snapLadder, error) {
 	opts := vm.RunOptions{CountChecks: true, Fuse: fuseMode(cfg)}
 	if !withLadder {
-		return mach.Run(opts), nil, nil, nil
+		return mach.Run(opts), nil, nil
 	}
 	probe, _ := ctx.Value(ladderProbeKey{}).(*LadderProbe)
 	l := newSnapLadder(cfg)
 	if probe != nil && probe.Interval > 0 {
 		l.interval = probe.Interval
 	}
+	if output != "" && l.limit <= vm.MaskRungs {
+		var err error
+		if l.masks, err = mach.RecordAccesses(output); err != nil {
+			return nil, nil, err
+		}
+	}
 	for {
 		opts.SuspendAtDyn = l.next(mach.Dyn())
 		res := mach.Run(opts)
 		if res.Trap == nil || res.Trap.Kind != vm.TrapSuspended {
-			at, snaps := l.ladder()
 			if probe != nil {
+				_, snaps, _ := l.ladder()
 				probe.Snapshots = len(snaps)
 			}
-			return res, at, snaps, nil
+			return res, l, nil
 		}
 		s, err := mach.SnapshotZeroChecks()
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		l.add(opts.SuspendAtDyn, s)
 	}

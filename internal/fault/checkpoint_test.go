@@ -309,3 +309,43 @@ func TestGoldenLadderMatchesPrefixSnapshots(t *testing.T) {
 		t.Fatal("no check fails before any ladder index; the counters never differ")
 	}
 }
+
+// TestWideLadderMemoryCampaign covers a ladder wider than the access masks
+// can describe: a cap of 100 (Config.Checkpoints) over a spacing of a
+// hundredth of the golden run gives memory-model campaigns more than
+// vm.MaskRungs rungs, and each Report must still equal the from-scratch
+// one — the masks may neither wrap nor alias rungs.
+func TestWideLadderMemoryCampaign(t *testing.T) {
+	w := workloads.ByName("kmeans")
+	mod, err := w.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range []string{fault.ModelMemFlip, fault.ModelStuckAt} {
+		t.Run(model, func(t *testing.T) {
+			t.Parallel()
+			run := func(ckpt int, probe *fault.LadderProbe) *fault.Report {
+				cfg := fault.DefaultConfig()
+				cfg.Trials = 60
+				cfg.Model = model
+				cfg.Checkpoints = ckpt
+				ctx := context.Background()
+				if probe != nil {
+					ctx = fault.WithLadderProbe(ctx, probe)
+				}
+				rep, err := fault.Run(ctx, w.Target(workloads.Test), mod, "Original", cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep
+			}
+			scratch := run(-1, nil)
+			probe := &fault.LadderProbe{Interval: scratch.GoldenDyn / 100}
+			wide := run(100, probe)
+			if probe.Snapshots <= vm.MaskRungs {
+				t.Fatalf("ladder holds %d snapshots, want more than %d", probe.Snapshots, vm.MaskRungs)
+			}
+			diffReports(t, model+"/checkpoints=100", wide, scratch)
+		})
+	}
+}

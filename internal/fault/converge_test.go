@@ -1,10 +1,13 @@
 package fault
 
 import (
+	"context"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/vm"
 )
@@ -242,4 +245,169 @@ func (f pinnedFlip) Inject(m *vm.Machine, p *Plan) bool {
 	m.SetLiveReg(f.slot, now)
 	p.RelChange = vm.RelChange(ty, old, now)
 	return true
+}
+
+// deadWordSrc keeps two globals beside its output around two loops: once
+// is written and read before the first loop and never accessed again; tmp
+// is read before the first loop, stored again after it, and read into the
+// output after the second. Globals are laid out from address 1 in
+// declaration order.
+const deadWordSrc = `
+global int in[1];
+global int once[1];
+global int tmp[1];
+global int out[4];
+void main() {
+	once[0] = in[0] + 1;
+	tmp[0] = once[0] * 3;
+	int acc = tmp[0] & 255;
+	for (int i = 0; i < 400; i += 1) {
+		acc = acc + ((i * 7) & 255);
+	}
+	tmp[0] = acc;
+	int s = 0;
+	for (int j = 0; j < 40; j += 1) {
+		s = s + j;
+	}
+	out[0] = tmp[0] + s;
+}
+`
+
+const (
+	deadWordOnce = 2 // once[0]
+	deadWordTmp  = 3 // tmp[0]
+)
+
+// memRig is a memory-model campaign over deadWordSrc with its golden run
+// done the way Run does it: a ladder eight rungs per golden run, and the
+// access masks over it.
+type memRig struct {
+	target            Target
+	mod               *ir.Module
+	goldenDyn, maxDyn int64
+	snaps             []*vm.Snapshot
+	c                 *campaign
+}
+
+func newMemRig(t *testing.T) *memRig {
+	t.Helper()
+	mod, err := lang.Compile("deadword", deadWordSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := Target{
+		Name:       "deadword",
+		Output:     "out",
+		Bind:       func(m *vm.Machine) error { return m.BindInputInts("in", []int64{0x12345}) },
+		Measure:    func(golden, test []uint64) float64 { return 0 },
+		Acceptable: func(float64) bool { return false },
+	}
+	cfg := DefaultConfig()
+	gm, err := newMachine(target, mod, 0, cfg.Engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldenDyn := gm.Run(vm.RunOptions{}).Dyn
+	gm.Reset()
+	ctx := WithLadderProbe(context.Background(), &LadderProbe{Interval: goldenDyn / 8})
+	res, l, err := goldenRun(ctx, gm, cfg, true, target.Output)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := gm.ReadGlobal(target.Output)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, snaps, masks := l.ladder()
+	if len(snaps) < 2 || masks == nil {
+		t.Fatalf("golden run built %d snapshots, masks %v", len(snaps), masks != nil)
+	}
+	c := &campaign{cfg: cfg, target: target, golden: golden, rep: &Report{GoldenCycles: res.Cycles}, masks: masks}
+	return &memRig{target, mod, res.Dyn, res.Dyn * cfg.WatchdogFactor, snaps, c}
+}
+
+// run drives plan (rebuilt per run) through finishTrial twice, with the
+// ladder and without, and requires the same Trial and cycles. It returns
+// the Trial, the laddered machine and its plan.
+func (r *memRig) run(t *testing.T, plan func() *Plan) (Trial, *vm.Machine, *Plan) {
+	t.Helper()
+	solo, err := newMachine(r.target, r.mod, r.maxDyn, r.c.cfg.Engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr1, cyc1, _ := r.c.finishTrial(solo, plan(), nil, nil)
+	conv, err := newMachine(r.target, r.mod, r.maxDyn, r.c.cfg.Engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := plan()
+	tr2, cyc2, _ := r.c.finishTrial(conv, p, nil, r.snaps)
+	if tr1 != tr2 || cyc1 != cyc2 {
+		t.Fatalf("full suffix %+v (%d cycles), laddered %+v (%d cycles)", tr1, cyc1, tr2, cyc2)
+	}
+	if tr1.Outcome == Masked && cyc1 != r.c.rep.GoldenCycles {
+		t.Fatalf("masked trial cost %d cycles, golden %d", cyc1, r.c.rep.GoldenCycles)
+	}
+	return tr1, conv, p
+}
+
+// endsAtFirstRung fails unless the laddered trial stopped at the first
+// snapshot after trigger.
+func (r *memRig) endsAtFirstRung(t *testing.T, m *vm.Machine, trigger int64) {
+	t.Helper()
+	for _, s := range r.snaps {
+		if s.Dyn() > trigger {
+			if !m.Suspended() || m.Dyn() != s.Dyn() {
+				t.Fatalf("trial ran to dyn %d (suspended %v); it must end at the first snapshot after the injection, dyn %d",
+					m.Dyn(), m.Suspended(), s.Dyn())
+			}
+			return
+		}
+	}
+	t.Fatal("no snapshot after the trigger")
+}
+
+// TestConvergenceShortCircuitDeadWord flips a bit of tmp inside the loop.
+// The word keeps the flip until the golden run stores tmp again after the
+// loop, so an exact memory compare matches no snapshot in between; tmp's
+// next golden access is that store, so the live-memory compare tolerates
+// it, and the trial must end at the first snapshot after the injection,
+// with the Trial and cycle count of the full suffix.
+func TestConvergenceShortCircuitDeadWord(t *testing.T) {
+	r := newMemRig(t)
+	trigger := r.goldenDyn / 16
+	plan := func() *Plan {
+		return &Plan{TriggerDyn: trigger, pendingAt: trigger, model: fakeStuck{name: "pinned-flip"},
+			addr: deadWordTmp, mask: 1 << 40}
+	}
+	tr, m, p := r.run(t, plan)
+	if !p.settled() || tr.Outcome != Masked || tr.SDC {
+		t.Fatalf("the flip must fire, settle and be masked: settled %v, trial %+v", p.settled(), tr)
+	}
+	r.endsAtFirstRung(t, m, trigger)
+}
+
+// TestConvergenceStuckAtUnloadedWord: a stuck-at fault never settles, but
+// one on once — outside the output and never loaded again — can change
+// nothing the run reads, so its trial must end at the first snapshot after
+// the strike. The same fault on tmp, which the golden run stores and,
+// re-arms later, loads into the output, must corrupt the output.
+func TestConvergenceStuckAtUnloadedWord(t *testing.T) {
+	r := newMemRig(t)
+	trigger := r.goldenDyn / 16
+	stuck := func(addr uint64) func() *Plan {
+		return func() *Plan {
+			return &Plan{TriggerDyn: trigger, pendingAt: trigger, model: fakeStuck{name: "pinned-stuck"},
+				addr: addr, mask: 1 << 40, stride: 50, until: math.MaxInt64}
+		}
+	}
+	tr, m, p := r.run(t, stuck(deadWordOnce))
+	if p.settled() || !p.Injected || tr.Outcome != Masked || tr.SDC {
+		t.Fatalf("stuck-at on once: injected %v, settled %v (want true, false), trial %+v (want Masked)", p.Injected, p.settled(), tr)
+	}
+	r.endsAtFirstRung(t, m, trigger)
+
+	if tr, _, _ = r.run(t, stuck(deadWordTmp)); !tr.SDC {
+		t.Fatalf("stuck-at on tmp: trial %+v; it must corrupt the output", tr)
+	}
 }

@@ -19,7 +19,7 @@ func LadderIndices(cfg Config, goldenDyn int64) []int64 {
 	for at := l.next(0); at < goldenDyn; at = l.next(at) {
 		l.add(at, nil)
 	}
-	at, _ := l.ladder()
+	at, _, _ := l.ladder()
 	return at
 }
 
@@ -31,10 +31,11 @@ func GoldenLadder(t Target, mod *ir.Module, cfg Config) (*vm.Result, map[int]boo
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	res, at, snaps, err := goldenRun(context.Background(), mach, cfg, true)
+	res, l, err := goldenRun(context.Background(), mach, cfg, true, "")
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
+	at, snaps, _ := l.ladder()
 	return res, failingChecks(res), at, snaps, nil
 }
 

@@ -98,12 +98,16 @@ type Config struct {
 	Fuse int
 	// Converge controls convergence fast-forwarding for cursor-positioned
 	// trials: a trial whose live machine state — everything but the
-	// register slots no later instruction can read — re-converges with a
+	// register slots no later instruction can read and, under a model that
+	// corrupts memory, the memory words the golden run overwrites before
+	// reading or never reads again outside the output — re-converges with a
 	// golden snapshot after its fault has fired short-circuits to Masked
-	// instead of executing the rest of its suffix (finishTrial). 0 (the
-	// default) enables it; < 0 disables it. Another pure throughput knob: the
-	// short-circuited Trial is bit-identical to the one the full suffix
-	// would produce.
+	// instead of executing the rest of its suffix (finishTrial); a
+	// stuck-at or open intermittent fault may too, once the golden run
+	// never loads its word again. 0 (the default) enables it; < 0 disables
+	// it, and the golden run then records no memory accesses. Another pure
+	// throughput knob: the short-circuited Trial is bit-identical to the one
+	// the full suffix would produce.
 	Converge int
 	// JournalPath, when nonempty, makes the campaign durable: every decided
 	// trial is appended to a checksummed journal at this path, so a crashed
@@ -317,7 +321,13 @@ func runCampaign(ctx context.Context, t Target, mod *ir.Module, technique string
 		return nil, err
 	}
 	cursor := cfg.Checkpoints >= 0 && cfg.Engine == vm.EngineFast
-	goldenRes, snapAt, snaps, err := goldenRun(ctx, goldenMach, cfg, cursor)
+	// Only a model that can leave memory differing needs the golden run's
+	// memory accesses, and only to converge.
+	memOut := ""
+	if _, ok := model.(memoryModel); ok && cfg.Converge >= 0 {
+		memOut = t.Output
+	}
+	goldenRes, ladder, err := goldenRun(ctx, goldenMach, cfg, cursor, memOut)
 	if err != nil {
 		return nil, err
 	}
@@ -341,7 +351,8 @@ func runCampaign(ctx context.Context, t Target, mod *ir.Module, technique string
 
 	hdr := headerFor(t, technique, cfg, model.Name(), shardLo, shardHi, len(disabled), goldenRes.Dyn, goldenRes.Cycles)
 	c := newCampaign(hdr, cfg)
-	c.cursor, c.snapAt, c.snaps = cursor, snapAt, snaps
+	c.cursor = cursor
+	c.snapAt, c.snaps, c.masks = ladder.ladder()
 	c.model, c.target, c.mod, c.golden, c.goldenDyn = model, t, mod, golden, goldenRes.Dyn
 	c.disabled, c.maxDyn = disabled, maxDyn
 	if cfg.JournalPath != "" {
@@ -424,31 +435,36 @@ func drawPlan(model Model, cfg Config, goldenDyn int64, trial int, src rand.Sour
 //
 // A non-empty snaps ladder (the campaign's golden snapshots, ascending)
 // enables convergence fast-forwarding: the suffix parks at each snapshot
-// index above the trial's position, and a trial whose plan has settled —
-// its fault has fired and it owes no further hook (plan.settled()) — and
-// whose live machine state matches the golden reference state at that index
-// (vm.Machine.MatchesLiveState) has a deterministically golden future. Live
-// state is everything but the register slots no later instruction can read,
-// so a corrupted value that is dead but still sits in its slot does not
-// keep the trial running: most masked trials re-converge at the first
-// snapshot after the corrupted value dies, and their remaining suffix never
-// executes. The short-circuit
-// constructs exactly the Trial the full run would: trap-free, bit-equal
-// output, Masked, and the golden run's cycle count, since the matched state
-// includes the whole timing model. The settled gate is the one soundness
-// rule: before the fault fires, a compare would trivially match golden while
-// the pending fault still changes the future, and while a re-arm is owed
-// the fault can strike again after the comparison point, so
-// present-equals-golden proves nothing about the future. A stuck-at plan
-// re-arms to the end of the run and never settles; an intermittent plan
-// settles once its window closes. The gate also keeps the injector — the
-// one reader of the written-slot lists, which the live-state compare skips
-// — from running again. A crossing that falls on a due hook suspends
-// first and fires the hook when the next Run resumes there, so the plan
-// is not settled at that compare.
+// index above the trial's position, and a trial whose live machine state
+// matches the golden reference state there (converged) has a
+// deterministically golden future. Live state is everything but the
+// register slots no later instruction can read and, when the campaign
+// recorded the golden run's memory accesses (c.masks), the memory words the
+// golden run overwrites before reading or never reads again outside the
+// output global. So a corrupted value that is dead but still sits in its
+// slot or word does not keep the trial running: most masked trials
+// re-converge at the first snapshot after the corrupted value dies, and
+// their remaining suffix never executes. The short-circuit constructs
+// exactly the Trial the full run would: trap-free, bit-equal output,
+// Masked, and the golden run's cycle count, since the matched state
+// includes the whole timing model.
+//
+// The plan gates the compare (converged). Before the fault fires, a compare
+// would trivially match golden while the pending fault still changes the
+// future: an un-injected plan never compares. A settled plan — fired and
+// owing no further hook (plan.settled()) — can change nothing more. A plan
+// that still owes re-arms (stuck-at to the end of the run, intermittent
+// until its window closes) can strike again after the comparison point, but
+// only at its one word: it converges only when that word is outside the
+// output and the golden run never loads it again, so no re-arm can reach a
+// load or the output. The gate also keeps the injector — the one reader of
+// the written-slot lists, which the live-state compare skips — from running
+// again; a re-arm reads and writes its memory word only. A crossing that
+// falls on a due hook suspends first and fires the hook when the next Run
+// resumes there, so the plan is not settled at that compare.
 func (c *campaign) finishTrial(mach *vm.Machine, plan *Plan, timeout <-chan struct{}, snaps []*vm.Snapshot) (tr Trial, cycles int64, timedOut bool) {
 	opts := plan.runOptions(c.cfg, c.disabled, timeout)
-	for _, s := range snaps {
+	for k, s := range snaps {
 		if s.Dyn() <= mach.Dyn() {
 			continue
 		}
@@ -458,7 +474,7 @@ func (c *campaign) finishTrial(mach *vm.Machine, plan *Plan, timeout <-chan stru
 			tr, timedOut = c.classifyTrial(mach, res, plan)
 			return tr, res.Cycles, timedOut
 		}
-		if plan.settled() && mach.MatchesLiveState(s) {
+		if c.converged(mach, plan, s, k) {
 			return Trial{Outcome: Masked, RelChange: plan.RelChange}, c.rep.GoldenCycles, false
 		}
 	}
@@ -466,6 +482,22 @@ func (c *campaign) finishTrial(mach *vm.Machine, plan *Plan, timeout <-chan stru
 	res := mach.Run(opts)
 	tr, timedOut = c.classifyTrial(mach, res, plan)
 	return tr, res.Cycles, timedOut
+}
+
+// converged reports whether the trial machine, parked at rung k of the
+// ladder (snapshot s), has the golden run's future under plan: finishTrial
+// states the rule.
+func (c *campaign) converged(mach *vm.Machine, plan *Plan, s *vm.Snapshot, k int) bool {
+	switch {
+	case !plan.Injected:
+		return false
+	case c.masks == nil:
+		return plan.settled() && mach.MatchesLiveState(s)
+	case plan.settled():
+		return mach.MatchesLiveMemory(s, c.masks, k, 0)
+	}
+	// Re-arming: plan.addr is the word its re-arms keep forcing.
+	return plan.addr != 0 && mach.MatchesLiveMemory(s, c.masks, k, plan.addr)
 }
 
 // fuseMode maps Config.Fuse onto the vm knob: negative disables fused

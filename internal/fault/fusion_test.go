@@ -146,8 +146,9 @@ func TestCampaignFusionEquivalencePaths(t *testing.T) {
 // full-suffix runs (Converge off) — masked trials
 // are cut short only when the machine state provably re-joined the golden
 // trajectory. FullDup is the masked-heavy scheme the fast-forward targets;
-// Original covers the no-detection shape, and the branch model the
-// shifted-trigger scheduler.
+// Original covers the no-detection shape, the branch model the
+// shifted-trigger scheduler, and the memory models the live-memory
+// compare, re-arming plans included.
 func TestCampaignConvergenceEquivalence(t *testing.T) {
 	cells := []struct {
 		workload  string
@@ -162,6 +163,8 @@ func TestCampaignConvergenceEquivalence(t *testing.T) {
 		{"kmeans", core.SchemeFullDup, "FullDup", fault.ModelBranchTarget},
 		{"kmeans", core.SchemeFullDup, "FullDup", fault.ModelMemFlip},
 		{"g721dec", core.SchemeDup, "DupOnly", fault.ModelBurst},
+		{"kmeans", core.SchemeABFT, "ABFT", fault.ModelStuckAt},
+		{"jpegenc", core.SchemeDupVal, "DupVal", fault.ModelIntermittent},
 	}
 	if raceEnabled {
 		cells = cells[:2]

@@ -54,7 +54,7 @@ func TestSnapLadderRule(t *testing.T) {
 					t.Fatalf("default ladder over golden %d thinned to interval %d", goldenDyn, l.interval)
 				}
 			}
-			at, snaps := l.ladder()
+			at, snaps, _ := l.ladder()
 			if len(at) != len(snaps) {
 				t.Fatalf("cap %d, golden %d: %d indices for %d snapshots", limit, goldenDyn, len(at), len(snaps))
 			}

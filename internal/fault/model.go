@@ -16,13 +16,14 @@ package fault
 // branch-target alone fires after a taken branch, so it keeps the engines'
 // branch redirect (vm.FaultPlan). Every model runs on both engines.
 //
-// Soundness rule: convergence fast-forwarding's MatchesLiveState
-// short-circuits prove "the future is golden" from "the present live state
-// is golden". That implication holds only once the plan can change nothing
-// more: its fault has fired and it owes no further hook (pendingAt < 0). A
-// stuck-at plan owes re-arms to the end of the run, so it never
-// fast-forwards; an intermittent plan may, once its window has closed — see
-// finishTrial.
+// Soundness rule: convergence fast-forwarding's short-circuits prove "the
+// future is golden" from "the present live state is golden". That
+// implication holds once the plan can change nothing more: its fault has
+// fired and it owes no further hook (pendingAt < 0). A re-arming plan
+// (stuck-at, or intermittent with its window still open) can only keep
+// forcing its one memory word, so it may fast-forward too, on a stronger
+// rule: the golden run must never load that word again, and the word must
+// lie outside the output — see finishTrial.
 
 import (
 	"fmt"
@@ -219,6 +220,16 @@ func init() {
 	RegisterModel(stuckAtModel{})
 	RegisterModel(intermittentModel{})
 }
+
+// memoryModel marks the models whose faults can land in memory. A cursor
+// campaign under one records the golden run's memory accesses over its
+// ladder (vm.AccessMasks), so a trial whose only differences are dead
+// memory words still converges; every other campaign records nothing.
+type memoryModel interface{ corruptsMemory() }
+
+func (memFlipModel) corruptsMemory() {}
+func (burstModel) corruptsMemory()   {}
+func (stuckAtModel) corruptsMemory() {} // intermittent too, by embedding
 
 // transientBase supplies the defaults shared by transient models; the rest
 // override what differs.

@@ -80,9 +80,10 @@ const (
 // campaign is the shared state of one in-flight fault-injection campaign.
 type campaign struct {
 	cfg       Config
-	cursor    bool           // position trials off a golden cursor, not by Reset
-	snapAt    []int64        // the golden run's snapshot ladder (goldenRun):
-	snaps     []*vm.Snapshot // snaps[k] requested at snapAt[k]; may be empty
+	cursor    bool            // position trials off a golden cursor, not by Reset
+	snapAt    []int64         // the golden run's snapshot ladder (goldenRun):
+	snaps     []*vm.Snapshot  // snaps[k] requested at snapAt[k]; may be empty
+	masks     *vm.AccessMasks // golden memory accesses over snaps; nil: compare memory exactly
 	model     Model
 	target    Target
 	mod       *ir.Module

@@ -337,6 +337,9 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				}
 				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, fr.readyAt(l2.a0), tm.access(addr))
 				fr.define(int(l2.dst), mem[addr], done)
+				if m.acc != nil {
+					m.acc.load(addr)
+				}
 				pc += 2
 				continue
 
@@ -349,6 +352,9 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				}
 				cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, fr.readyAt(li.a0), tm.access(addr))
 				fr.define(int(li.dst), mem[addr], done)
+				if m.acc != nil {
+					m.acc.load(addr)
+				}
 				dyn++
 				b0, b1 := fr.get(l2.a0), fr.get(l2.a1)
 				opsReady := maxi(fr.readyAt(l2.a0), fr.readyAt(l2.a1))
@@ -801,6 +807,9 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 			cur, slot, maxDone, _ = issueAt(cur, slot, width, maxDone, opsReady, lats[latStore])
 			mem[addr] = val
 			m.wrote(addr)
+			if m.acc != nil {
+				m.acc.store(addr)
+			}
 
 		case lopLoad:
 			addr := fr.get(li.a0)
@@ -812,6 +821,9 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 			cur, slot, maxDone, done = issueAt(cur, slot, width, maxDone, fr.readyAt(li.a0), lat)
 			bits := mem[addr]
 			fr.define(int(li.dst), bits, done)
+			if m.acc != nil {
+				m.acc.load(addr)
+			}
 			tbits = bits
 			if profiler != nil {
 				profiler.Record(insTab[pc], bits)

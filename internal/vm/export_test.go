@@ -153,3 +153,24 @@ func PseudoOpLiveSlots(m *Machine) (pcs, answered int) {
 	}
 	return pcs, answered
 }
+
+// MaskDead reports whether a calls word w dead at rung k, with no forced
+// word.
+func MaskDead(a *AccessMasks, w uint64, k int) bool { return a.dead(w, uint8(k), 0) }
+
+// MaskWords is the number of words a covers.
+func MaskWords(a *AccessMasks) int { return len(a.words) }
+
+// LoadedNext reports whether a records word w's first access after rung k
+// as a load.
+func LoadedNext(a *AccessMasks, w uint64, k int) bool {
+	return w < uint64(len(a.words)) && a.words[w].undet > uint8(k) && a.words[w].loadNext&(1<<k) != 0
+}
+
+// ClearLoadNext plants a wrong record: bit k of word w's loadNext cleared.
+func ClearLoadNext(a *AccessMasks, w uint64, k int) { a.words[w].loadNext &^= 1 << k }
+
+// GlobalSpan returns the word range [base, base+size) of global name.
+func GlobalSpan(m *Machine, name string) (base, size uint64) {
+	return m.globalBase[name], uint64(m.mod.Global(name).Size)
+}

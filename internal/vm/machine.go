@@ -198,6 +198,9 @@ type Machine struct {
 	// outside Fire.
 	hookAt int64
 	firing *frame
+	// acc, when set, records the run's memory accesses (RecordAccesses);
+	// nil on every machine but a campaign's golden one.
+	acc *AccessMasks
 
 	// Suspension state (fast engine only). susp holds the in-flight call
 	// chain, innermost-first, after a Run returns TrapSuspended or after
@@ -323,6 +326,7 @@ func (m *Machine) Reset() {
 	m.susp = m.susp[:0]
 	m.resuming = nil
 	m.resumePos = -1
+	m.acc = nil
 	clear(m.mem[:m.memHi])
 	m.memHi = m.stackBase
 	for _, g := range m.mod.Globals {

@@ -16,8 +16,8 @@ package vm
 // bit-identically (see internal/fault's checkpoint scheduler).
 //
 // What is captured is the machine state RestoreFrom copies and matches
-// compares (the one body behind MatchesSnapshot and MatchesLiveState) —
-// the only two places that list it: the written
+// compares (the one body behind MatchesSnapshot, MatchesLiveState and
+// MatchesLiveMemory) — the only two places that list it: the written
 // memory image mem[:memHi] (every word above it is zero, so it stands for
 // the whole memory; garbage words above sp are semantically visible —
 // alloca does not zero its frame — and lie below memHi because a store put
@@ -28,7 +28,9 @@ package vm
 // per activation. Scratch buffers (phiScratch, callScratch) are dead at every
 // suspend point and are not captured. Beside the state, a snapshot keeps
 // each level's live slots — the ones the rest of the run can still read —
-// for MatchesLiveState.
+// for MatchesLiveState. Its memory counterpart is not per snapshot: a
+// golden run records AccessMasks over its whole ladder (memlive.go), and
+// MatchesLiveMemory reads them at the snapshot's rung.
 
 import (
 	"fmt"
@@ -198,7 +200,7 @@ func (m *Machine) RestoreFrom(src *Machine) error {
 // files agree. The fault campaign's convergence test is the weaker
 // MatchesLiveState.
 func (m *Machine) MatchesSnapshot(s *Snapshot) bool {
-	return m.matches(s, nil)
+	return m.matches(s, nil, nil)
 }
 
 // MatchesLiveState is MatchesSnapshot restricted, in each suspended level's
@@ -212,14 +214,51 @@ func (m *Machine) MatchesSnapshot(s *Snapshot) bool {
 // dyn and cycle count — as the run the snapshot was taken from, provided
 // nothing else reads the written-slot lists: no fault injection may be
 // pending. The fault campaign uses it to end a trial whose fault has fired
-// and whose live state has re-converged to golden.
+// and whose live state has re-converged to golden; MatchesLiveMemory
+// relaxes its memory compare the same way.
 func (m *Machine) MatchesLiveState(s *Snapshot) bool {
-	return m.matches(s, s.live)
+	return m.matches(s, s.live, nil)
 }
 
-// matches is the comparison body of both predicates; a nil live compares
-// every written slot of every level.
-func (m *Machine) matches(s *Snapshot, live [][]int32) bool {
+// MatchesLiveMemory is MatchesLiveState with memory compared on liveness
+// too: s must be rung k of the ladder a's golden run recorded, and a word
+// that differs from the snapshot's is tolerated when a proves it dead at
+// rung k — the golden run's next access of it is a store, or there is none
+// and it lies outside the output global. forced, when nonzero, is a word a
+// pending fault keeps re-forcing after the rung: it is tolerated only
+// outside the output and when the golden run never loads it again, whether
+// or not it differs now. (Address 0 is the null guard, so 0 names no word.) A matching machine has the
+// same future as the golden run in trap, dyn, cycles and output: every
+// load it executes reads what golden's reads, and the words it may still
+// hold differently are overwritten before any read, or never read at all.
+// The same proviso holds as for MatchesLiveState, except that a pending
+// fault may keep forcing the forced word.
+func (m *Machine) MatchesLiveMemory(s *Snapshot, a *AccessMasks, k int, forced uint64) bool {
+	if k < 0 || k >= int(a.rungs) {
+		return false
+	}
+	r := &memRule{a: a, k: uint8(k), forced: forced}
+	// The forced word must qualify even where it matches now: a later
+	// re-force can make it differ.
+	if forced != 0 && !r.dead(forced) {
+		return false
+	}
+	return m.matches(s, s.live, r)
+}
+
+// memRule is the memory tolerance of MatchesLiveMemory; a nil rule
+// tolerates no difference.
+type memRule struct {
+	a      *AccessMasks
+	k      uint8
+	forced uint64
+}
+
+func (r *memRule) dead(w uint64) bool { return r != nil && r.a.dead(w, r.k, r.forced) }
+
+// matches is the comparison body of the predicates; a nil live compares
+// every written slot of every level, a nil mem every memory word.
+func (m *Machine) matches(s *Snapshot, live [][]int32, mem *memRule) bool {
 	o := s.m
 	if m.eng == nil || o.eng != m.eng || len(m.susp) == 0 {
 		return false
@@ -260,21 +299,25 @@ func (m *Machine) matches(s *Snapshot, live [][]int32) bool {
 	return maps.Equal(m.perCheckFails, o.perCheckFails) &&
 		slices.Equal(tm.cacheTags, to.cacheTags) &&
 		slices.Equal(tm.predictor, to.predictor) &&
-		memEqual(m, o)
+		memEqual(m, o, mem)
 }
 
 // memEqual compares two machines' memory images: the words below both
 // memHi bounds pairwise, and the words between the bounds against the zero
-// every word above a bound holds.
-func memEqual(a, b *Machine) bool {
+// every word above a bound holds. A word that differs is tolerated when
+// the rule calls it dead.
+func memEqual(a, b *Machine, rule *memRule) bool {
 	if a.memHi > b.memHi {
 		a, b = b, a
 	}
-	if !slices.Equal(a.mem[:a.memHi], b.mem[:a.memHi]) {
-		return false
+	am, bm := a.mem[:a.memHi], b.mem[:a.memHi]
+	for w := range am {
+		if am[w] != bm[w] && !rule.dead(uint64(w)) {
+			return false
+		}
 	}
-	for _, w := range b.mem[a.memHi:b.memHi] {
-		if w != 0 {
+	for w := a.memHi; w < b.memHi; w++ {
+		if b.mem[w] != 0 && !rule.dead(w) {
 			return false
 		}
 	}
