@@ -69,10 +69,6 @@ type campaignBenchArtifact struct {
 // runtime).
 const benchReps = 3
 
-// baselineLadderCap is the 32-snapshot ladder cap, which reproduces the
-// baselines' one-snapshot-per-20K-instructions density.
-const baselineLadderCap = 32
-
 // runCampaignBench measures every cell with a single worker (so the numbers
 // compare engine and scheduler speed, not host parallelism) and writes the
 // artifact to path.
@@ -80,11 +76,10 @@ func runCampaignBench(path string, trials int, seed int64) error {
 	if trials <= 0 {
 		trials = 100
 	}
-	// Checkpointed cells (ckpt true) run on the snapshot density the
-	// tracked fusion and convergence baselines were measured at: convergence
-	// only fires at ladder crossings, so both ratios depend on it. The
-	// fuse/conv twins differ from their baseline cell in exactly one knob,
-	// so each ratio isolates one mechanism.
+	// Checkpointed cells (ckpt true) run on the shipped snapshot ladder:
+	// convergence only fires at ladder crossings, so both ratios depend on
+	// its density. The fuse/conv twins differ from their baseline cell in
+	// exactly one knob, so each ratio isolates one mechanism.
 	grid := []struct {
 		key       string // rate-map key; "" for cells no ratio reads
 		technique string
@@ -131,9 +126,8 @@ func runCampaignBench(path string, trials int, seed int64) error {
 			cfg.Seed = seed
 			cfg.Workers = 1
 			cfg.Engine = g.engine
-			cfg.Checkpoints = -1
-			if g.ckpt {
-				cfg.Checkpoints = baselineLadderCap
+			if !g.ckpt {
+				cfg.Checkpoints = -1
 			}
 			cfg.Fuse = g.fuse
 			cfg.Converge = g.converge

@@ -34,36 +34,10 @@ import (
 	"repro/internal/vm"
 )
 
-// probeMachine builds a fast-engine machine, binding the generator's
-// "in"/"fin" globals only when the module declares them (fuzzed sources may
-// not).
-func probeMachine(mod *ir.Module, ints []int64, floats []float64, maxDyn int64) (*vm.Machine, error) {
-	vcfg := vm.DefaultConfig()
-	if maxDyn > 0 {
-		vcfg.MaxDyn = maxDyn
-	}
-	mach, err := vm.New(mod, vcfg)
-	if err != nil {
-		return nil, err
-	}
-	if mod.Global("in") != nil {
-		if err := mach.BindInputInts("in", ints); err != nil {
-			return nil, err
-		}
-	}
-	if mod.Global("fin") != nil {
-		if err := mach.BindInputFloats("fin", floats); err != nil {
-			return nil, err
-		}
-	}
-	mach.Reset()
-	return mach, nil
-}
-
 // diffCheckpoint runs the probe described above. Returns "" when the
 // invariant holds, a description otherwise.
 func diffCheckpoint(mod *ir.Module, ints []int64, floats []float64, maxDyn int64) string {
-	refMach, err := probeMachine(mod, ints, floats, maxDyn)
+	refMach, err := newMachine(mod, ints, floats, maxDyn)
 	if err != nil {
 		return "" // e.g. no main — nothing to probe
 	}
@@ -81,7 +55,7 @@ func diffCheckpoint(mod *ir.Module, ints []int64, floats []float64, maxDyn int64
 
 	var machs [3]*vm.Machine // cursor, restored, cloned
 	for k := range machs {
-		if machs[k], err = probeMachine(mod, ints, floats, maxDyn); err != nil {
+		if machs[k], err = newMachine(mod, ints, floats, maxDyn); err != nil {
 			return err.Error()
 		}
 	}

@@ -405,7 +405,7 @@ func FuzzFaultModelDivergence(f *testing.F) {
 		ints, floats := InputsForSeed(7)
 		// Campaigns need a fault-free golden run with room for triggers to
 		// spread; trapping and trivial programs are other targets' territory.
-		mach, err := probeMachine(mod, ints, floats, 200_000)
+		mach, err := newMachine(mod, ints, floats, 200_000)
 		if err != nil {
 			return
 		}

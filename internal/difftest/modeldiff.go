@@ -25,9 +25,6 @@ import (
 // over more than one checkpoint bin, few enough to keep the oracle fast.
 const modelTrials = 6
 
-// ladderCap is the checkpointed row's snapshot cap (Config.Checkpoints).
-const ladderCap = 8
-
 // diffFaultModels runs one small campaign per registered model (or per
 // model in only, when non-nil) on each of the scheduler paths and diffs
 // the Reports pairwise against the from-scratch reference. Returns ""
@@ -37,20 +34,8 @@ func diffFaultModels(name string, mod *ir.Module, ints []int64, floats []float64
 		return "" // fuzzed sources may lack the campaign output
 	}
 	target := fault.Target{
-		Name: name,
-		// Bind the generator's inputs only when declared (fuzzed sources
-		// may drop either), mirroring probeMachine.
-		Bind: func(m *vm.Machine) error {
-			if mod.Global("in") != nil {
-				if err := m.BindInputInts("in", ints); err != nil {
-					return err
-				}
-			}
-			if mod.Global("fin") != nil {
-				return m.BindInputFloats("fin", floats)
-			}
-			return nil
-		},
+		Name:       name,
+		Bind:       func(m *vm.Machine) error { return bindInputs(m, mod, ints, floats) },
 		Output:     "out",
 		Measure:    func(golden, test []uint64) float64 { return 0 },
 		Acceptable: func(float64) bool { return false },
@@ -93,21 +78,21 @@ func diffFaultModels(name string, mod *ir.Module, ints []int64, floats []float64
 			return d
 		}
 		// Generated programs run far shorter than the ladder's default
-		// spacing, so the checkpointed row spaces it a sixteenth of the
-		// golden run apart: every program gets a ladder and its trials cross
-		// snapshot restores and convergence compares. Over a golden run of 16
-		// or more instructions that spacing requests at least 15 snapshots,
-		// so the row's cap of 8 thins the ladder on the way, as the default
-		// cap thins long golden runs' ladders: a ladder within the cap
+		// spacing, so the checkpointed row spaces it 1/(2·vm.MaskRungs) of
+		// the golden run apart: every program gets a ladder and its trials
+		// cross snapshot restores and convergence compares. Over a golden
+		// run of 2·vm.MaskRungs or more instructions that spacing requests
+		// more snapshots than the ladder's cap, so the ladder thins on the
+		// way, as it does over long golden runs: a ladder within the cap
 		// confirms the thinning.
-		ladder := &fault.LadderProbe{Interval: max(ref.GoldenDyn/16, 1)}
+		ladder := &fault.LadderProbe{Interval: max(ref.GoldenDyn/(2*vm.MaskRungs), 1)}
 		paths := []struct {
 			label             string
 			engine            vm.EngineKind
 			checkpoints, fuse int
 			probe             *fault.LadderProbe
 		}{
-			{"checkpointed", vm.EngineFast, ladderCap, 0, ladder},
+			{"checkpointed", vm.EngineFast, 0, 0, ladder},
 			{"unfused", vm.EngineFast, -1, -1, nil},
 			{"tree", vm.EngineTree, 0, 0, nil},
 		}
@@ -116,9 +101,9 @@ func diffFaultModels(name string, mod *ir.Module, ints []int64, floats []float64
 			if d != "" {
 				return d
 			}
-			if p.probe != nil && ref.GoldenDyn >= 4 && (p.probe.Snapshots < 2 || p.probe.Snapshots > ladderCap) {
+			if p.probe != nil && ref.GoldenDyn >= 4 && (p.probe.Snapshots < 2 || p.probe.Snapshots > vm.MaskRungs) {
 				return fmt.Sprintf("%s: %s campaign over %d golden instructions built a %d-snapshot ladder at spacing %d under cap %d",
-					model.Name(), p.label, ref.GoldenDyn, p.probe.Snapshots, p.probe.Interval, ladderCap)
+					model.Name(), p.label, ref.GoldenDyn, p.probe.Snapshots, p.probe.Interval, vm.MaskRungs)
 			}
 			if rep.Tally != ref.Tally {
 				return fmt.Sprintf("%s: tally: %s %+v != scratch %+v", model.Name(), p.label, rep.Tally, ref.Tally)

@@ -342,14 +342,25 @@ func newMachineEngine(mod *ir.Module, ints []int64, floats []float64, maxDyn int
 	if err != nil {
 		return nil, err
 	}
-	if err := mach.BindInputInts("in", ints); err != nil {
-		return nil, err
-	}
-	if err := mach.BindInputFloats("fin", floats); err != nil {
+	if err := bindInputs(mach, mod, ints, floats); err != nil {
 		return nil, err
 	}
 	mach.Reset()
 	return mach, nil
+}
+
+// bindInputs binds the generator's "in"/"fin" globals on m, each only when
+// mod declares it (fuzzed sources may drop either).
+func bindInputs(m *vm.Machine, mod *ir.Module, ints []int64, floats []float64) error {
+	if mod.Global("in") != nil {
+		if err := m.BindInputInts("in", ints); err != nil {
+			return err
+		}
+	}
+	if mod.Global("fin") != nil {
+		return m.BindInputFloats("fin", floats)
+	}
+	return nil
 }
 
 // runModule executes a module fault-free under opts, counting (not trapping

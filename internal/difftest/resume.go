@@ -26,13 +26,8 @@ const resumeTrials = 5
 // module. Returns "" when the invariant holds, a description otherwise.
 func diffResume(name string, mod *ir.Module, ints []int64, floats []float64) string {
 	target := fault.Target{
-		Name: name,
-		Bind: func(m *vm.Machine) error {
-			if err := m.BindInputInts("in", ints); err != nil {
-				return err
-			}
-			return m.BindInputFloats("fin", floats)
-		},
+		Name:       name,
+		Bind:       func(m *vm.Machine) error { return bindInputs(m, mod, ints, floats) },
 		Output:     "out",
 		Measure:    func(golden, test []uint64) float64 { return 0 },
 		Acceptable: func(float64) bool { return false },

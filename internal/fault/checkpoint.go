@@ -6,7 +6,7 @@ package fault
 // cycles. Instead, the golden run itself drops immutable snapshots at
 // interval boundaries as it executes (goldenRun: vm.Machine.SnapshotZeroChecks
 // via RunOptions.SuspendAtDyn, thinned to a capped, evenly spaced ladder by
-// snapLadder), trials are binned by the snapshot nearest below their
+// snapLadder), trials are binned by the last snapshot at or below their
 // pre-drawn trigger point, and workers claim whole bins, running each trial
 // as restore-snapshot + execute-forward. A snapshot holds only the memory
 // the program has written (vm's memHi bound), so taking, restoring and
@@ -15,10 +15,12 @@ package fault
 // Correctness rests on three facts:
 //
 //  1. The suspend point is the point a fault hook fires at (first non-phi
-//     instruction whose pre-increment dyn reaches the requested index), so no fault-eligible instruction lies
-//     between a requested snapshot index and the actual suspension — a
-//     snapshot requested at S serves every trial whose effective trigger is
-//     >= S.
+//     instruction whose pre-increment dyn reaches the requested index), so no
+//     fault-eligible instruction lies between a requested index and the
+//     actual suspension. A snapshot parked at P serves every trial whose
+//     effective trigger is >= P; a trigger between the requested index and
+//     P falls in the bin below, whose cursor, advanced to it, parks at P
+//     too, in the same state.
 //  2. A trial's prefix runs with the campaign's DisabledChecks — the checks
 //     that fail in the golden run — and the golden run counts check
 //     failures instead. Both continue past a failing check, so the two runs
@@ -43,42 +45,32 @@ const (
 	// (a copy of the written memory image, the call chain and the timing
 	// state) rivals re-executing the span.
 	minSnapInterval = 20_000
-	// maxSnapshots caps the automatic ladder. Every snapshot is both a
-	// cursor restart point and a convergence point, and a masked trial runs
-	// its suffix only up to the first snapshot after its fault dies, so a
-	// denser ladder ends masked trials sooner and splits a campaign into
-	// smaller, better balanced bins. A snapshot costs only the memory the
-	// program wrote (9-295 KB across the workloads' test inputs). On the
-	// repo benchmark a 64 cap ran the paper-figures grid 30% faster than 8
-	// for at most 16% more peak RSS; 512 gained nothing over 64 and cost
-	// 25% more memory.
-	maxSnapshots = 64
+	// maxSnapshots caps the ladder. Every snapshot is both a cursor restart
+	// point and a convergence point, and a masked trial runs its suffix only
+	// up to the first snapshot after its fault dies, so a denser ladder ends
+	// masked trials sooner and splits a campaign into smaller, better
+	// balanced bins. A snapshot costs only the memory the program wrote
+	// (9-295 KB across the workloads' test inputs). On the repo benchmark a
+	// 64 cap ran the paper-figures grid 30% faster than 8 for at most 16%
+	// more peak RSS; 512 gained nothing over 64 and cost 25% more memory.
+	// It is also the most rungs the golden run's access masks describe, so
+	// every ladder can carry them.
+	maxSnapshots = vm.MaskRungs
 )
 
 // snapLadder is the snapshot ladder rule, applied while the golden run
 // executes, before its length is known: the run suspends at every multiple
 // of the interval, which starts at minSnapInterval, and snapshots there.
-// Once the ladder holds more than limit snapshots it drops every other one
-// and doubles the interval, so it stays evenly spaced over the prefix run so
-// far. at[k] is the index snaps[k] was requested at: trials are binned
-// against it (schedule). masks, when set, records the golden run's memory
-// accesses over the same rungs and is thinned with them.
+// Once the ladder holds more than maxSnapshots snapshots it drops every
+// other one and doubles the interval, so it stays evenly spaced over the
+// prefix run so far. at[k] is the index snaps[k] was requested at, which
+// thinning reads. masks, when set, records the golden run's memory accesses
+// over the same rungs and is thinned with them.
 type snapLadder struct {
 	interval int64
-	limit    int
 	at       []int64
 	snaps    []*vm.Snapshot
 	masks    *vm.AccessMasks
-}
-
-// newSnapLadder starts a ladder capped at maxSnapshots, or at
-// cfg.Checkpoints when that is positive.
-func newSnapLadder(cfg Config) *snapLadder {
-	l := &snapLadder{interval: minSnapInterval, limit: maxSnapshots}
-	if cfg.Checkpoints > 0 {
-		l.limit = cfg.Checkpoints
-	}
-	return l
 }
 
 // next is the index to suspend at next: the first multiple of the interval
@@ -86,12 +78,12 @@ func newSnapLadder(cfg Config) *snapLadder {
 func (l *snapLadder) next(dyn int64) int64 { return (dyn/l.interval + 1) * l.interval }
 
 // add records snapshot s, requested at index at, and thins the ladder while
-// it holds more than limit snapshots. The masks drop the same rungs; the
-// new rung, which no access has followed yet, needs no bits of its own, so
-// a ladder of limit <= vm.MaskRungs never needs a bit past the last.
+// it holds more than maxSnapshots snapshots. The masks drop the same rungs;
+// the new rung, which no access has followed yet, needs no bits of its own,
+// so a ladder of at most vm.MaskRungs rungs never needs a bit past the last.
 func (l *snapLadder) add(at int64, s *vm.Snapshot) {
 	l.at, l.snaps = append(l.at, at), append(l.snaps, s)
-	for len(l.at) > l.limit {
+	for len(l.at) > maxSnapshots {
 		l.interval *= 2
 		n := 0
 		var keep uint64
@@ -113,15 +105,14 @@ func (l *snapLadder) add(at int64, s *vm.Snapshot) {
 	}
 }
 
-// ladder returns the requested indices, the snapshots and the access masks
-// (nil when none were recorded), ascending, or nils when there is no ladder
-// or fewer than two snapshots were taken: the golden run is too short to
-// amortize them.
-func (l *snapLadder) ladder() ([]int64, []*vm.Snapshot, *vm.AccessMasks) {
-	if l == nil || len(l.at) < 2 {
-		return nil, nil, nil
+// ladder returns the snapshots, ascending, and the access masks (nil when
+// none were recorded), or nils when there is no ladder or fewer than two
+// snapshots were taken: the golden run is too short to amortize them.
+func (l *snapLadder) ladder() ([]*vm.Snapshot, *vm.AccessMasks) {
+	if l == nil || len(l.snaps) < 2 {
+		return nil, nil
 	}
-	return l.at, l.snaps, l.masks
+	return l.snaps, l.masks
 }
 
 // LadderProbe is a seam into a cursor campaign's snapshot ladder for the
@@ -154,20 +145,20 @@ func WithLadderProbe(ctx context.Context, p *LadderProbe) context.Context {
 // Parking does not perturb the run; its final Result equals an
 // uninterrupted one. A nonempty output makes the ladder record the run's
 // memory accesses over its rungs (vm.AccessMasks, with output the global
-// read after the run), unless its cap exceeds vm.MaskRungs: then trials
-// compare memory exactly. A LadderProbe in ctx sets the ladder's spacing
-// and receives its length.
+// read after the run). Only cfg's Fuse reaches the run: the ladder's shape
+// depends on the program, its input and a LadderProbe in ctx, which sets
+// the ladder's first spacing and receives its length.
 func goldenRun(ctx context.Context, mach *vm.Machine, cfg Config, withLadder bool, output string) (*vm.Result, *snapLadder, error) {
 	opts := vm.RunOptions{CountChecks: true, Fuse: fuseMode(cfg)}
 	if !withLadder {
 		return mach.Run(opts), nil, nil
 	}
 	probe, _ := ctx.Value(ladderProbeKey{}).(*LadderProbe)
-	l := newSnapLadder(cfg)
+	l := &snapLadder{interval: minSnapInterval}
 	if probe != nil && probe.Interval > 0 {
 		l.interval = probe.Interval
 	}
-	if output != "" && l.limit <= vm.MaskRungs {
+	if output != "" {
 		var err error
 		if l.masks, err = mach.RecordAccesses(output); err != nil {
 			return nil, nil, err
@@ -178,7 +169,7 @@ func goldenRun(ctx context.Context, mach *vm.Machine, cfg Config, withLadder boo
 		res := mach.Run(opts)
 		if res.Trap == nil || res.Trap.Kind != vm.TrapSuspended {
 			if probe != nil {
-				_, snaps, _ := l.ladder()
+				snaps, _ := l.ladder()
 				probe.Snapshots = len(snaps)
 			}
 			return res, l, nil
@@ -209,14 +200,14 @@ type workUnit struct {
 
 // schedule splits the pending trials into work units. A reset campaign
 // (tree engine, or Checkpoints < 0) makes one unit per trial, so workers
-// balance trial by trial. A cursor campaign bins trials by the snapshot
-// nearest below their effective trigger (bin 0: before the first snapshot,
-// or the whole campaign without a ladder) and orders each bin by effective
-// trigger, ties by trial index, so the cursor only moves forward. Bin 0 is
-// split into per-worker chunks — one bin holding most of the campaign
-// (always, without a ladder) must not serialize the pool — and, being the
-// costliest per trial, queues first. Units are outcome-neutral: trials are
-// independent and every chunk is a valid bin.
+// balance trial by trial. A cursor campaign bins trials by the last
+// snapshot parked at or below their effective trigger (bin 0: before the
+// first snapshot, or the whole campaign without a ladder) and orders each
+// bin by effective trigger, ties by trial index, so the cursor only moves
+// forward. Bin 0 is split into per-worker chunks — one bin holding most of
+// the campaign (always, without a ladder) must not serialize the pool —
+// and, being the costliest per trial, queues first. Units are
+// outcome-neutral: trials are independent and every chunk is a valid bin.
 func (c *campaign) schedule(pending []int, workers int) []workUnit {
 	if !c.cursor {
 		work := make([]workUnit, len(pending))
@@ -228,26 +219,17 @@ func (c *campaign) schedule(pending []int, workers int) []workUnit {
 	src := rand.NewSource(0)
 	rng := rand.New(src)
 	eff := make([]int64, c.cfg.Trials)
-	snapAt := c.snapAt
-	bins := make([][]int, len(snapAt)+1)
+	bins := make([][]int, len(c.snaps)+1)
 	for _, i := range pending {
 		eff[i] = c.model.EffectiveTrigger(drawPlan(c.model, c.cfg, c.goldenDyn, i, src, rng).TriggerDyn)
-		b := sort.Search(len(snapAt), func(k int) bool { return snapAt[k] > eff[i] })
+		b := sort.Search(len(c.snaps), func(k int) bool { return c.snaps[k].Dyn() > eff[i] })
 		bins[b] = append(bins[b], i)
 	}
 	unit := func(base *vm.Snapshot, trials []int) workUnit {
 		u := workUnit{base: base, trials: trials, at: make([]int64, len(trials))}
 		sort.SliceStable(u.trials, func(a, b int) bool { return eff[u.trials[a]] < eff[u.trials[b]] })
 		for k, i := range u.trials {
-			// Binning compares against the requested snapshot index, but a
-			// snapshot parks at the first fault-eligible instruction at or
-			// after it — possibly past a trigger binned here. Fact 1 says
-			// nothing eligible lies in between, so the snapshot state IS
-			// that trial's divergence state: clamp rather than rewind.
 			u.at[k] = eff[i]
-			if base != nil && u.at[k] < base.Dyn() {
-				u.at[k] = base.Dyn()
-			}
 		}
 		return u
 	}

@@ -92,24 +92,40 @@ func diffReports(t *testing.T, label string, ckpt, scratch *fault.Report) {
 }
 
 // checkpointVsScratch runs the same campaign from scratch (Checkpoints -1)
-// and checkpointed under two ladders — the default cap campaigns use and a
-// cap of 6, which thins sooner and leaves wider bins — and requires each
-// checkpointed report to be bit-identical to the from-scratch one.
+// and checkpointed under two ladders — the default one campaigns use and a
+// sparse one spaced a sixth of the golden run apart (LadderProbe), which
+// leaves wider bins — and requires each checkpointed report to be
+// bit-identical to the from-scratch one.
 func checkpointVsScratch(t *testing.T, w *workloads.Workload, mod *ir.Module, technique string, cfg fault.Config) {
 	t.Helper()
-	run := func(ckpt int) *fault.Report {
+	run := func(ckpt int, probe *fault.LadderProbe) *fault.Report {
 		c := cfg
 		c.Checkpoints = ckpt
-		rep, err := fault.Run(context.Background(), w.Target(workloads.Test), mod, technique, c)
+		rep, err := fault.Run(ladderCtx(probe), w.Target(workloads.Test), mod, technique, c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep
 	}
-	scratch := run(-1)
-	for _, ckpt := range []int{0, 6} {
-		diffReports(t, fmt.Sprintf("%s/%s/checkpoints=%d", w.Name, technique, ckpt), run(ckpt), scratch)
+	scratch := run(-1, nil)
+	label := fmt.Sprintf("%s/%s/checkpoints=0", w.Name, technique)
+	diffReports(t, label, run(0, nil), scratch)
+	diffReports(t, label+"/sparse", run(0, sparseLadder(scratch.GoldenDyn, 6)), scratch)
+}
+
+// sparseLadder returns a LadderProbe that spaces a golden run of goldenDyn
+// instructions' ladder goldenDyn/n apart: n-1 or so snapshots, wide bins.
+func sparseLadder(goldenDyn, n int64) *fault.LadderProbe {
+	return &fault.LadderProbe{Interval: max(goldenDyn/n, 1)}
+}
+
+// ladderCtx returns a context carrying probe, or a bare one when probe is
+// nil.
+func ladderCtx(probe *fault.LadderProbe) context.Context {
+	if probe == nil {
+		return context.Background()
 	}
+	return fault.WithLadderProbe(context.Background(), probe)
 }
 
 // TestCampaignCheckpointEquivalence is the acceptance matrix: all workloads
@@ -166,7 +182,7 @@ func testCheckpointJournalReplay(t *testing.T) {
 	}
 	ckptPath := filepath.Join(dir, "checkpointed.journal")
 	resetPath := filepath.Join(dir, "reset.journal")
-	ckpt, reset := run(4, ckptPath, false), run(-1, resetPath, false)
+	ckpt, reset := run(0, ckptPath, false), run(-1, resetPath, false)
 	diffReports(t, "journaled", ckpt, reset)
 	for _, c := range []struct {
 		label   string
@@ -174,7 +190,7 @@ func testCheckpointJournalReplay(t *testing.T) {
 		journal string
 	}{
 		{"replayed-under-reset", -1, ckptPath},
-		{"replayed-under-cursor", 4, resetPath},
+		{"replayed-under-cursor", 0, resetPath},
 	} {
 		// Every trial is decided, so the replay executes nothing.
 		rep := run(c.ckpt, c.journal, true)
@@ -217,7 +233,7 @@ func TestRecoveryCheckpointEquivalence(t *testing.T) {
 		checkpoints, converge, workers int
 	}{
 		{"reset", vm.EngineFast, -1, -1, 1},
-		{"cursor", vm.EngineFast, 6, -1, 1},
+		{"cursor", vm.EngineFast, 0, -1, 1},
 		{"cursor+converge", vm.EngineFast, 0, 0, 4},
 		{"tree", vm.EngineTree, 0, 0, 2},
 	}
@@ -264,7 +280,7 @@ func TestGoldenLadderMatchesPrefixSnapshots(t *testing.T) {
 	if len(disabled) == 0 {
 		t.Fatal("the golden run fails no checks; the test compares nothing the counters could break")
 	}
-	if want := fault.LadderIndices(cfg, golden.Dyn); len(at) < 2 || !slices.Equal(at, want) {
+	if want := fault.LadderIndices(0, golden.Dyn); len(at) < 2 || !slices.Equal(at, want) {
 		t.Fatalf("ladder at %v, the rule gives %v for a %d-instruction golden run", at, want, golden.Dyn)
 	}
 	ref, err := fault.PrefixSnapshots(target, prot, cfg, disabled, 0, at)
@@ -310,42 +326,52 @@ func TestGoldenLadderMatchesPrefixSnapshots(t *testing.T) {
 	}
 }
 
-// TestWideLadderMemoryCampaign covers a ladder wider than the access masks
-// can describe: a cap of 100 (Config.Checkpoints) over a spacing of a
-// hundredth of the golden run gives memory-model campaigns more than
-// vm.MaskRungs rungs, and each Report must still equal the from-scratch
-// one — the masks may neither wrap nor alias rungs.
-func TestWideLadderMemoryCampaign(t *testing.T) {
+// TestLadderShapeIgnoresCheckpoints pins the ladder's one rule: its shape
+// depends on the golden run and the LadderProbe alone, never on a
+// non-negative Checkpoints. Over a spacing of a hundredth of the golden
+// run, mem-flip campaigns under Checkpoints 0, 6 and 100 build the same
+// ladder, thinned to at most vm.MaskRungs snapshots; the golden run records
+// access masks under every such Checkpoints, 100 included; and every Report
+// equals the from-scratch one.
+func TestLadderShapeIgnoresCheckpoints(t *testing.T) {
 	w := workloads.ByName("kmeans")
 	mod, err := w.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, model := range []string{fault.ModelMemFlip, fault.ModelStuckAt} {
-		t.Run(model, func(t *testing.T) {
-			t.Parallel()
-			run := func(ckpt int, probe *fault.LadderProbe) *fault.Report {
-				cfg := fault.DefaultConfig()
-				cfg.Trials = 60
-				cfg.Model = model
-				cfg.Checkpoints = ckpt
-				ctx := context.Background()
-				if probe != nil {
-					ctx = fault.WithLadderProbe(ctx, probe)
-				}
-				rep, err := fault.Run(ctx, w.Target(workloads.Test), mod, "Original", cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return rep
-			}
-			scratch := run(-1, nil)
-			probe := &fault.LadderProbe{Interval: scratch.GoldenDyn / 100}
-			wide := run(100, probe)
-			if probe.Snapshots <= vm.MaskRungs {
-				t.Fatalf("ladder holds %d snapshots, want more than %d", probe.Snapshots, vm.MaskRungs)
-			}
-			diffReports(t, model+"/checkpoints=100", wide, scratch)
-		})
+	cfg := fault.DefaultConfig()
+	cfg.Trials = 60
+	cfg.Model = fault.ModelMemFlip
+	run := func(ckpt int, probe *fault.LadderProbe) *fault.Report {
+		c := cfg
+		c.Checkpoints = ckpt
+		rep, err := fault.Run(ladderCtx(probe), w.Target(workloads.Test), mod, "Original", c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	scratch := run(-1, nil)
+	want := -1
+	for _, ckpt := range []int{0, 6, 100} {
+		probe := sparseLadder(scratch.GoldenDyn, 100)
+		diffReports(t, fmt.Sprintf("mem-flip/checkpoints=%d", ckpt), run(ckpt, probe), scratch)
+		if probe.Snapshots <= 6 || probe.Snapshots > vm.MaskRungs {
+			t.Fatalf("checkpoints=%d: ladder holds %d snapshots, want 7-%d", ckpt, probe.Snapshots, vm.MaskRungs)
+		}
+		if want < 0 {
+			want = probe.Snapshots
+		} else if probe.Snapshots != want {
+			t.Fatalf("checkpoints=%d: ladder holds %d snapshots, checkpoints=0 held %d", ckpt, probe.Snapshots, want)
+		}
+		c := cfg
+		c.Checkpoints = ckpt
+		masked, err := fault.GoldenMasks(ladderCtx(sparseLadder(scratch.GoldenDyn, 100)), w.Target(workloads.Test), mod, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !masked {
+			t.Fatalf("checkpoints=%d: the golden run recorded no access masks", ckpt)
+		}
 	}
 }

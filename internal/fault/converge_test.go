@@ -89,11 +89,11 @@ func TestConvergenceShortCircuit(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		p1 := drawPlan(MustModel(cfg.Model), cfg, goldenDyn, trial, ws.src, ws.rng)
 		solo.Reset()
-		tr1, cyc1, to1 := c.finishTrial(solo, p1, nil, nil)
+		tr1, cyc1, to1 := c.finishOn(solo, p1, nil)
 
 		p2 := drawPlan(MustModel(cfg.Model), cfg, goldenDyn, trial, ws.src, ws.rng)
 		conv.Reset()
-		tr2, cyc2, to2 := c.finishTrial(conv, p2, nil, snaps)
+		tr2, cyc2, to2 := c.finishOn(conv, p2, snaps)
 
 		if tr1 != tr2 || cyc1 != cyc2 || to1 != to2 {
 			t.Fatalf("trial %d: solo %+v (cycles %d, timeout %v) vs converging %+v (cycles %d, timeout %v)",
@@ -208,13 +208,13 @@ func TestConvergenceShortCircuitDeadValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr1, cyc1, _ := c.finishTrial(solo, plan(), nil, nil)
+	tr1, cyc1, _ := c.finishOn(solo, plan(), nil)
 	conv, err := newMachine(target, mod, maxDyn, cfg.Engine)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p2 := plan()
-	tr2, cyc2, _ := c.finishTrial(conv, p2, nil, snaps)
+	tr2, cyc2, _ := c.finishOn(conv, p2, snaps)
 
 	if !p2.Injected || tr1.Outcome != Masked {
 		t.Fatalf("the flip must fire and be masked: injected %v, outcome %v", p2.Injected, tr1.Outcome)
@@ -318,7 +318,7 @@ func newMemRig(t *testing.T) *memRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, snaps, masks := l.ladder()
+	snaps, masks := l.ladder()
 	if len(snaps) < 2 || masks == nil {
 		t.Fatalf("golden run built %d snapshots, masks %v", len(snaps), masks != nil)
 	}
@@ -335,13 +335,13 @@ func (r *memRig) run(t *testing.T, plan func() *Plan) (Trial, *vm.Machine, *Plan
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr1, cyc1, _ := r.c.finishTrial(solo, plan(), nil, nil)
+	tr1, cyc1, _ := r.c.finishOn(solo, plan(), nil)
 	conv, err := newMachine(r.target, r.mod, r.maxDyn, r.c.cfg.Engine)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := plan()
-	tr2, cyc2, _ := r.c.finishTrial(conv, p, nil, r.snaps)
+	tr2, cyc2, _ := r.c.finishOn(conv, p, r.snaps)
 	if tr1 != tr2 || cyc1 != cyc2 {
 		t.Fatalf("full suffix %+v (%d cycles), laddered %+v (%d cycles)", tr1, cyc1, tr2, cyc2)
 	}

@@ -11,7 +11,6 @@ package fault_test
 // tests keep the names they had when the cursor was the lockstep carrier.
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -20,20 +19,23 @@ import (
 	"repro/internal/workloads"
 )
 
-// cursorVsReset runs cfg twice — cursor-positioned with the convergence
-// ladder off, and Reset per trial — and requires bit-identical reports.
-func cursorVsReset(t *testing.T, label string, w *workloads.Workload, prot *ir.Module, technique string, cfg fault.Config) {
+// cursorVsReset runs cfg twice — Reset per trial, and cursor-positioned
+// with the convergence ladder off over a sparse ladder spaced goldenDyn/rungs
+// apart (sparseLadder), so bins are wide — and requires bit-identical
+// reports.
+func cursorVsReset(t *testing.T, label string, w *workloads.Workload, prot *ir.Module, technique string, cfg fault.Config, rungs int64) {
 	t.Helper()
-	run := func(ckpt, conv int) *fault.Report {
+	run := func(ckpt, conv int, probe *fault.LadderProbe) *fault.Report {
 		c := cfg
 		c.Checkpoints, c.Converge = ckpt, conv
-		rep, err := fault.Run(context.Background(), w.Target(workloads.Test), prot, technique, c)
+		rep, err := fault.Run(ladderCtx(probe), w.Target(workloads.Test), prot, technique, c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep
 	}
-	diffReports(t, label, run(cfg.Checkpoints, -1), run(-1, 0))
+	reset := run(-1, 0, nil)
+	diffReports(t, label, run(0, -1, sparseLadder(reset.GoldenDyn, rungs)), reset)
 }
 
 // TestCampaignLockstepEquivalence is the acceptance matrix: all workloads ×
@@ -59,8 +61,7 @@ func TestCampaignLockstepEquivalence(t *testing.T) {
 				prot := protectedFor(t, w, mode)
 				cfg := fault.DefaultConfig()
 				cfg.Trials = 12
-				cfg.Checkpoints = 6
-				cursorVsReset(t, name+"/"+mode, w, prot, mode, cfg)
+				cursorVsReset(t, name+"/"+mode, w, prot, mode, cfg, 6)
 			})
 		}
 	}
@@ -76,8 +77,7 @@ func TestCampaignLockstepEquivalenceDense(t *testing.T) {
 	cfg := fault.DefaultConfig()
 	cfg.Trials = 90
 	cfg.Workers = 1
-	cfg.Checkpoints = 3
-	cursorVsReset(t, "dense", w, prot, "DupOnly", cfg)
+	cursorVsReset(t, "dense", w, prot, "DupOnly", cfg, 3)
 }
 
 // TestCampaignLockstepEquivalenceBranch covers the branch-target model,
@@ -93,8 +93,7 @@ func TestCampaignLockstepEquivalenceBranch(t *testing.T) {
 			cfg := fault.DefaultConfig()
 			cfg.Trials = 20
 			cfg.Model = fault.ModelBranchTarget
-			cfg.Checkpoints = 6
-			cursorVsReset(t, name+"/branch", w, prot, "DupOnly", cfg)
+			cursorVsReset(t, name+"/branch", w, prot, "DupOnly", cfg, 6)
 		})
 	}
 }

@@ -12,15 +12,21 @@ import (
 // Test hooks into the golden run, its snapshot ladder and the trial path.
 
 // LadderIndices returns the requested indices of the ladder a golden run of
-// goldenDyn instructions builds under cfg (nil: no ladder), assuming every
-// suspension lands on its requested index.
-func LadderIndices(cfg Config, goldenDyn int64) []int64 {
-	l := newSnapLadder(cfg)
+// goldenDyn instructions builds from a first spacing of interval (0:
+// minSnapInterval, as LadderProbe.Interval), or nil when it builds none,
+// assuming every suspension lands on its requested index.
+func LadderIndices(interval, goldenDyn int64) []int64 {
+	l := &snapLadder{interval: minSnapInterval}
+	if interval > 0 {
+		l.interval = interval
+	}
 	for at := l.next(0); at < goldenDyn; at = l.next(at) {
 		l.add(at, nil)
 	}
-	at, _, _ := l.ladder()
-	return at
+	if len(l.at) < 2 {
+		return nil
+	}
+	return l.at
 }
 
 // GoldenLadder performs a cursor campaign's golden run on a fresh machine
@@ -35,8 +41,33 @@ func GoldenLadder(t Target, mod *ir.Module, cfg Config) (*vm.Result, map[int]boo
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	at, snaps, _ := l.ladder()
-	return res, failingChecks(res), at, snaps, nil
+	snaps, _ := l.ladder()
+	if snaps == nil {
+		return res, failingChecks(res), nil, nil, nil
+	}
+	return res, failingChecks(res), l.at, snaps, nil
+}
+
+// GoldenMasks performs a cursor campaign's golden run on a fresh machine
+// the way Run does for a model that corrupts memory, under the LadderProbe
+// ctx may carry, and reports whether it recorded access masks.
+func GoldenMasks(ctx context.Context, t Target, mod *ir.Module, cfg Config) (bool, error) {
+	mach, err := newMachine(t, mod, 0, cfg.Engine)
+	if err != nil {
+		return false, err
+	}
+	_, l, err := goldenRun(ctx, mach, cfg, true, t.Output)
+	if err != nil {
+		return false, err
+	}
+	return l.masks != nil, nil
+}
+
+// finishOn runs finishTrial on mach with rungs as the campaign's
+// convergence ladder (nil: none) and no trial timeout.
+func (c *campaign) finishOn(mach *vm.Machine, plan *Plan, rungs []*vm.Snapshot) (Trial, int64, bool) {
+	c.rungs = rungs
+	return c.finishTrial(mach, plan, nil)
 }
 
 // PrefixSnapshots runs the golden prefix the way a trial does — with the

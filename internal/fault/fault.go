@@ -70,20 +70,20 @@ type Config struct {
 	// the same way on both, so Reports do not depend on it; the tree
 	// interpreter runs each trial from scratch (no golden-prefix reuse).
 	Engine vm.EngineKind
-	// Checkpoints controls golden-prefix reuse. By default each worker keeps
-	// a golden cursor — a fault-free machine that walks the golden run in
-	// ascending trigger order — and starts every trial as a state clone of
-	// the cursor at the trial's trigger instead of re-executing the prefix
-	// from dyn 0. The golden run also captures snapshots as it executes,
-	// one per interval, thinning them to an evenly spaced ladder: the cursor
-	// restarts from the snapshot nearest below a bin of triggers, and the
-	// snapshots double as the convergence ladder (Converge). 0 (the default)
-	// caps the ladder at 64 snapshots; > 0 sets the cap, not an exact count
-	// (a golden run shorter than two 20K-instruction intervals, or a cap
-	// below 2, gets no ladder); < 0 turns off all golden-prefix reuse —
-	// every trial Resets and runs from dyn 0. Golden-prefix reuse requires
-	// the fast engine and is skipped otherwise. It never changes campaign
-	// results: every Trial stays bit-identical to the from-scratch path.
+	// Checkpoints controls golden-prefix reuse. By default (>= 0) each
+	// worker keeps a golden cursor — a fault-free machine that walks the
+	// golden run in ascending trigger order — and starts every trial as a
+	// state clone of the cursor at the trial's trigger instead of
+	// re-executing the prefix from dyn 0. The golden run also captures
+	// snapshots as it executes, one per interval, thinning them to an evenly
+	// spaced ladder of at most 64: the cursor restarts from the snapshot
+	// nearest below a bin of triggers, and the snapshots double as the
+	// convergence ladder (Converge). A golden run shorter than two
+	// 20K-instruction intervals gets no ladder. < 0 turns off all
+	// golden-prefix reuse — every trial Resets and runs from dyn 0.
+	// Golden-prefix reuse requires the fast engine and is skipped
+	// otherwise. It never changes campaign results: every Trial stays
+	// bit-identical to the from-scratch path.
 	Checkpoints int
 	// Lockstep is ignored. It named the batched trial executor that the
 	// golden cursor (Checkpoints) replaced, and is kept only so existing
@@ -352,7 +352,12 @@ func runCampaign(ctx context.Context, t Target, mod *ir.Module, technique string
 	hdr := headerFor(t, technique, cfg, model.Name(), shardLo, shardHi, len(disabled), goldenRes.Dyn, goldenRes.Cycles)
 	c := newCampaign(hdr, cfg)
 	c.cursor = cursor
-	c.snapAt, c.snaps, c.masks = ladder.ladder()
+	c.snaps, c.masks = ladder.ladder()
+	// Bins restore from c.snaps either way, so disabling convergence never
+	// disables the cursor's checkpoints.
+	if cfg.Converge >= 0 {
+		c.rungs = c.snaps
+	}
 	c.model, c.target, c.mod, c.golden, c.goldenDyn = model, t, mod, golden, goldenRes.Dyn
 	c.disabled, c.maxDyn = disabled, maxDyn
 	if cfg.JournalPath != "" {
@@ -433,15 +438,15 @@ func drawPlan(model Model, cfg Config, goldenDyn int64, trial int, src rand.Sour
 // The plan fires from inside each Run (it is the run's fault hook), so the
 // suffix is one Run per ladder crossing plus one to the end.
 //
-// A non-empty snaps ladder (the campaign's golden snapshots, ascending)
-// enables convergence fast-forwarding: the suffix parks at each snapshot
-// index above the trial's position, and a trial whose live machine state
-// matches the golden reference state there (converged) has a
-// deterministically golden future. Live state is everything but the
-// register slots no later instruction can read and, when the campaign
-// recorded the golden run's memory accesses (c.masks), the memory words the
-// golden run overwrites before reading or never reads again outside the
-// output global. So a corrupted value that is dead but still sits in its
+// A non-empty convergence ladder (c.rungs: the campaign's golden
+// snapshots, ascending) enables convergence fast-forwarding: the suffix
+// parks at each snapshot index above the trial's position, and a trial
+// whose live machine state matches the golden reference state there
+// (converged) has a deterministically golden future. Live state is
+// everything but the register slots no later instruction can read and,
+// when the campaign recorded the golden run's memory accesses (c.masks),
+// the memory words the golden run overwrites before reading or never reads
+// again outside the output global. So a corrupted value that is dead but still sits in its
 // slot or word does not keep the trial running: most masked trials
 // re-converge at the first snapshot after the corrupted value dies, and
 // their remaining suffix never executes. The short-circuit constructs
@@ -462,9 +467,9 @@ func drawPlan(model Model, cfg Config, goldenDyn int64, trial int, src rand.Sour
 // again; a re-arm reads and writes its memory word only. A crossing that
 // falls on a due hook suspends first and fires the hook when the next Run
 // resumes there, so the plan is not settled at that compare.
-func (c *campaign) finishTrial(mach *vm.Machine, plan *Plan, timeout <-chan struct{}, snaps []*vm.Snapshot) (tr Trial, cycles int64, timedOut bool) {
+func (c *campaign) finishTrial(mach *vm.Machine, plan *Plan, timeout <-chan struct{}) (tr Trial, cycles int64, timedOut bool) {
 	opts := plan.runOptions(c.cfg, c.disabled, timeout)
-	for k, s := range snaps {
+	for k, s := range c.rungs {
 		if s.Dyn() <= mach.Dyn() {
 			continue
 		}

@@ -291,9 +291,9 @@ func TestRearmingModelNeverFalselyMasked(t *testing.T) {
 	// identical with and without the snapshot ladder, because the plan
 	// never settles.
 	m1, p1 := r.machine(t, model)
-	tr1, cyc1, to1 := r.c.finishTrial(m1, p1, nil, r.snaps(t))
+	tr1, cyc1, to1 := r.c.finishOn(m1, p1, r.snaps(t))
 	m2, p2 := r.machine(t, model)
-	tr2, cyc2, to2 := r.c.finishTrial(m2, p2, nil, nil)
+	tr2, cyc2, to2 := r.c.finishOn(m2, p2, nil)
 
 	if tr1 != tr2 || cyc1 != cyc2 || to1 != to2 {
 		t.Fatalf("ladder %+v (cycles %d, timeout %v) vs plain %+v (cycles %d, timeout %v)", tr1, cyc1, to1, tr2, cyc2, to2)
@@ -314,9 +314,9 @@ func TestRetiredRearmFastForwards(t *testing.T) {
 	model := fakeStuck{name: "pinned-window", trigger: r.goldenDyn / 8, stride: 50, lasts: 100, addr: 1, mask: 1 << 40}
 
 	m1, p1 := r.machine(t, model)
-	tr1, cyc1, to1 := r.c.finishTrial(m1, p1, nil, r.snaps(t))
+	tr1, cyc1, to1 := r.c.finishOn(m1, p1, r.snaps(t))
 	m2, p2 := r.machine(t, model)
-	tr2, cyc2, to2 := r.c.finishTrial(m2, p2, nil, nil)
+	tr2, cyc2, to2 := r.c.finishOn(m2, p2, nil)
 
 	if tr1 != tr2 || cyc1 != cyc2 || to1 != to2 {
 		t.Fatalf("ladder %+v (cycles %d, timeout %v) vs plain %+v (cycles %d, timeout %v)", tr1, cyc1, to1, tr2, cyc2, to2)

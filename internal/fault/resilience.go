@@ -81,8 +81,8 @@ const (
 type campaign struct {
 	cfg       Config
 	cursor    bool            // position trials off a golden cursor, not by Reset
-	snapAt    []int64         // the golden run's snapshot ladder (goldenRun):
-	snaps     []*vm.Snapshot  // snaps[k] requested at snapAt[k]; may be empty
+	snaps     []*vm.Snapshot  // the golden run's snapshot ladder (goldenRun); may be empty
+	rungs     []*vm.Snapshot  // the convergence ladder: snaps, or nil when Converge < 0
 	masks     *vm.AccessMasks // golden memory accesses over snaps; nil: compare memory exactly
 	model     Model
 	target    Target
@@ -393,13 +393,12 @@ func (ws *workerState) position(at int64) error {
 }
 
 // runOne drives trial i to a terminal disposition — a recorded outcome or a
-// quarantined anomaly. at is the trial's divergence point (see position);
-// a non-empty snaps ladder enables convergence fast-forwarding for the
-// trial's suffix (see finishTrial). Only infrastructure failures (machine
-// construction, journal I/O, cursor cancellation) surface as errors.
-func (c *campaign) runOne(ws *workerState, i int, at int64, snaps []*vm.Snapshot) error {
+// quarantined anomaly. at is the trial's divergence point (see position).
+// Only infrastructure failures (machine construction, journal I/O, cursor
+// cancellation) surface as errors.
+func (c *campaign) runOne(ws *workerState, i int, at int64) error {
 	for attempt := 0; ; attempt++ {
-		tr, cycles, timedOut, panicked, stack, err := c.attempt(ws, i, at, snaps)
+		tr, cycles, timedOut, panicked, stack, err := c.attempt(ws, i, at)
 		if err != nil {
 			return err
 		}
@@ -422,7 +421,7 @@ func (c *campaign) runOne(ws *workerState, i int, at int64, snaps []*vm.Snapshot
 // machine, run the suffix. A recovered panic discards the trial machine and
 // the cursor — their state is unknown mid-unwind — and reports the stack
 // for the quarantine record; the cursor re-arms for the rest of the bin.
-func (c *campaign) attempt(ws *workerState, i int, at int64, snaps []*vm.Snapshot) (tr Trial, cycles int64, timedOut, panicked bool, stack string, err error) {
+func (c *campaign) attempt(ws *workerState, i int, at int64) (tr Trial, cycles int64, timedOut, panicked bool, stack string, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			panicked = true
@@ -446,7 +445,7 @@ func (c *campaign) attempt(ws *workerState, i int, at int64, snaps []*vm.Snapsho
 		defer time.AfterFunc(c.cfg.TrialTimeout, func() { close(timeout) }).Stop()
 	}
 	start := time.Now()
-	tr, cycles, timedOut = c.finishTrial(ws.mach, plan, timeout, snaps)
+	tr, cycles, timedOut = c.finishTrial(ws.mach, plan, timeout)
 	// The timer closes Stop from its own goroutine, which a loaded host may
 	// schedule only after a short run has finished; an attempt that outlived
 	// TrialTimeout is a timeout either way.
@@ -463,13 +462,6 @@ func (c *campaign) run(ctx context.Context, pending []int, workers int) error {
 		return nil // finalize marks the report partial
 	}
 	work := c.schedule(pending, workers)
-	// The convergence ladder passed to every trial suffix; bins still
-	// restore from c.snaps, so disabling convergence never disables the
-	// cursor's checkpoints.
-	snaps := c.snaps
-	if c.cfg.Converge < 0 {
-		snaps = nil
-	}
 
 	var wg sync.WaitGroup
 	// Buffered so the feeding loop never blocks even if every worker exits
@@ -482,7 +474,7 @@ func (c *campaign) run(ctx context.Context, pending []int, workers int) error {
 			defer wg.Done()
 			ws := c.newWorker(ctx.Done())
 			for u := range unitCh {
-				if err := c.runUnit(ctx, ws, work[u], snaps); err != nil {
+				if err := c.runUnit(ctx, ws, work[u]); err != nil {
 					errCh <- err
 					return
 				}
@@ -504,14 +496,14 @@ func (c *campaign) run(ctx context.Context, pending []int, workers int) error {
 
 // runUnit drives one work unit's trials in order, stopping quietly between
 // trials on cancellation or early stop.
-func (c *campaign) runUnit(ctx context.Context, ws *workerState, u workUnit, snaps []*vm.Snapshot) error {
+func (c *campaign) runUnit(ctx context.Context, ws *workerState, u workUnit) error {
 	ws.base, ws.live = u.base, false // the cursor re-arms lazily
 	for k, i := range u.trials {
 		if ctx.Err() != nil || c.stopRequested() {
 			return nil
 		}
 		ws.handOff = k == len(u.trials)-1
-		if err := c.runOne(ws, i, u.at[k], snaps); err != nil {
+		if err := c.runOne(ws, i, u.at[k]); err != nil {
 			if errors.Is(err, errCursorStopped) {
 				return nil // cancellation mid-advance; finalize marks partial
 			}

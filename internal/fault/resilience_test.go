@@ -15,18 +15,30 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/ir"
 	"repro/internal/workloads"
 )
 
 // positioning is the row set of the supervision tests: every disposition
 // path must behave the same whether trials Reset (Checkpoints < 0) or clone
-// the golden cursor mid-bin.
+// the golden cursor mid-bin. The cursor row spaces its ladder a fifth of
+// the golden run apart (sparseLadder), so its four bins are wide.
 var positioning = []struct {
 	name        string
 	checkpoints int
+	rungs       int64 // > 0: the ladder's spacing is goldenDyn/rungs
 }{
-	{"reset", -1},
-	{"cursor", 4},
+	{"reset", -1, 0},
+	{"cursor", 0, 5},
+}
+
+// positionedCtx returns ctx carrying the ladder spacing of a positioning
+// row with the given rungs over a golden run of goldenDyn instructions.
+func positionedCtx(ctx context.Context, rungs, goldenDyn int64) context.Context {
+	if rungs == 0 {
+		return ctx
+	}
+	return fault.WithLadderProbe(ctx, sparseLadder(goldenDyn, rungs))
 }
 
 // TestPanicQuarantinesOneTrial poisons one trial: the panic must quarantine
@@ -37,12 +49,13 @@ func TestPanicQuarantinesOneTrial(t *testing.T) {
 	const poisoned = 3
 	w := workloads.ByName("kmeans")
 	prot := protectedFor(t, w, core.SchemeOriginal)
+	goldenDyn := goldenDynOf(t, w, prot)
 	for _, p := range positioning {
 		t.Run(p.name, func(t *testing.T) {
 			cfg := fault.DefaultConfig()
 			cfg.Trials = 10
 			cfg.Checkpoints = p.checkpoints
-			clean, err := fault.Run(context.Background(), w.Target(workloads.Test), prot, "Original", cfg)
+			clean, err := fault.Run(positionedCtx(context.Background(), p.rungs, goldenDyn), w.Target(workloads.Test), prot, "Original", cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,7 +65,7 @@ func TestPanicQuarantinesOneTrial(t *testing.T) {
 					panic("injected test panic")
 				}
 			}
-			rep, err := fault.Run(context.Background(), w.Target(workloads.Test), prot, "Original", cfg)
+			rep, err := fault.Run(positionedCtx(context.Background(), p.rungs, goldenDyn), w.Target(workloads.Test), prot, "Original", cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,6 +124,7 @@ func TestAllTrialsQuarantinedYieldsEmptyTally(t *testing.T) {
 func TestTrialTimeoutQuarantinesWithRetry(t *testing.T) {
 	w := workloads.ByName("kmeans")
 	prot := protectedFor(t, w, core.SchemeOriginal)
+	goldenDyn := goldenDynOf(t, w, prot)
 	for _, p := range positioning {
 		t.Run(p.name, func(t *testing.T) {
 			cfg := fault.DefaultConfig()
@@ -120,7 +134,7 @@ func TestTrialTimeoutQuarantinesWithRetry(t *testing.T) {
 			cfg.TrialTimeout = time.Nanosecond // every wall-clock poll has expired
 			var attempts atomic.Int64
 			cfg.OnTrial = func(int) { attempts.Add(1) }
-			rep, err := fault.Run(context.Background(), w.Target(workloads.Test), prot, "Original", cfg)
+			rep, err := fault.Run(positionedCtx(context.Background(), p.rungs, goldenDyn), w.Target(workloads.Test), prot, "Original", cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,6 +176,7 @@ func TestTrialTimeoutQuarantinesWithRetry(t *testing.T) {
 func TestCancellationMidCampaign(t *testing.T) {
 	w := workloads.ByName("kmeans")
 	prot := protectedFor(t, w, core.SchemeOriginal)
+	goldenDyn := goldenDynOf(t, w, prot)
 	for _, p := range positioning {
 		t.Run(p.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
@@ -177,7 +192,7 @@ func TestCancellationMidCampaign(t *testing.T) {
 					cancel()
 				}
 			}
-			rep, err := fault.Run(ctx, w.Target(workloads.Test), prot, "Original", cfg)
+			rep, err := fault.Run(positionedCtx(ctx, p.rungs, goldenDyn), w.Target(workloads.Test), prot, "Original", cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,13 +232,14 @@ func TestCancellationMidCampaign(t *testing.T) {
 func TestEarlyStoppingSavesTrials(t *testing.T) {
 	w := workloads.ByName("kmeans")
 	prot := protectedFor(t, w, core.SchemeOriginal)
+	goldenDyn := goldenDynOf(t, w, prot)
 	for _, p := range positioning {
 		t.Run(p.name, func(t *testing.T) {
 			cfg := fault.DefaultConfig()
 			cfg.Trials = 400
 			cfg.Checkpoints = p.checkpoints
 			cfg.TargetCI = 0.8 // loose on purpose: a handful of trials satisfies it
-			rep, err := fault.Run(context.Background(), w.Target(workloads.Test), prot, "Original", cfg)
+			rep, err := fault.Run(positionedCtx(context.Background(), p.rungs, goldenDyn), w.Target(workloads.Test), prot, "Original", cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -263,33 +279,25 @@ func TestCheckpointMoreSnapshotsThanTrials(t *testing.T) {
 		}
 		return rep
 	}
-	diffReports(t, "snapshots>trials", run(8), run(-1))
+	diffReports(t, "snapshots>trials", run(0), run(-1))
 }
 
 // TestCheckpointAllTriggersBeforeFirstSnapshot hunts, per workload, a seed
-// whose every trigger lands before the first snapshot — the whole campaign
-// then runs in bin 0, on cursors that never advance far from the origin
-// and never restore a snapshot — and checks it still matches the reset
-// path.
+// whose every trigger lands before the first snapshot of a ladder spaced a
+// third of the golden run apart — the whole campaign then runs in bin 0, on
+// cursors that never advance far from the origin and never restore a
+// snapshot — and checks it still matches the reset path.
 func TestCheckpointAllTriggersBeforeFirstSnapshot(t *testing.T) {
-	const trials, ckpt = 4, 2
+	const trials, rungs = 4, 3
 	for _, name := range []string{"kmeans", "tiff2bw"} {
 		t.Run(name, func(t *testing.T) {
 			w := workloads.ByName(name)
 			prot := protectedFor(t, w, core.SchemeOriginal)
-
-			probe := fault.DefaultConfig()
-			probe.Trials = 1
-			rep, err := fault.Run(context.Background(), w.Target(workloads.Test), prot, "Original", probe)
-			if err != nil {
-				t.Fatal(err)
-			}
-			goldenDyn := rep.GoldenDyn
-			ladderCfg := fault.DefaultConfig()
-			ladderCfg.Checkpoints = ckpt
-			ladder := fault.LadderIndices(ladderCfg, goldenDyn)
+			goldenDyn := goldenDynOf(t, w, prot)
+			probe := sparseLadder(goldenDyn, rungs)
+			ladder := fault.LadderIndices(probe.Interval, goldenDyn)
 			if len(ladder) == 0 {
-				t.Fatalf("a %d-instruction golden run gets no ladder under Checkpoints=%d; the test restores nothing", goldenDyn, ckpt)
+				t.Fatalf("a %d-instruction golden run gets no ladder at spacing %d; the test restores nothing", goldenDyn, probe.Interval)
 			}
 			firstSnap := ladder[0]
 			t.Logf("golden %d instructions, ladder %v", goldenDyn, ladder)
@@ -315,18 +323,35 @@ func TestCheckpointAllTriggersBeforeFirstSnapshot(t *testing.T) {
 				t.Fatal("no all-early-trigger seed found in 100k candidates")
 			}
 
-			run := func(ckpt int) *fault.Report {
+			run := func(ckpt int, probe *fault.LadderProbe) *fault.Report {
 				cfg := fault.DefaultConfig()
 				cfg.Trials = trials
 				cfg.Seed = seed
 				cfg.Checkpoints = ckpt
-				rep, err := fault.Run(context.Background(), w.Target(workloads.Test), prot, "Original", cfg)
+				rep, err := fault.Run(ladderCtx(probe), w.Target(workloads.Test), prot, "Original", cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return rep
 			}
-			diffReports(t, "all-before-first-snapshot", run(ckpt), run(-1))
+			rep := run(0, probe)
+			if probe.Snapshots != len(ladder) {
+				t.Fatalf("campaign built %d snapshots, the rule gives %v", probe.Snapshots, ladder)
+			}
+			diffReports(t, "all-before-first-snapshot", rep, run(-1, nil))
 		})
 	}
+}
+
+// goldenDynOf returns the golden run length of w's test input under prot.
+func goldenDynOf(t *testing.T, w *workloads.Workload, prot *ir.Module) int64 {
+	t.Helper()
+	cfg := fault.DefaultConfig()
+	cfg.Trials = 1
+	cfg.Checkpoints = -1
+	rep, err := fault.Run(context.Background(), w.Target(workloads.Test), prot, "golden", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep.GoldenDyn
 }

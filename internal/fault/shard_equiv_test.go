@@ -37,9 +37,9 @@ func shardRanges(trials, n int) [][2]int {
 	return ranges
 }
 
-// runSharded executes cfg as n journaled shard runs and returns the
-// journal paths ready for merging.
-func runSharded(t *testing.T, w *workloads.Workload, mod *ir.Module, technique string, cfg fault.Config, n int) []string {
+// runSharded executes cfg as n journaled shard runs, each under ctx, and
+// returns the journal paths ready for merging.
+func runSharded(ctx context.Context, t *testing.T, w *workloads.Workload, mod *ir.Module, technique string, cfg fault.Config, n int) []string {
 	t.Helper()
 	dir := t.TempDir()
 	var paths []string
@@ -47,7 +47,7 @@ func runSharded(t *testing.T, w *workloads.Workload, mod *ir.Module, technique s
 		c := cfg
 		c.ShardStart, c.ShardEnd = r[0], r[1]
 		c.JournalPath = filepath.Join(dir, fmt.Sprintf("shard%02d.journal", s))
-		rep, err := fault.Run(context.Background(), w.Target(workloads.Test), mod.Clone(), technique, c)
+		rep, err := fault.Run(ctx, w.Target(workloads.Test), mod.Clone(), technique, c)
 		if err != nil {
 			t.Fatalf("shard [%d,%d): %v", r[0], r[1], err)
 		}
@@ -86,14 +86,16 @@ func TestShardMergeEquivalence(t *testing.T) {
 			prot := protectedFor(t, w, c.mode)
 			cfg := fault.DefaultConfig()
 			cfg.Trials = 24
-			cfg.Checkpoints = 4
 			cfg.Model = c.model
 
-			solo, err := fault.Run(context.Background(), w.Target(workloads.Test), prot.Clone(), c.technique, cfg)
+			// Every run spaces its ladder a fifth of the golden run apart:
+			// four snapshots, wide bins.
+			ctx := fault.WithLadderProbe(context.Background(), sparseLadder(goldenDynOf(t, w, prot), 5))
+			solo, err := fault.Run(ctx, w.Target(workloads.Test), prot.Clone(), c.technique, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			paths := runSharded(t, w, prot, c.technique, cfg, 3)
+			paths := runSharded(ctx, t, w, prot, c.technique, cfg, 3)
 			merged, err := fault.MergeShardJournals(paths)
 			if err != nil {
 				t.Fatal(err)
