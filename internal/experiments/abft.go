@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -49,8 +48,7 @@ func ABFTvsDupVal(cfg fault.Config) ([]ABFTRow, string, error) {
 			if err != nil {
 				return nil, "", err
 			}
-			rep, err := fault.Run(context.Background(), w.Target(workloads.Test),
-				variant.Module, core.Title(sch), cfg)
+			rep, err := cachedCampaign(p, sch, cfg)
 			if err != nil {
 				return nil, "", err
 			}

@@ -219,8 +219,8 @@ func TestMean(t *testing.T) {
 
 // TestCachedCampaignKeysOnResultFields asks the figure cache again with each
 // result-affecting fault.Config field changed: it must return that
-// configuration's Report, not the first call's. A throughput knob must
-// still hit the first entry.
+// configuration's Report, not the first call's. A throughput knob, or
+// naming the default model, must still hit the first entry.
 func TestCachedCampaignKeysOnResultFields(t *testing.T) {
 	p, err := Prepare(workloads.ByName("g721dec"))
 	if err != nil {
@@ -265,5 +265,10 @@ func TestCachedCampaignKeysOnResultFields(t *testing.T) {
 	cfg.Workers = 1
 	if got, err := cachedCampaign(p, mode, cfg); err != nil || got != first {
 		t.Errorf("Workers is a throughput knob but missed the cache (err %v)", err)
+	}
+	cfg = base
+	cfg.Model = fault.ModelRegFlip
+	if got, err := cachedCampaign(p, mode, cfg); err != nil || got != first {
+		t.Errorf("Model %q is the default model but missed the cache (err %v)", cfg.Model, err)
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -44,11 +43,7 @@ func BranchFaults(cfg fault.Config) ([]CFCRow, string, error) {
 			{"Dup + val chks + CFC", core.SchemeDupVal + "+" + core.SchemeCFC},
 		}
 		for _, c := range configs {
-			v, err := p.Variant(c.mode)
-			if err != nil {
-				return nil, "", err
-			}
-			rep, err := fault.Run(context.Background(), w.Target(workloads.Test), v.Module, c.label, cfg)
+			rep, err := cachedCampaign(p, c.mode, cfg)
 			if err != nil {
 				return nil, "", err
 			}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -54,14 +53,9 @@ func FaultModelSweep(cfg fault.Config) ([]FaultModelRow, string, error) {
 		}
 		for _, model := range fault.ModelNames() {
 			for _, sch := range schemes {
-				variant, err := p.Variant(sch)
-				if err != nil {
-					return nil, "", err
-				}
 				c := cfg
 				c.Model = model
-				rep, err := fault.Run(context.Background(), w.Target(workloads.Test),
-					variant.Module, core.Title(sch), c)
+				rep, err := cachedCampaign(p, sch, c)
 				if err != nil {
 					return nil, "", fmt.Errorf("%s/%s/%s: %w", name, model, sch, err)
 				}

@@ -12,14 +12,16 @@ import (
 	"repro/internal/workloads"
 )
 
-// campaign cache so figures sharing campaigns (2, 11, 13) reuse runs.
+// campaign cache: the figures and extension tables that share campaigns
+// (Figures 2, 11 and 13, the fault-model sweep's reg-flip rows) reuse runs.
 var (
 	campMu    sync.Mutex
 	campCache = map[campKey]*fault.Report{}
 )
 
 // campKey is a cached campaign's identity: the workload, the scheme and
-// every fault.Config field that can change its Report. The throughput knobs
+// every fault.Config field that can change its Report, the model by its
+// resolved name ("" and "reg-flip" are one campaign). The throughput knobs
 // (Workers, Engine, Checkpoints, Lockstep, Fuse, Converge) are left out, as
 // in the journal header; so are the journal and the hooks.
 type campKey struct {
@@ -30,10 +32,15 @@ type campKey struct {
 	trialTimeout                 time.Duration
 }
 
-// cachedCampaign runs (or reuses) a campaign on the test input.
+// cachedCampaign runs (or reuses) a campaign on the test input. Every
+// experiment that runs fault.Run on a Prepared variant goes through it.
 func cachedCampaign(p *Prepared, mode string, cfg fault.Config) (*fault.Report, error) {
+	model, err := fault.LookupModel(cfg.Model)
+	if err != nil {
+		return nil, err
+	}
 	key := campKey{
-		workload: p.Workload.Name, mode: mode, model: cfg.Model,
+		workload: p.Workload.Name, mode: mode, model: model.Name(),
 		trials: cfg.Trials, shardStart: cfg.ShardStart, shardEnd: cfg.ShardEnd,
 		seed: cfg.Seed, window: cfg.SymptomWindow, watchdog: cfg.WatchdogFactor,
 		largeChange: cfg.LargeChange, targetCI: cfg.TargetCI, trialTimeout: cfg.TrialTimeout,

@@ -1,57 +1,21 @@
 package fault_test
 
-// Checkpoint-equivalence suite: the checkpointed campaign path (snapshot
-// the golden prefix, restore per trial) must be bit-identical to the
-// from-scratch path — same Tally, same per-trial records, same golden-run
-// statistics — across every workload and protection mode, for register and
-// branch-target fault models, and with check counting both enabled and
-// squelched. This is the acceptance gate for the checkpoint scheduler.
+// Checkpoint tests: the recovery campaign on every positioning path, the
+// golden run's snapshot ladder against prefix snapshots, and the ladder's
+// one shape. The campaign-level checkpoint comparisons are rows of the
+// equivalence wall (equiv_test.go); diffReports is the wall's comparison.
 
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/ir"
-	"repro/internal/profile"
 	"repro/internal/vm"
 	"repro/internal/workloads"
 )
-
-// protectedFor compiles workload name and applies mode (profiling on the
-// training input when the mode needs it).
-func protectedFor(t *testing.T, w *workloads.Workload, mode string) *ir.Module {
-	t.Helper()
-	mod, err := w.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prot := mod.Clone()
-	var prof *profile.Data
-	if sch, err := core.ParseScheme(mode); err == nil && sch.NeedsProfile() {
-		mach, err := vm.New(mod.Clone(), vm.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Bind(mach, workloads.Train); err != nil {
-			t.Fatal(err)
-		}
-		mach.Reset()
-		col := profile.NewCollector(profile.DefaultBins)
-		if res := mach.Run(vm.RunOptions{Profiler: col}); res.Trap != nil {
-			t.Fatalf("profiling trapped: %v", res.Trap)
-		}
-		prof = col.Data()
-	}
-	if _, err := core.Protect(prot, mode, prof, core.DefaultParams()); err != nil {
-		t.Fatal(err)
-	}
-	return prot
-}
 
 // diffReports fails the test unless the two campaign reports are
 // bit-identical in every field the campaign publishes.
@@ -91,28 +55,6 @@ func diffReports(t *testing.T, label string, ckpt, scratch *fault.Report) {
 	}
 }
 
-// checkpointVsScratch runs the same campaign from scratch (Checkpoints -1)
-// and checkpointed under two ladders — the default one campaigns use and a
-// sparse one spaced a sixth of the golden run apart (LadderProbe), which
-// leaves wider bins — and requires each checkpointed report to be
-// bit-identical to the from-scratch one.
-func checkpointVsScratch(t *testing.T, w *workloads.Workload, mod *ir.Module, technique string, cfg fault.Config) {
-	t.Helper()
-	run := func(ckpt int, probe *fault.LadderProbe) *fault.Report {
-		c := cfg
-		c.Checkpoints = ckpt
-		rep, err := fault.Run(ladderCtx(probe), w.Target(workloads.Test), mod, technique, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	scratch := run(-1, nil)
-	label := fmt.Sprintf("%s/%s/checkpoints=0", w.Name, technique)
-	diffReports(t, label, run(0, nil), scratch)
-	diffReports(t, label+"/sparse", run(0, sparseLadder(scratch.GoldenDyn, 6)), scratch)
-}
-
 // sparseLadder returns a LadderProbe that spaces a golden run of goldenDyn
 // instructions' ladder goldenDyn/n apart: n-1 or so snapshots, wide bins.
 func sparseLadder(goldenDyn, n int64) *fault.LadderProbe {
@@ -126,97 +68,6 @@ func ladderCtx(probe *fault.LadderProbe) context.Context {
 		return context.Background()
 	}
 	return fault.WithLadderProbe(context.Background(), probe)
-}
-
-// TestCampaignCheckpointEquivalence is the acceptance matrix: all workloads
-// × all protection modes, checkpointed vs from-scratch. Under the race
-// detector (which runs ~10x slower and is after the snapshot sharing, not
-// the matrix breadth) the matrix is trimmed to representative cells.
-func TestCampaignCheckpointEquivalence(t *testing.T) {
-	modes := core.SchemeNames()
-	names := make([]string, 0, 13)
-	for _, w := range workloads.All() {
-		names = append(names, w.Name)
-	}
-	if raceEnabled {
-		names = []string{"tiff2bw", "g721dec", "svm", "kmeans"}
-		modes = []string{core.SchemeOriginal, core.SchemeDupVal}
-	}
-	for _, name := range names {
-		for _, mode := range modes {
-			name, mode := name, mode
-			t.Run(name+"/"+mode, func(t *testing.T) {
-				t.Parallel()
-				w := workloads.ByName(name)
-				prot := protectedFor(t, w, mode)
-				cfg := fault.DefaultConfig()
-				cfg.Trials = 12
-				checkpointVsScratch(t, w, prot, mode, cfg)
-			})
-		}
-	}
-	t.Run("journal-replay", testCheckpointJournalReplay)
-}
-
-// testCheckpointJournalReplay journals a checkpointed campaign and a reset
-// one, then replays each journal under the other positioning: the records
-// a cursor-positioned campaign writes must reconstruct the identical Report
-// the reset path produces, and vice versa — the journal header excludes
-// throughput knobs, so either journal resumes under either knob setting.
-func testCheckpointJournalReplay(t *testing.T) {
-	t.Parallel()
-	w := workloads.ByName("tiff2bw")
-	prot := protectedFor(t, w, core.SchemeDupVal)
-	dir := t.TempDir()
-	run := func(ckpt int, journal string, resume bool) *fault.Report {
-		cfg := fault.DefaultConfig()
-		cfg.Trials = 24
-		cfg.Checkpoints = ckpt
-		cfg.JournalPath = journal
-		cfg.Resume = resume
-		rep, err := fault.Run(context.Background(), w.Target(workloads.Test), prot, "DupVal", cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	ckptPath := filepath.Join(dir, "checkpointed.journal")
-	resetPath := filepath.Join(dir, "reset.journal")
-	ckpt, reset := run(0, ckptPath, false), run(-1, resetPath, false)
-	diffReports(t, "journaled", ckpt, reset)
-	for _, c := range []struct {
-		label   string
-		ckpt    int
-		journal string
-	}{
-		{"replayed-under-reset", -1, ckptPath},
-		{"replayed-under-cursor", 0, resetPath},
-	} {
-		// Every trial is decided, so the replay executes nothing.
-		rep := run(c.ckpt, c.journal, true)
-		if rep.Replayed != len(rep.Trials) {
-			t.Fatalf("%s: replayed %d of %d trials", c.label, rep.Replayed, len(rep.Trials))
-		}
-		diffReports(t, c.label, rep, reset)
-	}
-}
-
-// TestCampaignCheckpointEquivalenceBranch covers the branch-target fault
-// model, whose trigger fires one dyn index earlier than the register
-// model's (the scheduler's effectiveTrigger offset).
-func TestCampaignCheckpointEquivalenceBranch(t *testing.T) {
-	for _, name := range []string{"kmeans", "g721enc"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			w := workloads.ByName(name)
-			prot := protectedFor(t, w, core.SchemeDup)
-			cfg := fault.DefaultConfig()
-			cfg.Trials = 20
-			cfg.Model = fault.ModelBranchTarget
-			checkpointVsScratch(t, w, prot, "DupOnly", cfg)
-		})
-	}
 }
 
 // TestRecoveryCheckpointEquivalence checks the recovery campaign across

@@ -145,48 +145,6 @@ func TestProtectionReducesUSDCs(t *testing.T) {
 	}
 }
 
-// TestCampaignEngineEquivalence runs the same campaign under every
-// registered fault model on the precompiled engine and on the reference
-// tree interpreter: every trial record and the whole tally must match,
-// since the engines are bit-for-bit equivalent, both fire every model from
-// the same per-instruction event point, and the trial RNG streams depend
-// only on the seed.
-func TestCampaignEngineEquivalence(t *testing.T) {
-	w := workloads.ByName("kmeans")
-	mod, err := w.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// reg-flip and branch-target keep the trial counts they had before the
-	// suspend-injected models could run on the tree engine; only those
-	// newer rows are trimmed under the race detector.
-	trialsFor := map[string]int{fault.ModelRegFlip: 80, fault.ModelBranchTarget: 60}
-	for _, model := range fault.ModelNames() {
-		trials, ok := trialsFor[model]
-		if !ok {
-			trials = 60
-			if raceEnabled {
-				trials = 16
-			}
-		}
-		t.Run(model, func(t *testing.T) {
-			t.Parallel()
-			run := func(engine vm.EngineKind) *fault.Report {
-				cfg := fault.DefaultConfig()
-				cfg.Trials = trials
-				cfg.Engine = engine
-				cfg.Model = model
-				rep, err := fault.Run(context.Background(), w.Target(workloads.Test), mod.Clone(), "Original", cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return rep
-			}
-			diffReports(t, model, run(vm.EngineFast), run(vm.EngineTree))
-		})
-	}
-}
-
 // TestCampaignCancellation checks a cancelled context stops the campaign
 // between trials: Run degrades gracefully to a valid partial Report, while
 // RunWithRecovery keeps its error-on-cancel contract.

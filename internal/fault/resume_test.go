@@ -289,3 +289,78 @@ func TestLastProgressMatchesReport(t *testing.T) {
 		p.matches(t, rep)
 	})
 }
+
+// TestCheckpointJournalReplay journals a checkpointed campaign and a reset
+// one, then replays each journal under the other positioning: the records
+// a cursor-positioned campaign writes must reconstruct the identical Report
+// the reset path produces, and vice versa — the journal header excludes
+// throughput knobs, so either journal resumes under either knob setting.
+func TestCheckpointJournalReplay(t *testing.T) {
+	t.Parallel()
+	w := workloads.ByName("tiff2bw")
+	prot := protectedFor(t, w, core.SchemeDupVal)
+	dir := t.TempDir()
+	run := func(ckpt int, journal string, resume bool) *fault.Report {
+		cfg := fault.DefaultConfig()
+		cfg.Trials = 24
+		cfg.Checkpoints = ckpt
+		cfg.JournalPath = journal
+		cfg.Resume = resume
+		rep, err := fault.Run(context.Background(), w.Target(workloads.Test), prot, "DupVal", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	ckptPath := filepath.Join(dir, "checkpointed.journal")
+	resetPath := filepath.Join(dir, "reset.journal")
+	ckpt, reset := run(0, ckptPath, false), run(-1, resetPath, false)
+	diffReports(t, "journaled", ckpt, reset)
+	for _, c := range []struct {
+		label   string
+		ckpt    int
+		journal string
+	}{
+		{"replayed-under-reset", -1, ckptPath},
+		{"replayed-under-cursor", 0, resetPath},
+	} {
+		// Every trial is decided, so the replay executes nothing.
+		rep := run(c.ckpt, c.journal, true)
+		if rep.Replayed != len(rep.Trials) {
+			t.Fatalf("%s: replayed %d of %d trials", c.label, rep.Replayed, len(rep.Trials))
+		}
+		diffReports(t, c.label, rep, reset)
+	}
+}
+
+// TestFusionJournalResume resumes a fused campaign's journal, truncated
+// halfway, with fusion off: the journal must not record (and resume must
+// not depend on) the knob, so replayed and re-run trials stitch into the
+// same Report.
+func TestFusionJournalResume(t *testing.T) {
+	t.Parallel()
+	w := workloads.ByName("tiff2bw")
+	prot := protectedFor(t, w, core.SchemeOriginal)
+	path := filepath.Join(t.TempDir(), "campaign.journal")
+	run := func(fuse int, resume bool) *fault.Report {
+		cfg := fault.DefaultConfig()
+		cfg.Trials = 12
+		cfg.Fuse = fuse
+		cfg.JournalPath = path
+		cfg.Resume = resume
+		rep, err := fault.Run(context.Background(), w.Target(workloads.Test), prot, "Original", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	full := run(0, false)
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, info.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	diffReports(t, "journal", run(-1, true), full)
+}
