@@ -11,11 +11,12 @@ import (
 
 // Campaign configures a fault-injection campaign against a program.
 type Campaign struct {
-	// Trials is the number of single-bit fault injections.
+	// Trials is the number of fault injections, one per trial.
 	Trials int
 	// FaultModel selects the fault model by registry name (FaultModels
 	// lists them): "" or "reg-flip" is the paper's model — one bit of one
-	// live register; "branch-target" corrupts branch destinations;
+	// written register of the executing frame, dead values included;
+	// "branch-target" corrupts branch destinations;
 	// "mem-flip" flips a bit of the memory image; "burst" corrupts 2–8
 	// adjacent bits of a register or memory word; "stuck-at" re-forces a
 	// flipped memory bit until the program retires; "intermittent" is a
@@ -253,9 +254,9 @@ func (p *Program) campaignSetup(in *Input, c Campaign) (fault.Target, fault.Conf
 	return target, cfg, nil
 }
 
-// InjectFaults runs a fault-injection campaign: each trial flips one bit of
-// one live register at a random point of execution and classifies the
-// outcome.
+// InjectFaults runs a fault-injection campaign: each trial injects one fault
+// of the campaign's FaultModel (by default, one bit flip in one written
+// register) at a random point of execution and classifies the outcome.
 func (p *Program) InjectFaults(in *Input, c Campaign) (*Outcomes, error) {
 	return p.InjectFaultsContext(context.Background(), in, c)
 }

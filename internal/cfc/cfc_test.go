@@ -1,6 +1,7 @@
 package cfc
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -45,7 +46,25 @@ func inputs() []int64 {
 	return out
 }
 
-func run(t *testing.T, m *ir.Module, plan *vm.FaultPlan) (*vm.Result, []int64) {
+// branchFault is a branch-target fault hook: the first branch whose
+// post-increment dyn reaches trigger goes to the block pick chooses. It is
+// due one instruction earlier and walks forward to that branch.
+type branchFault struct {
+	trigger int64
+	pick    func(nBlocks int) int
+	done    bool
+}
+
+func (f *branchFault) Next() int64 {
+	if f.done {
+		return math.MaxInt64
+	}
+	return max(f.trigger-1, 0)
+}
+
+func (f *branchFault) Fire(m *vm.Machine) { f.done = m.RedirectBranch(f.pick) }
+
+func run(t *testing.T, m *ir.Module, hook vm.FaultHook) (*vm.Result, []int64) {
 	t.Helper()
 	mach, err := vm.New(m, vm.DefaultConfig())
 	if err != nil {
@@ -61,7 +80,7 @@ func run(t *testing.T, m *ir.Module, plan *vm.FaultPlan) (*vm.Result, []int64) {
 		t.Fatal(err)
 	}
 	mach.Reset()
-	res := mach.Run(vm.RunOptions{Fault: plan})
+	res := mach.Run(vm.RunOptions{Hook: hook})
 	var out []int64
 	if res.Trap == nil {
 		out, _ = mach.ReadGlobalInts("out")
@@ -126,8 +145,7 @@ func TestCFCDetectsBranchTargetFaults(t *testing.T) {
 		var ta tally
 		for i := 0; i < trials; i++ {
 			rng := rand.New(rand.NewSource(int64(100 + i)))
-			plan := &vm.FaultPlan{TriggerDyn: rng.Int63n(goldenRes.Dyn), PickBlock: rng.Intn}
-			res, out := run(t, m, plan)
+			res, out := run(t, m, &branchFault{trigger: rng.Int63n(goldenRes.Dyn), pick: rng.Intn})
 			switch {
 			case res.Trap != nil && res.Trap.Kind == vm.TrapCheck:
 				ta.detected++

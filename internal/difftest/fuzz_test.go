@@ -11,6 +11,52 @@ import (
 	"repro/internal/vm"
 )
 
+// fuzzModule is every target's preamble: it parses src, bounds its global
+// sizes (fuzzed sources may declare huge globals; the pipeline's
+// correctness is independent of size), generates code, and verifies and
+// normalizes the module. It returns a nil module for a source outside the
+// targets' scope. A verifier failure fails t when strict is set — the
+// targets that own the verifier invariant — and skips the source
+// otherwise.
+func fuzzModule(t *testing.T, src string, strict bool) (*lang.Program, *ir.Module) {
+	t.Helper()
+	if len(src) > 4096 {
+		return nil, nil
+	}
+	prog, err := lang.Parse(src)
+	if err != nil {
+		return nil, nil
+	}
+	total := 0
+	for _, g := range prog.Globals {
+		if g.Size < 0 || g.Size > 1<<12 {
+			return nil, nil
+		}
+		total += g.Size
+	}
+	if total > 1<<14 {
+		return nil, nil
+	}
+	mod, err := lang.Codegen("fuzz", prog)
+	if err != nil {
+		return nil, nil
+	}
+	mod.Renumber()
+	if err := mod.Verify(); err != nil {
+		if strict {
+			t.Fatalf("verifier unclean after codegen: %v\n%s", err, src)
+		}
+		return nil, nil
+	}
+	if err := passes.Normalize(mod); err != nil {
+		if strict {
+			t.Fatalf("verifier unclean after normalize: %v\n%s", err, src)
+		}
+		return nil, nil
+	}
+	return prog, mod
+}
+
 // FuzzCompileAndRun pushes arbitrary source through the whole pipeline:
 // parse, codegen, verify, normalize, verify again, protect with DupOnly,
 // then execute both versions under a tight dynamic-instruction budget.
@@ -26,35 +72,9 @@ func FuzzCompileAndRun(f *testing.F) {
 	f.Add(Generate(3, DefaultGenConfig()).Source())
 	f.Add(Generate(9, DefaultGenConfig()).Source())
 	f.Fuzz(func(t *testing.T, src string) {
-		if len(src) > 4096 {
+		prog, mod := fuzzModule(t, src, true)
+		if mod == nil {
 			return
-		}
-		prog, err := lang.Parse(src)
-		if err != nil {
-			return
-		}
-		// Bound memory before codegen: fuzzed sources may declare huge
-		// globals; the pipeline's correctness is independent of size.
-		total := 0
-		for _, g := range prog.Globals {
-			if g.Size < 0 || g.Size > 1<<12 {
-				return
-			}
-			total += g.Size
-		}
-		if total > 1<<14 {
-			return
-		}
-		mod, err := lang.Codegen("fuzz", prog)
-		if err != nil {
-			return
-		}
-		mod.Renumber()
-		if err := mod.Verify(); err != nil {
-			t.Fatalf("verifier unclean after codegen: %v\n%s", err, src)
-		}
-		if err := passes.Normalize(mod); err != nil {
-			t.Fatalf("verifier unclean after normalize: %v\n%s", err, src)
 		}
 
 		cfg := vm.DefaultConfig()
@@ -125,32 +145,8 @@ func FuzzCheckpointDivergence(f *testing.F) {
 	f.Add(Generate(5, DefaultGenConfig()).Source())
 	f.Add(Generate(11, DefaultGenConfig()).Source())
 	f.Fuzz(func(t *testing.T, src string) {
-		if len(src) > 4096 {
-			return
-		}
-		prog, err := lang.Parse(src)
-		if err != nil {
-			return
-		}
-		total := 0
-		for _, g := range prog.Globals {
-			if g.Size < 0 || g.Size > 1<<12 {
-				return
-			}
-			total += g.Size
-		}
-		if total > 1<<14 {
-			return
-		}
-		mod, err := lang.Codegen("fuzz", prog)
-		if err != nil {
-			return
-		}
-		mod.Renumber()
-		if err := mod.Verify(); err != nil {
-			return // FuzzCompileAndRun owns the verifier invariant
-		}
-		if err := passes.Normalize(mod); err != nil {
+		_, mod := fuzzModule(t, src, false) // FuzzCompileAndRun owns the verifier invariant
+		if mod == nil {
 			return
 		}
 		ints, floats := InputsForSeed(7)
@@ -189,32 +185,8 @@ func FuzzFusionDivergence(f *testing.F) {
 	f.Add(Generate(6, DefaultGenConfig()).Source())
 	f.Add(Generate(12, DefaultGenConfig()).Source())
 	f.Fuzz(func(t *testing.T, src string) {
-		if len(src) > 4096 {
-			return
-		}
-		prog, err := lang.Parse(src)
-		if err != nil {
-			return
-		}
-		total := 0
-		for _, g := range prog.Globals {
-			if g.Size < 0 || g.Size > 1<<12 {
-				return
-			}
-			total += g.Size
-		}
-		if total > 1<<14 {
-			return
-		}
-		mod, err := lang.Codegen("fuzz", prog)
-		if err != nil {
-			return
-		}
-		mod.Renumber()
-		if err := mod.Verify(); err != nil {
-			return // FuzzCompileAndRun owns the verifier invariant
-		}
-		if err := passes.Normalize(mod); err != nil {
+		_, mod := fuzzModule(t, src, false) // FuzzCompileAndRun owns the verifier invariant
+		if mod == nil {
 			return
 		}
 		fdup := mod.Clone()
@@ -255,33 +227,9 @@ func FuzzSchemeEnumeration(f *testing.F) {
 	f.Add(Generate(8, DefaultGenConfig()).Source())
 	schemes := append(core.SchemeNames(), "abft+dupval")
 	f.Fuzz(func(t *testing.T, src string) {
-		if len(src) > 4096 {
+		prog, mod := fuzzModule(t, src, true)
+		if mod == nil {
 			return
-		}
-		prog, err := lang.Parse(src)
-		if err != nil {
-			return
-		}
-		total := 0
-		for _, g := range prog.Globals {
-			if g.Size < 0 || g.Size > 1<<12 {
-				return
-			}
-			total += g.Size
-		}
-		if total > 1<<14 {
-			return
-		}
-		mod, err := lang.Codegen("fuzz", prog)
-		if err != nil {
-			return
-		}
-		mod.Renumber()
-		if err := mod.Verify(); err != nil {
-			t.Fatalf("verifier unclean after codegen: %v\n%s", err, src)
-		}
-		if err := passes.Normalize(mod); err != nil {
-			t.Fatalf("verifier unclean after normalize: %v\n%s", err, src)
 		}
 
 		cfg := vm.DefaultConfig()
@@ -374,32 +322,8 @@ func FuzzFaultModelDivergence(f *testing.F) {
 	f.Add(Generate(3, DefaultGenConfig()).Source())
 	f.Add(Generate(9, DefaultGenConfig()).Source())
 	f.Fuzz(func(t *testing.T, src string) {
-		if len(src) > 4096 {
-			return
-		}
-		prog, err := lang.Parse(src)
-		if err != nil {
-			return
-		}
-		total := 0
-		for _, g := range prog.Globals {
-			if g.Size < 0 || g.Size > 1<<12 {
-				return
-			}
-			total += g.Size
-		}
-		if total > 1<<14 {
-			return
-		}
-		mod, err := lang.Codegen("fuzz", prog)
-		if err != nil {
-			return
-		}
-		mod.Renumber()
-		if err := mod.Verify(); err != nil {
-			return // FuzzCompileAndRun owns the verifier invariant
-		}
-		if err := passes.Normalize(mod); err != nil {
+		_, mod := fuzzModule(t, src, false) // FuzzCompileAndRun owns the verifier invariant
+		if mod == nil {
 			return
 		}
 		ints, floats := InputsForSeed(7)

@@ -75,7 +75,7 @@ type MultiProfileRow struct {
 
 // MultiInputProfiling implements the paper's §V suggestion: profile on two
 // inputs, insert checks only from the merged (more stable) profiles, and
-// compare fault-free false-positive counts on the test input.
+// compare fault-free false-positive counts on a held-out third input.
 func MultiInputProfiling() ([]MultiProfileRow, string, error) {
 	var rows []MultiProfileRow
 	var cells [][]string
@@ -84,11 +84,10 @@ func MultiInputProfiling() ([]MultiProfileRow, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		single, err := profileOn(w, mod, workloads.Train)
-		if err != nil {
-			return nil, "", err
-		}
-		multi, err := profileOn(w, mod, workloads.Train)
+		// One training-input profile serves both columns: building reads a
+		// profile without changing it, so the single-input build runs
+		// first and the second input is merged in afterwards.
+		prof, err := profileOn(w, mod, workloads.Train)
 		if err != nil {
 			return nil, "", err
 		}
@@ -96,7 +95,6 @@ func MultiInputProfiling() ([]MultiProfileRow, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		multi.Merge(second)
 
 		// False positives are measured on a held-out third input neither
 		// profile has seen.
@@ -112,11 +110,12 @@ func MultiInputProfiling() ([]MultiProfileRow, string, error) {
 			}
 			return st.ValueChecks, rep.CheckFails, nil
 		}
-		cs, fs, err := build(single)
+		cs, fs, err := build(prof)
 		if err != nil {
 			return nil, "", err
 		}
-		cm, fm, err := build(multi)
+		prof.Merge(second)
+		cm, fm, err := build(prof)
 		if err != nil {
 			return nil, "", err
 		}

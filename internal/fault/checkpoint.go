@@ -18,9 +18,9 @@ package fault
 //     instruction whose pre-increment dyn reaches the requested index), so no
 //     fault-eligible instruction lies between a requested index and the
 //     actual suspension. A snapshot parked at P serves every trial whose
-//     effective trigger is >= P; a trigger between the requested index and
-//     P falls in the bin below, whose cursor, advanced to it, parks at P
-//     too, in the same state.
+//     hook is first due (its drawn plan's pendingAt) at or after P; a due
+//     point between the requested index and P falls in the bin below, whose
+//     cursor, advanced to it, parks at P too, in the same state.
 //  2. A trial's prefix runs with the campaign's DisabledChecks — the checks
 //     that fail in the golden run — and the golden run counts check
 //     failures instead. Both continue past a failing check, so the two runs
@@ -182,13 +182,6 @@ func goldenRun(ctx context.Context, mach *vm.Machine, cfg Config, withLadder boo
 	}
 }
 
-// The earliest dyn index whose machine state a trial's injection can
-// observe is the model's EffectiveTrigger: register and memory faults fire
-// at the first fault-eligible instruction with pre-increment dyn >=
-// TriggerDyn — the suspend point itself — while branch-target faults fire
-// at the first taken branch whose post-increment dyn reaches TriggerDyn,
-// i.e. pre-increment TriggerDyn-1.
-
 // workUnit is one claimable batch of trials: run in order, each positioned
 // at[k] (see workerState.position), on a cursor re-armed from base (nil:
 // the prefix from dyn 0).
@@ -201,9 +194,10 @@ type workUnit struct {
 // schedule splits the pending trials into work units. A reset campaign
 // (tree engine, or Checkpoints < 0) makes one unit per trial, so workers
 // balance trial by trial. A cursor campaign bins trials by the last
-// snapshot parked at or below their effective trigger (bin 0: before the
-// first snapshot, or the whole campaign without a ladder) and orders each
-// bin by effective trigger, ties by trial index, so the cursor only moves
+// snapshot parked at or below their due point — the dyn their drawn plan's
+// hook is first due at, pendingAt — (bin 0: before the first snapshot, or
+// the whole campaign without a ladder) and orders each bin by due point,
+// ties by trial index, so the cursor only moves
 // forward. Bin 0 is split into per-worker chunks — one bin holding most of
 // the campaign (always, without a ladder) must not serialize the pool —
 // and, being the costliest per trial, queues first. Units are
@@ -218,18 +212,18 @@ func (c *campaign) schedule(pending []int, workers int) []workUnit {
 	}
 	src := rand.NewSource(0)
 	rng := rand.New(src)
-	eff := make([]int64, c.cfg.Trials)
+	due := make([]int64, c.cfg.Trials)
 	bins := make([][]int, len(c.snaps)+1)
 	for _, i := range pending {
-		eff[i] = c.model.EffectiveTrigger(drawPlan(c.model, c.cfg, c.goldenDyn, i, src, rng).TriggerDyn)
-		b := sort.Search(len(c.snaps), func(k int) bool { return c.snaps[k].Dyn() > eff[i] })
+		due[i] = drawPlan(c.model, c.cfg, c.goldenDyn, i, src, rng).pendingAt
+		b := sort.Search(len(c.snaps), func(k int) bool { return c.snaps[k].Dyn() > due[i] })
 		bins[b] = append(bins[b], i)
 	}
 	unit := func(base *vm.Snapshot, trials []int) workUnit {
 		u := workUnit{base: base, trials: trials, at: make([]int64, len(trials))}
-		sort.SliceStable(u.trials, func(a, b int) bool { return eff[u.trials[a]] < eff[u.trials[b]] })
+		sort.SliceStable(u.trials, func(a, b int) bool { return due[u.trials[a]] < due[u.trials[b]] })
 		for k, i := range u.trials {
-			u.at[k] = eff[i]
+			u.at[k] = due[i]
 		}
 		return u
 	}

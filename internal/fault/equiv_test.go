@@ -190,9 +190,9 @@ func grid(raceScheme string, ref row, rows ...row) []check {
 	return checks
 }
 
-// branchCells covers the branch-target model, whose effective trigger sits
-// one dyn index before its trigger — including trigger 0, whose trial
-// starts at the origin by Reset.
+// branchCells covers the branch-target model, whose hook is due one dyn
+// index before its trigger — including trigger 0, whose trial starts at
+// the origin by Reset.
 func branchCells(ref row, rows ...row) []check {
 	return []check{
 		{"kmeans", cell{"kmeans", core.SchemeDup, fault.ModelBranchTarget, 20, 0}, ref, rows},

@@ -1,6 +1,6 @@
 // Package fault implements the paper's statistical fault injection (SFI)
 // campaign: single bit flips randomized in time (dynamic instruction index)
-// and space (live register, bit position), run to completion, and
+// and space (written register, bit position), run to completion, and
 // classified into the five outcome categories of §IV-C — Masked, HWDetect,
 // SWDetect, Failure, USDC — with the finer SDC/ASDC split used by Figures 2
 // and 13 and the large-vs-small value-change attribution of Figure 2.
@@ -37,7 +37,8 @@ func (o Outcome) String() string { return outcomeNames[o] }
 type Config struct {
 	// Model selects the fault model by registry name (ModelNames lists
 	// them): "" or "reg-flip" is the paper's model — single bit flips in
-	// live registers; "branch-target" corrupts branch destinations;
+	// written registers of the executing frame, dead values included;
+	// "branch-target" corrupts branch destinations;
 	// "mem-flip", "burst", "stuck-at" and "intermittent" corrupt the
 	// memory image / multi-bit spans / persistently re-forced cells.
 	// Every model runs on either engine.

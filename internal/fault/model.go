@@ -7,14 +7,14 @@ package fault
 // the experiments sweep, both CLIs) enumerates the registry, so a newly
 // registered model becomes a first-class campaign with no further wiring.
 //
-// One injection mechanism serves every model but branch-target: the
-// trial's Plan is the run's vm.FaultHook, so both engines fire it from
-// their per-instruction event point — the point a run suspends at — and
-// the model's Inject and Rearm corrupt architectural state there through
-// the vm's fault-access surface. A re-arming model (stuck-at,
-// intermittent) reschedules the hook and fires again, all within one Run.
-// branch-target alone fires after a taken branch, so it keeps the engines'
-// branch redirect (vm.FaultPlan). Every model runs on both engines.
+// One injection mechanism serves every model: the trial's Plan is the
+// run's vm.FaultHook, so both engines fire it from their per-instruction
+// event point — the point a run suspends at — and the model's Inject and
+// Rearm corrupt architectural state there through the vm's fault-access
+// surface. A re-arming model (stuck-at, intermittent) reschedules the hook
+// and fires again, all within one Run; branch-target's hook walks forward
+// to the first branch and redirects it (vm.Machine.RedirectBranch). Every
+// model runs on both engines.
 //
 // Soundness rule: convergence fast-forwarding's short-circuits prove "the
 // future is golden" from "the present live state is golden". That
@@ -45,17 +45,18 @@ type Model interface {
 	// Draw draws one trial's plan from a freshly seeded per-trial rng.
 	// Space draws (slot, address, bit, width) must be deferred to injection
 	// time, when the machine state they condition on exists. A plan the
-	// hook fires is due at its trigger (hookPlan).
+	// hook is due at pendingAt: the trigger for every model but
+	// branch-target (hookPlan).
 	Draw(goldenDyn int64, rng *rand.Rand) *Plan
 	// EngineInjected is true for reg-flip and branch-target and false for
 	// the rest. Nothing in this module acts on it: only the benchmark's
 	// correctness gate reads it, to run those two models' reference
 	// campaigns on the tree engine.
 	EngineInjected() bool
-	// Inject corrupts the machine at the plan's injection point (every
-	// model but branch-target), from inside the hook. It returns false when
-	// nothing eligible is available yet — e.g. no live register — and the
-	// hook retries one instruction later.
+	// Inject corrupts the machine at the plan's injection point, from
+	// inside the hook. It returns false when nothing eligible is available
+	// yet — e.g. no written register, or (branch-target) no branch — and
+	// the hook retries one instruction later.
 	Inject(m *vm.Machine, p *Plan) bool
 	// Rearm re-forces the corruption at a re-arm point and returns the
 	// next re-arm dyn, or -1 once the fault has retired.
@@ -63,9 +64,6 @@ type Model interface {
 	// plans whose fault keeps firing after its first strike (the stuck-at
 	// class).
 	Rearm(m *vm.Machine, p *Plan) int64
-	// EffectiveTrigger is the earliest dyn index whose machine state the
-	// injection can observe — the checkpoint binning / cursor position bound.
-	EffectiveTrigger(trigger int64) int64
 }
 
 // Plan is one trial's drawn fault: the trigger plus the state its model
@@ -88,10 +86,10 @@ type Plan struct {
 	rng *rand.Rand
 	// pendingAt is the next dyn the hook is due at — the injection point
 	// before the fault fires, then the next re-arm point while the fault
-	// re-arms; -1 when nothing is owed.
+	// re-arms; -1 when nothing is owed. The drawn plan's pendingAt is the
+	// earliest dyn whose machine state the injection can observe, so the
+	// scheduler positions the trial there.
 	pendingAt int64
-	// branch is branch-target's redirect; nil for every other model.
-	branch *vm.FaultPlan
 
 	// Model scratch.
 	addr   uint64 // corrupted memory word (mem-flip, burst, stuck-at)
@@ -139,7 +137,7 @@ func (p *Plan) Fire(m *vm.Machine) {
 
 // runOptions are the options of a trial run under the plan.
 func (p *Plan) runOptions(cfg Config, disabled map[int]bool, timeout <-chan struct{}) vm.RunOptions {
-	return vm.RunOptions{Hook: p, Fault: p.branch, DisabledChecks: disabled, Stop: timeout, Fuse: fuseMode(cfg)}
+	return vm.RunOptions{Hook: p, DisabledChecks: disabled, Stop: timeout, Fuse: fuseMode(cfg)}
 }
 
 // ---------------------------------------------------------------------------
@@ -239,9 +237,8 @@ func (stuckAtModel) corruptsMemory() {} // intermittent too, by embedding
 // override what differs.
 type transientBase struct{}
 
-func (transientBase) EngineInjected() bool                 { return false }
-func (transientBase) Rearm(*vm.Machine, *Plan) int64       { panic("fault: model does not re-arm") }
-func (transientBase) EffectiveTrigger(trigger int64) int64 { return trigger }
+func (transientBase) EngineInjected() bool           { return false }
+func (transientBase) Rearm(*vm.Machine, *Plan) int64 { panic("fault: model does not re-arm") }
 
 // hookPlan draws a plan's trigger and makes its hook due there: the Draw
 // of every model but branch-target.
@@ -278,30 +275,24 @@ func (regFlipModel) Inject(m *vm.Machine, p *Plan) bool {
 }
 
 // branch-target: the control-flow corruption class the paper defers to
-// signature-based checking. A branch whose post-increment dyn
-// reaches the trigger is redirected, so the earliest observable state is
-// one instruction before the trigger. The redirect's block draw marks the
-// plan injected.
+// signature-based checking. The first branch whose post-increment dyn
+// reaches the trigger goes to a random block of its function. The hook is
+// due one instruction before the trigger, the branch's pre-increment dyn,
+// and walks forward to the first br or jmp; its block draw is the plan's
+// only space draw.
 
 type branchTargetModel struct{ transientBase }
 
-func (branchTargetModel) Name() string                         { return ModelBranchTarget }
-func (branchTargetModel) Title() string                        { return "Branch-target corruption" }
-func (branchTargetModel) EngineInjected() bool                 { return true }
-func (branchTargetModel) EffectiveTrigger(trigger int64) int64 { return trigger - 1 }
-func (branchTargetModel) Inject(*vm.Machine, *Plan) bool       { panic("fault: branch-target has no hook") }
+func (branchTargetModel) Name() string         { return ModelBranchTarget }
+func (branchTargetModel) Title() string        { return "Branch-target corruption" }
+func (branchTargetModel) EngineInjected() bool { return true }
 
 func (branchTargetModel) Draw(goldenDyn int64, rng *rand.Rand) *Plan {
-	p := &Plan{TriggerDyn: rng.Int63n(goldenDyn), pendingAt: -1}
-	p.branch = &vm.FaultPlan{
-		TriggerDyn: p.TriggerDyn,
-		PickBlock: func(n int) int {
-			p.Injected = true
-			return rng.Intn(n)
-		},
-	}
-	return p
+	t := rng.Int63n(goldenDyn)
+	return &Plan{TriggerDyn: t, pendingAt: max(t-1, 0), rng: rng}
 }
+
+func (branchTargetModel) Inject(m *vm.Machine, p *Plan) bool { return m.RedirectBranch(p.rng.Intn) }
 
 // ---------------------------------------------------------------------------
 // mem-flip: one bit of one word of the snapshot-visible memory image —
@@ -322,7 +313,7 @@ func (memFlipModel) Inject(m *vm.Machine, p *Plan) bool { return memStrike(m, p)
 // burst: 2–8 adjacent bits of one register or one memory word, corrupted in
 // a single strike (a multi-cell upset along a physical row). The space draw
 // picks the domain first; an empty domain falls over to the other, and a
-// machine with neither live registers nor a memory image retries at the
+// machine with neither written registers nor a memory image retries at the
 // next instruction.
 
 type burstModel struct{ transientBase }

@@ -154,10 +154,9 @@ type fakeStuck struct {
 	mask    uint64
 }
 
-func (f fakeStuck) Name() string                         { return f.name }
-func (f fakeStuck) Title() string                        { return "pinned stuck-at (test)" }
-func (f fakeStuck) EngineInjected() bool                 { return false }
-func (f fakeStuck) EffectiveTrigger(trigger int64) int64 { return trigger }
+func (f fakeStuck) Name() string         { return f.name }
+func (f fakeStuck) Title() string        { return "pinned stuck-at (test)" }
+func (f fakeStuck) EngineInjected() bool { return false }
 
 func (f fakeStuck) Draw(goldenDyn int64, rng *rand.Rand) *Plan {
 	rng.Int63n(goldenDyn) // keep the stream shape: trigger is the first draw

@@ -99,7 +99,7 @@ func (m *Machine) execCall(ef *engFunc, args []uint64, depth int) (uint64, *Trap
 }
 
 // events is one execLoop activation's event state, shared with the helpers
-// that write each dispatch rule once (event, branchFault, refresh, flush).
+// that write each dispatch rule once (event, flush).
 //
 // The three per-instruction events — fault hook, watchdog, stop poll — and
 // the suspend point are folded into one compare of dyn against next (in
@@ -113,38 +113,19 @@ func (m *Machine) execCall(ef *engFunc, args []uint64, depth int) (uint64, *Trap
 // pre-increment dyn stays below the event threshold — dyn + k <= fuse — so
 // no suspend, injection, watchdog or poll can land inside it; otherwise the
 // span falls back to per-instruction dispatch and the event fires at
-// exactly the constituent it would unfused. fuse mirrors next and is armed
-// only at the slow-path recomputes and where refresh clears pendingBr, so it
-// is never stale-high: events only move later or vanish within a run. It
-// stays 0 — no fused entry — under FuseOff, under a tracer or profiler
-// (their per-instruction event streams take the unfused path), and while a
-// branch-target fault is pending (the fused branch handlers omit the
-// redirect hook).
+// exactly the constituent it would unfused — a branch a hook redirects
+// included, since the hook fires at that branch. fuse mirrors next and is
+// armed only at the slow-path recomputes, so it is never stale-high: events
+// only move later or vanish within a run (a hook fired out of line, in a
+// callee or a resumed inner level, only moved m.hookAt later). It stays 0 —
+// no fused entry — under FuseOff and under a tracer or profiler (their
+// per-instruction event streams take the unfused path).
 type events struct {
-	branch    *FaultPlan
 	suspendAt int64 // MaxInt64 when the run has no suspend point
 	next      int64 // earliest pending fire point
 	fuse      int64 // fused dispatch gate: next, or 0 while fusion is off
 	fused     int64 // fused handlers run since the last flush to m.fusedSteps
 	fuseOn    bool
-	// pendingBr is cleared once the branch fault fires, so completed-fault
-	// trials run at golden speed.
-	pendingBr bool
-}
-
-// refresh re-derives pendingBr after code that may have fired the branch
-// fault ran out of line — a callee, a resumed inner level, a redirect — and
-// re-arms fused dispatch once no branch fault is pending. next is never
-// stale-high (a hook fired out of line only moved m.hookAt later), so the
-// worst case is one extra unfused pass.
-func (ev *events) refresh() {
-	if !ev.pendingBr {
-		return
-	}
-	ev.pendingBr = !ev.branch.Injected
-	if ev.fuseOn && !ev.pendingBr {
-		ev.fuse = ev.next
-	}
 }
 
 // flush writes execLoop's register-resident state — dyn, the issue cursor
@@ -177,7 +158,7 @@ func (m *Machine) event(ev *events, ef *engFunc, fr *frame, pc int, dyn, cur int
 	}
 	if dyn >= m.hookAt {
 		m.dyn = dyn
-		m.fireHook(fr)
+		m.fireHook(fr, ef.ins[pc])
 	}
 	dyn++
 	maxDyn := m.cfg.MaxDyn
@@ -204,7 +185,7 @@ func (m *Machine) event(ev *events, ef *engFunc, fr *frame, pc int, dyn, cur int
 		next = m.hookAt
 	}
 	ev.next, ev.fuse = next, 0
-	if ev.fuseOn && !ev.pendingBr {
+	if ev.fuseOn {
 		ev.fuse = next
 	}
 	return dyn, nil
@@ -251,12 +232,9 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 	// written back to m.dyn at every escape point (flush).
 	dyn := m.dyn
 
-	branch := m.opts.Fault
 	ev := events{
-		branch:    branch,
 		suspendAt: math.MaxInt64,
 		fuseOn:    m.opts.Fuse == FuseAuto && tracer == nil && profiler == nil,
-		pendingBr: branch != nil && !branch.Injected,
 	}
 	if m.opts.SuspendAtDyn > 0 {
 		ev.suspendAt = m.opts.SuspendAtDyn
@@ -278,7 +256,6 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 			return 0, trap
 		}
 		dyn, cur, slot, maxDone = m.dyn, tm.cursor, tm.slotUsed, tm.maxDone
-		ev.refresh()
 		var tbits uint64
 		if li.dst >= 0 {
 			fr.define(int(li.dst), ret, cur)
@@ -740,10 +717,10 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 			if tracer != nil {
 				tracer.Trace(dyn, fn.Name, insTab[pc], 0)
 			}
-			if ev.pendingBr {
+			if m.redirect != nil {
 				m.flush(&ev, dyn, cur, slot, maxDone)
 				var t *Trap
-				if npc, t = m.branchFault(&ev, ef, fr, insTab[pc].Blk, npc); t != nil {
+				if npc, t = m.branchFault(ef, fr, insTab[pc].Blk); t != nil {
 					return 0, t
 				}
 				dyn, cur, slot, maxDone = m.dyn, tm.cursor, tm.slotUsed, tm.maxDone
@@ -790,7 +767,6 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 				return 0, trap
 			}
 			dyn, cur, slot, maxDone = m.dyn, tm.cursor, tm.slotUsed, tm.maxDone
-			ev.refresh() // the callee may have fired the branch fault
 			if li.dst >= 0 {
 				fr.define(int(li.dst), ret, cur)
 				tbits = ret
@@ -897,25 +873,16 @@ func (m *Machine) execLoop(ef *engFunc, fr *frame, depth, pc int) (uint64, *Trap
 	}
 }
 
-// branchFault is the engine counterpart of maybeBranchFault, called after
-// every branch while a branch-target fault is pending, with the machine
-// flushed: once the fault is due it redirects the branch, which was about
-// to continue at npc, to a random block of the executing function and
+// branchFault is the engine counterpart of maybeBranchFault, called with
+// the machine flushed after a branch a hook redirected (RedirectBranch): it
+// sends the branch to the hook's block instead of its real successor and
 // resolves the landing edge dynamically (the lowered code only has edge
 // batches for real CFG edges). It returns the pc to continue at.
-func (m *Machine) branchFault(ev *events, ef *engFunc, fr *frame, from *ir.Block, npc int) (int, *Trap) {
-	f := ev.branch
-	if m.dyn >= f.TriggerDyn {
-		f.Injected = true
-		target := ef.fn.Blocks[f.PickBlock(len(ef.fn.Blocks))]
-		m.laxPhis = true
-		var trap *Trap
-		if npc, trap = m.dynEdge(ef, fr, from, target); trap != nil {
-			return 0, trap
-		}
-	}
-	ev.refresh()
-	return npc, nil
+func (m *Machine) branchFault(ef *engFunc, fr *frame, from *ir.Block) (int, *Trap) {
+	target := m.redirect
+	m.redirect = nil
+	m.laxPhis = true
+	return m.dynEdge(ef, fr, from, target)
 }
 
 // dynEdge resolves the phi prefix of to for an edge arriving from from —

@@ -77,16 +77,14 @@ func (m *Machine) trace(fn *ir.Func, in *ir.Instr, bits uint64) {
 	}
 }
 
-// maybeBranchFault redirects the branch just taken to a random block when a
-// pending branch-target fault is due. It sets laxPhis so garbage control
-// flow propagates instead of tripping interpreter integrity checks.
-func (m *Machine) maybeBranchFault(fn *ir.Func, blk **ir.Block) {
-	f := m.opts.Fault
-	if f == nil || f.Injected || m.dyn < f.TriggerDyn {
+// maybeBranchFault sends the branch just taken to the block a hook chose
+// for it (RedirectBranch), if any. It sets laxPhis so garbage control flow
+// propagates instead of tripping interpreter integrity checks.
+func (m *Machine) maybeBranchFault(blk **ir.Block) {
+	if m.redirect == nil {
 		return
 	}
-	f.Injected = true
-	*blk = fn.Blocks[f.PickBlock(len(fn.Blocks))]
+	*blk, m.redirect = m.redirect, nil
 	m.laxPhis = true
 }
 
@@ -151,7 +149,7 @@ blockLoop:
 			in := blk.Instrs[idx]
 
 			if m.dyn >= m.hookAt {
-				m.fireHook(fr)
+				m.fireHook(fr, in)
 			}
 			m.dyn++
 			if m.dyn > m.cfg.MaxDyn {
@@ -175,7 +173,7 @@ blockLoop:
 				m.timing.issue(0, 0)
 				m.trace(fn, in, 0)
 				prev, blk = blk, in.Then
-				m.maybeBranchFault(fn, &blk)
+				m.maybeBranchFault(&blk)
 				continue blockLoop
 
 			case ir.OpBr:
@@ -189,7 +187,7 @@ blockLoop:
 				} else {
 					blk = in.Else
 				}
-				m.maybeBranchFault(fn, &blk)
+				m.maybeBranchFault(&blk)
 				continue blockLoop
 
 			case ir.OpRet:

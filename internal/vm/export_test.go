@@ -40,11 +40,29 @@ func (f *RegFlip) Fire(m *Machine) {
 	f.RelChange = RelChange(ty, f.Old, f.New)
 }
 
+// BranchHook is the tests' branch-target fault hook: due at At-1, it walks
+// forward to the first br or jmp and redirects it to the block Pick
+// chooses — the first branch whose post-increment dyn reaches At.
+type BranchHook struct {
+	At       int64
+	Pick     func(nBlocks int) int
+	Injected bool
+}
+
+func (h *BranchHook) Next() int64 {
+	if h.Injected {
+		return math.MaxInt64
+	}
+	return max(h.At-1, 0)
+}
+
+func (h *BranchHook) Fire(m *Machine) { h.Injected = m.RedirectBranch(h.Pick) }
+
 // InjectAt returns run options that carry one fault due at trigger, drawn
-// from r: a RegFlip hook, or with branch set a FaultPlan redirect.
+// from r: a RegFlip hook, or with branch set a BranchHook.
 func InjectAt(branch bool, trigger int64, r *rand.Rand) RunOptions {
 	if branch {
-		return RunOptions{Fault: &FaultPlan{TriggerDyn: trigger, PickBlock: r.Intn}}
+		return RunOptions{Hook: &BranchHook{At: trigger, Pick: r.Intn}}
 	}
 	return RunOptions{Hook: &RegFlip{At: trigger, Slot: r.Intn, Bit: func() int { return r.Intn(64) }}}
 }
@@ -59,11 +77,11 @@ type FaultRecord struct {
 
 // RecordOf reads the FaultRecord of opts after its run.
 func RecordOf(opts RunOptions) FaultRecord {
-	if f, ok := opts.Hook.(*RegFlip); ok {
-		return f.FaultRecord
-	}
-	if opts.Fault != nil {
-		return FaultRecord{Injected: opts.Fault.Injected}
+	switch h := opts.Hook.(type) {
+	case *RegFlip:
+		return h.FaultRecord
+	case *BranchHook:
+		return FaultRecord{Injected: h.Injected}
 	}
 	return FaultRecord{}
 }

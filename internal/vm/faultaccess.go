@@ -1,25 +1,42 @@
 package vm
 
-// Fault-injection surface. Every fault model that corrupts architectural
-// state at an instruction — register and memory flips, bursts, stuck-at and
-// intermittent cells — is a FaultHook: both engines fire it from their
-// per-instruction event point (fireHook), and it reads and corrupts the
-// machine through the accessors below. They mutate architectural state
-// only — register bits and memory words — never timing or bookkeeping, so
-// the only observable difference a faulty run carries is the corruption
-// itself. The accessors work the same on a machine parked at that point
-// with SuspendAtDyn: a hook fired in-engine and the same mutation applied
-// to the parked machine before it resumes give bit-identical runs.
+// Fault-injection surface. Every fault model is a FaultHook — register and
+// memory flips, bursts, stuck-at and intermittent cells, and branch-target
+// redirects: both engines fire it from their per-instruction event point
+// (fireHook), and it reads and corrupts the machine through the accessors
+// below. They mutate architectural state only — register bits, memory
+// words, the successor of the branch being fired at — never timing or
+// bookkeeping, so the only observable difference a faulty run carries is
+// the corruption itself. The state accessors work the same on a machine
+// parked at that point with SuspendAtDyn: a hook fired in-engine and the
+// same mutation applied to the parked machine before it resumes give
+// bit-identical runs. RedirectBranch acts only from inside a hook.
 
 import "repro/internal/ir"
 
-// fireHook runs the run's fault hook on fr, the executing frame, with
-// m.dyn at the hook's instruction, and re-reads its next due dyn.
-func (m *Machine) fireHook(fr *frame) {
-	m.firing = fr
+// fireHook runs the run's fault hook on fr, the executing frame, at in,
+// the instruction about to execute, with m.dyn at in, and re-reads its
+// next due dyn.
+func (m *Machine) fireHook(fr *frame, in *ir.Instr) {
+	m.firing, m.firingIn = fr, in
 	m.opts.Hook.Fire(m)
-	m.firing = nil
+	m.firing, m.firingIn = nil, nil
 	m.hookAt = m.opts.Hook.Next()
+}
+
+// RedirectBranch, called by a hook firing at a br or jmp, corrupts that
+// branch's target: the branch still issues and trains the predictor on its
+// real condition, then continues at the block of the executing function
+// that pick chooses among its nBlocks — the control-flow fault class the
+// paper defers to signature-based checking (§IV-C). At any other
+// instruction, or outside a hook, it returns false without calling pick.
+func (m *Machine) RedirectBranch(pick func(nBlocks int) int) bool {
+	if m.firingIn == nil || m.firingIn.Op != ir.OpBr && m.firingIn.Op != ir.OpJmp {
+		return false
+	}
+	blocks := m.firing.fn.Blocks
+	m.redirect = blocks[pick(len(blocks))]
+	return true
 }
 
 // Suspended reports whether the machine holds a suspended in-flight run

@@ -67,25 +67,11 @@ type FaultHook interface {
 	Fire(m *Machine)
 }
 
-// FaultPlan is a branch-target fault: the first taken branch whose
-// post-increment dyn reaches TriggerDyn is redirected to the block of the
-// executing function that PickBlock chooses — the class of faults the paper
-// defers to signature-based control-flow checking (§IV-C). It fires after a
-// branch rather than before an instruction, so it is the one fault the
-// engines carry outside FaultHook.
-type FaultPlan struct {
-	TriggerDyn int64
-	PickBlock  func(nBlocks int) int
-	Injected   bool // set by the machine once the branch is redirected
-}
-
 // RunOptions controls a single run.
 type RunOptions struct {
 	Profiler Profiler
 	// Hook, when set, fires at its due instructions (FaultHook).
 	Hook FaultHook
-	// Fault, when set, redirects one branch (FaultPlan).
-	Fault *FaultPlan
 	// Tracer, when set, receives one event per executed instruction.
 	Tracer Tracer
 	// CountChecks makes check failures increment counters instead of
@@ -194,10 +180,14 @@ type Machine struct {
 	perCheckFails map[int]int64
 	fusedSteps    int64 // diagnostic: fused-pair handlers executed (fuse.go)
 	// hookAt caches opts.Hook.Next() (math.MaxInt64 without a hook); only
-	// fireHook moves it. firing is the frame a hook is firing on, nil
-	// outside Fire.
-	hookAt int64
-	firing *frame
+	// fireHook moves it. firing and firingIn are the frame and instruction
+	// a hook is firing at, nil outside Fire. redirect is the block a hook
+	// sent the branch it fired at to (RedirectBranch); that branch's
+	// handler consumes it.
+	hookAt   int64
+	firing   *frame
+	firingIn *ir.Instr
+	redirect *ir.Block
 	// acc, when set, records the run's memory accesses (RecordAccesses);
 	// nil on every machine but a campaign's golden one.
 	acc *AccessMasks
@@ -398,6 +388,7 @@ func (m *Machine) Run(opts RunOptions) *Result {
 	m.opts = opts
 	m.stop = opts.Stop
 	m.hookAt = math.MaxInt64
+	m.redirect = nil // a trap between a hook and its branch leaves one behind
 	if opts.Hook != nil {
 		m.hookAt = opts.Hook.Next()
 	}

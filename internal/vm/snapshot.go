@@ -12,8 +12,8 @@ package vm
 // (FaultHook): the first non-phi instruction whose pre-increment dynamic
 // index reaches SuspendAtDyn. Because no fault-eligible instruction
 // lies between the requested index and the actual suspension, a snapshot
-// requested at S serves every trial whose effective trigger index is >= S
-// bit-identically (see internal/fault's checkpoint scheduler).
+// requested at S serves every trial whose fault hook is first due at an
+// index >= S bit-identically (see internal/fault's checkpoint scheduler).
 //
 // What is captured is the machine state RestoreFrom copies and matches
 // compares (the one body behind MatchesSnapshot, MatchesLiveState and
